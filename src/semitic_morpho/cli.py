@@ -12,7 +12,8 @@ from .alphabet import DecodeError, decode, dump_table, encode
 from .corrector import CorrectionCandidate, correct
 from .dsl import parse_grammar
 from .engine import Analysis, UnknownMorpheme, analyze, generate, is_optional_deletion
-from .lexicon import load_lexicon
+from .grammar import GrammarError
+from .lexicon import LexiconError, load_lexicon
 from .morphosyntax import FeatureClash, parse_word, repair_clash
 
 EXIT_OK = 0
@@ -20,17 +21,22 @@ EXIT_NO_RESULT = 1
 EXIT_USAGE = 2
 
 
+def _read(path: Optional[str], bundled: str) -> str:
+    if path:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    return arabic_data.data_text(bundled)
+
+
 def _load(args):
-    if args.grammar:
-        with open(args.grammar, "r", encoding="utf-8") as fh:
-            grammar = parse_grammar(fh.read())
-    else:
-        grammar = parse_grammar(arabic_data.data_text(arabic_data.GRAMMAR_FILE))
-    if args.lexicon:
-        with open(args.lexicon, "r", encoding="utf-8") as fh:
-            lexicon = load_lexicon(fh.read())
-    else:
-        lexicon = load_lexicon(arabic_data.data_text(arabic_data.LEXICON_FILE))
+    """Grammar and lexicon; a file that cannot be read or parsed is an IO
+    error (exit 2)."""
+    try:
+        grammar = parse_grammar(_read(args.grammar, arabic_data.GRAMMAR_FILE))
+        lexicon = load_lexicon(_read(args.lexicon, arabic_data.LEXICON_FILE))
+    except (OSError, UnicodeDecodeError, GrammarError, LexiconError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     return grammar, lexicon
 
 
@@ -95,21 +101,32 @@ def _decode_or_fail(word: str):
         raise SystemExit(EXIT_USAGE)
 
 
-def _each_word(args):
-    if args.stdin:
-        for line in sys.stdin:
-            word = line.strip()
-            if word:
-                yield word
-    else:
-        yield args.word
+def _each_word(args, bad_lines: List[int]):
+    """(word, decoded word) for the WORD argument or each line of standard
+    input. A line that does not decode is reported, added to `bad_lines`
+    and skipped."""
+    if not args.stdin:
+        yield args.word, _decode_or_fail(args.word)
+        return
+    for lineno, line in enumerate(sys.stdin, start=1):
+        word = line.strip()
+        if not word:
+            continue
+        try:
+            symbols = decode(word)
+        except DecodeError as exc:
+            print(f"error: line {lineno}: {word}: {exc}", file=sys.stderr)
+            bad_lines.append(lineno)
+            continue
+        yield word, symbols
 
 
 def cmd_analyze(args) -> int:
     grammar, lexicon = _load(args)
     status = EXIT_OK
-    for word in _each_word(args):
-        analyses = analyze(_decode_or_fail(word), grammar, lexicon)
+    bad_lines: List[int] = []
+    for word, symbols in _each_word(args, bad_lines):
+        analyses = analyze(symbols, grammar, lexicon)
         if args.format == "json":
             _print_json({"word": word,
                          "analyses": [analysis_json(a) for a in analyses]})
@@ -120,14 +137,15 @@ def cmd_analyze(args) -> int:
                 print(f"{word}: {_analysis_text(a)}")
         if not analyses:
             status = EXIT_NO_RESULT
-    return status
+    return EXIT_USAGE if bad_lines else status
 
 
 def cmd_correct(args) -> int:
     grammar, lexicon = _load(args)
     status = EXIT_OK
-    for word in _each_word(args):
-        cands = correct(_decode_or_fail(word), grammar, lexicon,
+    bad_lines: List[int] = []
+    for word, symbols in _each_word(args, bad_lines):
+        cands = correct(symbols, grammar, lexicon,
                         max_candidates=args.max_candidates,
                         max_positions=args.max_positions)
         if args.format == "json":
@@ -146,7 +164,7 @@ def cmd_correct(args) -> int:
                 print(f"{word}: {encode(c.corrected_word)}  [{trace}]")
         if not cands:
             status = EXIT_NO_RESULT
-    return status
+    return EXIT_USAGE if bad_lines else status
 
 
 def cmd_generate(args) -> int:
@@ -171,8 +189,9 @@ def cmd_generate(args) -> int:
 def cmd_repair(args) -> int:
     grammar, lexicon = _load(args)
     status = EXIT_OK
-    for word in _each_word(args):
-        analyses = analyze(_decode_or_fail(word), grammar, lexicon)
+    bad_lines: List[int] = []
+    for word, symbols in _each_word(args, bad_lines):
+        analyses = analyze(symbols, grammar, lexicon)
         well_formed = []
         repairs: List[str] = []
         for a in analyses:
@@ -199,7 +218,7 @@ def cmd_repair(args) -> int:
                                      else "no repair"))
         if not analyses or (not well_formed and not repairs):
             status = EXIT_NO_RESULT
-    return status
+    return EXIT_USAGE if bad_lines else status
 
 
 def cmd_verify(args) -> int:

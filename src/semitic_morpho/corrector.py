@@ -256,11 +256,19 @@ def iter_corrections(word: SymbolString, grammar: Grammar, lexicon: Lexicon,
     )
     seen: Dict[SymbolString, tuple] = {}
     analysis_cache: Dict[SymbolString, tuple] = {}
+    # regenerated surfaces by morpheme selection, each entry named by id and
+    # form (an id alone may repeat on a tape)
+    regenerated: Dict[tuple, Optional[SymbolString]] = {}
     for final in _search(ctx, initial, error_step=try_error_rules):
         if not final.error_apps:
             continue
         partial = to_analysis(ctx, final)
-        corrected = regenerate(partial, grammar, lexicon, skip)
+        selection = tuple(tuple((e.id, e.form) for e in partial.morphemes[t])
+                          for t in grammar.tapes)
+        if selection not in regenerated:
+            regenerated[selection] = regenerate(partial, grammar, lexicon,
+                                                skip)
+        corrected = regenerated[selection]
         if corrected is None:
             continue
         if corrected in analysis_cache:

@@ -21,7 +21,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from .alphabet import ALL_SYMBOLS
 from .grammar import (ANY, ELLIPSIS, EPS, WILDCARD, ContextPattern, ErrorRule,
                       Grammar, Guards, RecordPattern, RuleSyntaxError, Slot,
-                      TuplePattern, TwoLevelRule, UndeclaredClass)
+                      TuplePattern, TwoLevelRule, UndeclaredClass,
+                      context_vars, slot_vars)
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>[ \t]+)
@@ -358,47 +359,26 @@ def _parse_erule(cur: _Cursor, classes, tapes) -> ErrorRule:
     return rule
 
 
-def _slot_vars(slot: Slot):
-    if slot[0] == "var":
-        yield slot[1]
-
-
-def _context_vars(pat, lexical: bool):
-    if pat == WILDCARD:
-        return
-    for item in pat:
-        if item == ELLIPSIS:
-            continue
-        if isinstance(item, RecordPattern):
-            for s in item.surf + item.lex:
-                yield from _slot_vars(s)
-        elif lexical:
-            for s in item:
-                yield from _slot_vars(s)
-        else:
-            yield from _slot_vars(item)
-
-
 def _rule_vars(rule: TwoLevelRule):
     out = set()
     for s in rule.surf:
-        out.update(_slot_vars(s))
+        out.update(slot_vars(s))
     for tup in rule.lex:
         for s in tup:
-            out.update(_slot_vars(s))
-    out.update(_context_vars(rule.lsc, lexical=False))
-    out.update(_context_vars(rule.rsc, lexical=False))
-    out.update(_context_vars(rule.llc, lexical=True))
-    out.update(_context_vars(rule.rlc, lexical=True))
+            out.update(slot_vars(s))
+    out.update(context_vars(rule.lsc, lexical=False))
+    out.update(context_vars(rule.rsc, lexical=False))
+    out.update(context_vars(rule.llc, lexical=True))
+    out.update(context_vars(rule.rlc, lexical=True))
     return out
 
 
 def _erule_vars(rule: ErrorRule):
     out = set()
     for s in rule.err + rule.corr:
-        out.update(_slot_vars(s))
-    out.update(_context_vars(rule.plc, lexical=True))
-    out.update(_context_vars(rule.prc, lexical=True))
+        out.update(slot_vars(s))
+    out.update(context_vars(rule.plc, lexical=True))
+    out.update(context_vars(rule.prc, lexical=True))
     return out
 
 

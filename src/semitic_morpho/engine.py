@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .alphabet import BOUNDARY, SymbolString, slot_index
 from .features import FeatureStructure, restrict, unify_all
-from .grammar import (ANY, ELLIPSIS, EPS, WILDCARD, Bindings, ErrorRule,
-                      Grammar, Guards, LexTuple, RecordPattern, TwoLevelRule,
-                      match_context, match_partition_context,
+from .grammar import (EPS, WILDCARD, Bindings, Grammar, Guards, LexTuple,
+                      RecordPattern, RulePlan, TwoLevelRule, match_context,
                       match_record_pattern, match_slot, match_tuple)
 from .lexicon import Lexicon, LexiconTree, MorphemeEntry, Node
 
@@ -319,86 +318,73 @@ class _SearchContext:
         self.n = len(grammar.tapes)
         self.tape_index = {t: i for i, t in enumerate(grammar.tapes)}
         self.generation = False
+        # the compiled rules this search may apply, in grammar order
+        self.plans = tuple(plan for name, plan in grammar.plans.items()
+                           if name not in skip_rules)
 
 
 # ---------------------------------------------------------------------------
 # rule application
 
 
-def _advance_tapes(ctx: _SearchContext, state: SearchState, rule: TwoLevelRule):
-    """Enumerate tape advances matching rule.lex.
+def _advance_tapes(ctx: _SearchContext, plan: RulePlan, state: SearchState,
+                   bindings: Bindings):
+    """Enumerate tape advances matching the rule's lexical expression.
 
-    Yields (cursors, consumed_per_tape, lex_tuples, bindings).
+    Advances come in the lexicographic order of the symbols taken, slot by
+    slot (trie edges are kept sorted). A bound variable follows its one
+    edge. Yields (cursors, consumed_per_tape, lex_tuples, bindings).
     """
-    def per_item(cursors, item, bindings):
-        # returns list of (cursors, lex_tuple, bindings)
-        outs = [(list(cursors), [], bindings)]
-        for ti, slot in enumerate(item):
-            next_outs = []
-            for curs, syms, b in outs:
-                if slot == EPS:
-                    next_outs.append((curs, syms + [None], b))
-                    continue
-                tag = slot[0]
-                if tag == "lit":
-                    nxt = curs[ti].advance(slot[1])
-                    if nxt is not None:
-                        nc = list(curs)
-                        nc[ti] = nxt
-                        next_outs.append((nc, syms + [slot[1]], b))
-                    continue
-                # variable or ANY: branch over available edges
-                edges = curs[ti].edges()
-                for sym in sorted(edges):
+    guards = plan.rule.guards
+    walks = [([t.cursor for t in state.tapes], [None] * plan.width, bindings)]
+    for flat, ti, tag, value, domain, aligned, named in plan.steps:
+        taken = []
+        for curs, syms, b in walks:
+            cursor = curs[ti]
+            if tag == "lit" or value in b:
+                sym = value if tag == "lit" else b[value]
+                child = cursor.advance(sym)
+                choices = ((sym, child, b),) if child is not None else ()
+            else:
+                choices = []
+                for sym in cursor.edges():
+                    nb = b
                     if tag == "var":
-                        nb = _bind_lex_var(ctx, slot[1], sym, b, rule.guards,
-                                           curs)
-                        if nb is None:
+                        if domain is not None and sym not in domain:
                             continue
-                    else:
-                        nb = b
-                    nc = list(curs)
-                    nc[ti] = curs[ti].advance(sym)
-                    next_outs.append((nc, syms + [sym], nb))
-            outs = next_outs
-            if not outs:
-                return []
-        return [(c, tuple(s), b) for c, s, b in outs]
-
-    results = [([t.cursor for t in state.tapes], [], {})]
-    for item in rule.lex:
-        next_results = []
-        for cursors, tuples, b in results:
-            for nc, syms, nb in per_item(cursors, item, b):
-                next_results.append((nc, tuples + [syms], nb))
-        results = next_results
-        if not results:
+                        if named and not guards.permits(value, sym, b):
+                            continue
+                        if aligned and not _indexes_next(curs, aligned, sym):
+                            continue
+                        nb = dict(b)
+                        nb[value] = sym
+                    choices.append((sym, cursor.advance(sym), nb))
+            for sym, child, nb in choices:
+                nc = list(curs)
+                nc[ti] = child
+                ns = list(syms)
+                ns[flat] = sym
+                taken.append((nc, ns, nb))
+        walks = taken
+        if not walks:
             return
-    for cursors, tuples, b in results:
-        consumed = tuple(
-            tuple(t[ti] for t in tuples if t[ti] is not None)
-            for ti in range(ctx.n))
-        yield cursors, consumed, tuple(tuples), b
+    n = ctx.n
+    for curs, syms, b in walks:
+        consumed = tuple(tuple(s for s in syms[ti::n] if s is not None)
+                         for ti in range(n))
+        tuples = tuple(tuple(syms[k:k + n]) for k in range(0, len(syms), n))
+        yield curs, consumed, tuples, b
 
 
-def _bind_lex_var(ctx: _SearchContext, name: str, sym: str, bindings: Bindings,
-                  guards: Guards, cursors) -> Optional[Bindings]:
-    bound = bindings.get(name)
-    if bound is not None:
-        return bindings if bound == sym else None
-    if not guards.permits(name, sym, bindings):
-        return None
-    for aligned_tape in guards.aligned_tapes(name):
-        # the slot symbol must index the next position of the named tape
-        depth = cursors[ctx.tape_index[aligned_tape]].depth
+def _indexes_next(cursors, tapes: Tuple[int, ...], sym: str) -> bool:
+    """Does the slot symbol index the next position of each aligned tape?"""
+    for ti in tapes:
         try:
-            if slot_index(sym) != depth + 1:
-                return None
+            if slot_index(sym) != cursors[ti].depth + 1:
+                return False
         except (ValueError, IndexError):
-            return None
-    out = dict(bindings)
-    out[name] = sym
-    return out
+            return False
+    return True
 
 
 def _consume_surface(state: SearchState, surf: Tuple[tuple, ...],
@@ -566,15 +552,9 @@ def _scan_coercions(ctx: _SearchContext, state: SearchState,
             b = res
         if not ok:
             continue
-        res = match_context(rule.llc, state.lex_tuples, "left", b, rule.guards)
-        if res is None:
+        b = _match_left_contexts(ctx.grammar.plans[rule.name], state, b)
+        if b is None:
             continue
-        b = res
-        res = match_context(rule.lsc, state.surface_out, "left", b, rule.guards,
-                            lexical=False)
-        if res is None:
-            continue
-        b = res
         required = _emit_surface(rule.surf, b)
         if required is None or tuple(required) == record.surf_seg:
             continue
@@ -669,22 +649,54 @@ def _stem_check(ctx: _SearchContext, before: Sequence[TapeState],
     return StemInfo(pattern, root, voc, hard)
 
 
+def _match_left_contexts(plan: RulePlan, state: SearchState,
+                         bindings: Bindings) -> Optional[Bindings]:
+    guards = plan.rule.guards
+    if plan.llc != WILDCARD:
+        bindings = match_context(plan.llc, state.lex_tuples, "left", bindings,
+                                 guards)
+        if bindings is None:
+            return None
+    if plan.lsc != WILDCARD:
+        bindings = match_context(plan.lsc, state.surface_out, "left",
+                                 bindings, guards, lexical=False)
+    return bindings
+
+
 def apply_rule(ctx: _SearchContext, state: SearchState,
                rule: TwoLevelRule) -> Iterator[SearchState]:
-    """All successor states of applying one two-level rule at `state`."""
-    if rule.name in ctx.skip_rules:
-        return
+    """All successor states of applying one two-level rule at `state`.
+
+    Independent left contexts are matched before the tries are walked, and
+    a first surface variable bound by them or by the surface head limits
+    the walk; see RulePlan.
+    """
+    plan = ctx.grammar.plans[rule.name]
     free_map = state.free_map()
-    for cursors, consumed, lex_tuples, b in _advance_tapes(ctx, state, rule):
-        res = match_context(rule.llc, state.lex_tuples, "left", b, rule.guards)
-        if res is None:
-            continue
-        b = res
-        res = match_context(rule.lsc, state.surface_out, "left", b, rule.guards,
-                            lexical=False)
-        if res is None:
-            continue
-        b = res
+    start: Bindings = {}
+    if plan.hoisted:
+        start = _match_left_contexts(plan, state, start)
+        if start is None:
+            return
+    var = plan.surf_var
+    if var is not None and state.remaining:
+        head = _item_symbol(state.remaining[0], free_map)
+        if head is not None:
+            bound = start.get(var)
+            if bound is not None:
+                if bound != head:
+                    return
+            elif var == plan.prebind:
+                if not rule.guards.permits(var, head, start):
+                    return
+                start = dict(start)
+                start[var] = head
+    for cursors, consumed, lex_tuples, b in _advance_tapes(ctx, plan, state,
+                                                           start):
+        if not plan.hoisted:
+            b = _match_left_contexts(plan, state, b)
+            if b is None:
+                continue
         new_free: List[Tuple[int, str]] = []
         if state.remaining is None:
             emitted = _emit_surface(rule.surf, b)
@@ -816,10 +828,7 @@ def step(state: SearchState, grammar: Grammar, lexicon: Lexicon,
     """Ordinary-rule successors of a state, in deterministic order."""
     if ctx is None:
         ctx = _SearchContext(grammar, lexicon, allow_errors=False)
-    out: List[SearchState] = []
-    for rule in grammar.rules:
-        out.extend(apply_rule(ctx, state, rule))
-    return out
+    return list(_successors(ctx, state, None))
 
 
 def _complete(ctx: _SearchContext, state: SearchState) -> bool:
@@ -840,8 +849,23 @@ def _complete(ctx: _SearchContext, state: SearchState) -> bool:
 
 def _successors(ctx: _SearchContext, state: SearchState,
                 error_step) -> Iterator[SearchState]:
-    for rule in ctx.grammar.rules:
-        yield from apply_rule(ctx, state, rule)
+    """Rule successors in grammar order, then error successors.
+
+    A rule whose first surface slot cannot take the surface head, or whose
+    first lexical tuple needs an edge a cursor lacks, is not tried.
+    """
+    remaining = state.remaining
+    head = _item_symbol(remaining[0], state.free_map()) if remaining else None
+    edges = [t.cursor.edges() for t in state.tapes]
+    for plan in ctx.plans:
+        if remaining is not None and plan.rule.surf:
+            if not remaining:
+                continue
+            if head is not None and not plan.admits_head(head):
+                continue
+        if not plan.admits_edges(edges, head):
+            continue
+        yield from apply_rule(ctx, state, plan.rule)
     if error_step is not None:
         yield from error_step(ctx, state)
 
@@ -873,7 +897,10 @@ def _search(ctx: _SearchContext, initial: SearchState,
 
 def analyze(word: SymbolString, grammar: Grammar, lexicon: Lexicon,
             skip_rules: FrozenSet[str] = frozenset()) -> List[Analysis]:
-    """All no-error analyses of a decoded word, deterministically ordered."""
+    """All no-error analyses of a decoded word, deterministically ordered.
+    The empty word has none."""
+    if not word:
+        return []
     ctx = _SearchContext(grammar, lexicon, allow_errors=False,
                          skip_rules=skip_rules)
     initial = SearchState(

@@ -75,9 +75,6 @@ class Guards:
                     return False
         return True
 
-    def aligned_tapes(self, var: str) -> Tuple[str, ...]:
-        return tuple(t for v, t in self.aligned if v == var)
-
     def domain(self, var: str) -> Optional[FrozenSet[str]]:
         return self.allowed.get(var)
 
@@ -142,6 +139,8 @@ class Grammar:
                     raise DuplicateRuleName(f"rule name {n!r} declared twice")
                 self.by_name[n] = r.name
         self.erule_index = {r.name: i for i, r in enumerate(self.erules)}
+        self.plans: Dict[str, RulePlan] = {
+            r.name: RulePlan(r, self.tapes) for r in self.rules}
 
     def canonical(self, name: str) -> str:
         return self.by_name.get(name, name)
@@ -217,14 +216,18 @@ def match_lex(expr: Sequence[TuplePattern], tuples: Sequence[LexTuple],
 # ---------------------------------------------------------------------------
 # context matching
 
-def _split_groups(items: Sequence) -> List[List]:
+class LeftContext(tuple):
+    """A left context split at its ellipses into groups of items."""
+
+
+def split_left(items: Sequence) -> LeftContext:
     groups: List[List] = [[]]
     for it in items:
         if it == ELLIPSIS:
             groups.append([])
         else:
             groups[-1].append(it)
-    return groups
+    return LeftContext(tuple(g) for g in groups)
 
 
 def _match_group_at(group, segment, start, bindings, guards, match_item):
@@ -242,8 +245,9 @@ def _match_left(items, segment, bindings, guards, match_item) -> Optional[Bindin
     The group right of the last ellipsis must sit flush against the core;
     every earlier group is matched at the nearest position to the right that
     admits it, and that choice is committed (no backtracking to farther ones).
+    `items` may come split already (a LeftContext).
     """
-    groups = _split_groups(items)
+    groups = items if isinstance(items, LeftContext) else split_left(items)
     pos = len(segment)
     last = groups[-1]
     if last:
@@ -341,3 +345,128 @@ def match_partition_context(pat: ContextPattern, records: Sequence, side: str,
         return _match_left(pat, records, bindings, guards, item)
     items = [it for it in pat if it != ELLIPSIS]
     return _match_right(items, records, bindings, guards, item)
+
+
+# ---------------------------------------------------------------------------
+# compiled rules
+
+
+def slot_vars(slot: Slot):
+    if slot[0] == "var":
+        yield slot[1]
+
+
+def context_vars(pat, lexical: bool):
+    if pat == WILDCARD:
+        return
+    for item in pat:
+        if item == ELLIPSIS:
+            continue
+        if isinstance(item, RecordPattern):
+            for s in item.surf + item.lex:
+                yield from slot_vars(s)
+        elif lexical:
+            for s in item:
+                yield from slot_vars(s)
+        else:
+            yield from slot_vars(item)
+
+
+class RulePlan:
+    """A two-level rule analysed once per grammar, for rule dispatch.
+
+    Each part is a necessary condition for the rule to apply, or an order
+    of checks that cannot influence each other, so a rule applied through
+    its plan yields the same successors in the same order as before.
+
+    hoisted      LLC and LSC share no variable with the lexical expression
+                 and no != guard links the two, so they are matched once per
+                 state, before the tries are walked. Otherwise they are
+                 matched after each lexical advance: an ellipsis group
+                 commits to its nearest match, and bindings can move it.
+    llc, lsc     the left contexts, split at their ellipses, or WILDCARD.
+    surf_lit     the first surface slot's literal, or None.
+    surf_var     the first surface slot's variable, or None, and its
+    surf_domain  class (None when unrestricted).
+    prebind      surf_var when it can be bound from the surface head before
+                 the walk: it is in no context, and no aligned or != guard
+                 names it (a != guard could move a left context's match).
+    steps        the non-empty lexical slots in walk order: (index into the
+                 flattened tuples, tape, tag, literal or variable name,
+                 domain, indices of aligned tapes, whether a != guard names
+                 the variable).
+    head_steps   the steps of the first lexical tuple, whose edges the
+                 cursors must offer.
+    """
+
+    def __init__(self, rule: TwoLevelRule, tapes: Sequence[str]):
+        guards = rule.guards
+        n = len(tapes)
+        self.rule = rule
+        self.width = len(rule.lex) * n
+        lex_vars = {v for tup in rule.lex for s in tup for v in slot_vars(s)}
+        left_vars = set(context_vars(rule.llc, lexical=True))
+        left_vars.update(context_vars(rule.lsc, lexical=False))
+        linked = any(
+            is_var and ({v, other} & lex_vars) and ({v, other} & left_vars)
+            for v, other, is_var in guards.diseq)
+        self.hoisted = not (lex_vars & left_vars) and not linked
+        self.llc = rule.llc if rule.llc == WILDCARD else split_left(rule.llc)
+        self.lsc = rule.lsc if rule.lsc == WILDCARD else split_left(rule.lsc)
+
+        head = rule.surf[0] if rule.surf else ANY
+        self.surf_lit = head[1] if head[0] == "lit" else None
+        self.surf_var = head[1] if head[0] == "var" else None
+        self.surf_domain = guards.allowed.get(self.surf_var)
+        in_context = left_vars | set(context_vars(rule.rsc, lexical=False)) \
+            | set(context_vars(rule.rlc, lexical=True))
+        for v, tape in guards.aligned:
+            if tape not in tapes:
+                raise GrammarError(
+                    f"rule {rule.name}: aligned({v}, {tape}) names no tape")
+        named = {v for v, _, _ in guards.diseq}
+        named.update(o for _, o, is_var in guards.diseq if is_var)
+        guarded = named | {v for v, _ in guards.aligned}
+        self.prebind = self.surf_var if (
+            self.surf_var is not None
+            and self.surf_var not in in_context | guarded) else None
+
+        steps = []
+        for k, tup in enumerate(rule.lex):
+            for ti, slot in enumerate(tup):
+                if slot == EPS:
+                    continue
+                value = slot[1] if len(slot) > 1 else None
+                var = value if slot[0] == "var" else None
+                aligned = tuple(tapes.index(t) for v, t in guards.aligned
+                                if v == var)
+                steps.append((k * n + ti, ti, slot[0], value,
+                              guards.allowed.get(var), aligned, var in named))
+        self.steps = tuple(steps)
+        self.head_steps = tuple(st for st in steps if st[0] < n)
+
+    def admits_head(self, head: str) -> bool:
+        """Can the first surface slot take `head`, a grounded symbol?"""
+        if self.surf_lit is not None:
+            return head == self.surf_lit
+        return self.surf_domain is None or head in self.surf_domain
+
+    def admits_edges(self, edges: Sequence, head: Optional[str]) -> bool:
+        """Do the cursors offer each edge the first lexical tuple needs?
+
+        `edges` holds each tape's outgoing edges; `head` is the grounded
+        surface head, which the pre-bound variable takes, or None.
+        """
+        for _, ti, tag, value, domain, _, _ in self.head_steps:
+            offered = edges[ti]
+            if tag == "lit":
+                ok = value in offered
+            elif tag == "var" and value == self.prebind and head is not None:
+                ok = head in offered
+            elif domain is not None:
+                ok = not domain.isdisjoint(offered)
+            else:
+                ok = bool(offered)
+            if not ok:
+                return False
+        return True

@@ -41,7 +41,8 @@ class MorphemeEntry:
 
 
 class Node:
-    """One trie node; `edges` maps a symbol to the child node."""
+    """One trie node; `edges` maps a symbol to the child node, in symbol
+    order, so that walks branch in a fixed order."""
 
     __slots__ = ("edges", "entries", "depth")
 
@@ -54,7 +55,7 @@ class Node:
         return self.edges.get(symbol)
 
     def branches(self) -> Tuple[str, ...]:
-        return tuple(sorted(self.edges))
+        return tuple(self.edges)
 
 
 class LexiconTree:
@@ -68,7 +69,10 @@ class LexiconTree:
             child = node.edges.get(sym)
             if child is None:
                 child = Node(node.depth + 1)
+                in_order = not node.edges or sym > next(reversed(node.edges))
                 node.edges[sym] = child
+                if not in_order:
+                    node.edges = dict(sorted(node.edges.items()))
             node = child
         for other in node.entries:
             if other.id == entry.id:

@@ -148,3 +148,85 @@ def test_grammar_lexicon_overrides(tmp_path, capsys):
     code, out, err = _run(capsys, "--grammar", str(gpath),
                           "--lexicon", str(lpath), "analyze", "ab")
     assert code == 0 and "trace=A,A,B" in out
+
+
+# ---------------------------------------------------------------------------
+# IO errors and bad input lines: one error line, exit 2, no traceback
+
+
+def _run_failing(capsys, *argv):
+    """Usage and IO errors end the command with SystemExit, as argparse's
+    do; return its code and the captured output."""
+    with pytest.raises(SystemExit) as exc:
+        run(list(argv))
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("option", ["--grammar", "--lexicon"])
+def test_missing_data_file_exit_code(tmp_path, capsys, option):
+    code, out, err = _run_failing(capsys, option, str(tmp_path / "missing"),
+                                  "analyze", "katab")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "missing" in err
+
+
+def test_unreadable_data_file_exit_code(tmp_path, capsys):
+    # a directory cannot be read as a file
+    code, out, err = _run_failing(capsys, "--grammar", str(tmp_path),
+                                  "analyze", "katab")
+    assert code == 2 and err.startswith("error: ")
+
+
+def test_malformed_grammar_exit_code(tmp_path, capsys):
+    path = tmp_path / "bad.tlr"
+    path.write_text("rule ! broken\n", encoding="utf-8")
+    code, out, err = _run_failing(capsys, "--grammar", str(path), "analyze",
+                                  "katab")
+    assert code == 2 and err.startswith("error: ")
+
+
+def test_data_dir_override_missing_exit_code(capsys, monkeypatch):
+    monkeypatch.setenv("SEMITIC_MORPHO_DATA", "/nonexistent")
+    code, out, err = _run_failing(capsys, "verify")
+    assert code == 2
+    assert err.startswith("error: ") and "arabic.tlr" in err
+
+
+def _stdin_run(capsys, monkeypatch, text, *argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    return _run(capsys, *argv, "--stdin")
+
+
+def test_stdin_continues_past_bad_line(capsys, monkeypatch):
+    code, out, err = _stdin_run(capsys, monkeypatch, "katab\nk@t\nkutib\n",
+                                "analyze")
+    words = [line.split(":")[0] for line in out.splitlines()]
+    assert words == ["katab", "kutib"]
+    assert err.startswith("error: line 2: k@t:") and err.count("\n") == 1
+    assert code == 2
+
+
+@pytest.mark.parametrize("command,good", [
+    ("correct", "tuktib"),
+    ("repair", "kidaaW"),
+])
+def test_stdin_bad_line_every_command(capsys, monkeypatch, command, good):
+    code, out, err = _stdin_run(capsys, monkeypatch, f"k@t\n{good}\n",
+                                "--format", "json", command)
+    assert json.loads(out)["word"] == good
+    assert err.startswith("error: line 1: k@t:")
+    assert code == 2
+
+
+def test_stdin_without_bad_lines_keeps_status(capsys, monkeypatch):
+    code, out, err = _stdin_run(capsys, monkeypatch, "katab\nqqqq\n",
+                                "analyze")
+    assert code == 1 and err == ""
+
+
+def test_empty_word_no_analysis(capsys):
+    code, out, err = _run(capsys, "analyze", "")
+    assert code == 1
+    assert out.strip() == ": no analysis"

@@ -85,6 +85,10 @@ def test_no_analysis_is_empty_list(grammar, lexicon):
     assert _analyses(grammar, lexicon, "qqq") == []
 
 
+def test_empty_word_has_no_analysis(grammar, lexicon):
+    assert analyze((), grammar, lexicon) == []
+
+
 def test_glottal_change_obligatory(grammar, lexicon):
     # lexical glottal stop may not surface unchanged before {iyy} for roots
     # marked for the change, so *samaaAiyy has no analysis while the

@@ -1,12 +1,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from semitic_morpho.alphabet import decode
 from semitic_morpho.dsl import parse_grammar, print_grammar
+from semitic_morpho.engine import analyze
 from semitic_morpho.grammar import (ANY, ELLIPSIS, EPS, WILDCARD,
-                                    DuplicateRuleName, Guards,
+                                    DuplicateRuleName, GrammarError, Guards,
                                     RuleSyntaxError, UndeclaredClass,
                                     match_context, match_lex,
                                     match_partition_context)
+from semitic_morpho.lexicon import load_lexicon
 
 MICRO_HEADER = "class vowel = {a, i, u}\nclass cons = {b, d, k, t}\n"
 
@@ -78,6 +81,77 @@ def test_print_parse_roundtrip(grammar):
     for a, b in zip(again.erules, grammar.erules):
         assert (a.err, a.corr, a.plc, a.prc, a.reap) == \
                (b.err, b.corr, b.plc, b.prc, b.reap)
+
+
+# ---------------------------------------------------------------------------
+# compiled rules: when left contexts may be matched before the lexical walk
+
+
+def test_bundled_left_contexts_are_matched_first(grammar):
+    assert list(grammar.plans) == [r.name for r in grammar.rules]
+    assert all(plan.hoisted for plan in grammar.plans.values())
+
+
+def test_aligned_guard_must_name_a_tape():
+    with pytest.raises(GrammarError):
+        parse_grammar(MICRO_HEADER + "rule R1: * - C - * => * - (P, C, 0) - *"
+                      "  where cons(C), aligned(P, melody)\n")
+
+
+# A one-tape micro grammar: A surfaces a letter, B closes a morpheme.
+FALLBACK_HEADER = (
+    "class lt = {a, b}\n"
+    "class av = {a}\n"
+    "rule A: * - X - * => * - X - * where lt(X)\n"
+    "rule B: * - 0 - * => (B1, 0, 0) - + - * where B1 != +\n")
+
+
+def _traces(rule_text, entry, word):
+    g = parse_grammar(FALLBACK_HEADER + rule_text)
+    lexicon = load_lexicon(f"pattern\t{entry}\t\t\n")
+    return g, [a.rule_trace for a in analyze(decode(word), g, lexicon)]
+
+
+def test_left_context_sharing_a_lexical_variable_is_matched_after_walk():
+    # S deletes a lexical letter that occurs anywhere earlier. Lexical "aba"
+    # against <ab>: A takes a and b, and S deletes the final a, because with
+    # X = a bound by the walk the ellipsis group finds the a two tuples back.
+    # Matched first, the group would commit to the nearest tuple, bind X = b,
+    # and the final a could not be deleted: no analysis at all.
+    g, traces = _traces(
+        "rule S: * - 0 - * => (X, 0, 0) ... - X - * where lt(X)\n",
+        "aba", "ab")
+    assert not g.plans["S"].hoisted
+    assert traces == [("A", "A", "S", "B")]
+
+
+def test_left_context_linked_by_inequality_is_matched_after_walk():
+    # L deletes a lexical a that follows, somewhere earlier, a letter other
+    # than itself. Lexical "baa" against <ba>: either the second a is
+    # deleted (the nearest tuple that differs from it is the second-nearest,
+    # b) or the first one is (its nearest tuple is b). Matched first, the
+    # group would commit to the nearest tuple, bind Y = a for the second a,
+    # and keep only the second analysis.
+    g, traces = _traces(
+        "rule L: * - 0 - * => (Y, 0, 0) ... - X - * where av(X), X != Y\n",
+        "baa", "ba")
+    assert not g.plans["L"].hoisted
+    assert traces == [("A", "A", "L", "B"), ("A", "L", "A", "B")]
+
+
+def test_surface_variable_linked_to_left_context_is_not_prebound():
+    # Q surfaces any X for a lexical Y that repeats the tuple before it,
+    # where X differs from the letter Z of the nearest tuple before that.
+    # Lexical "babb" against <baba>: at the last b the nearest Z is a, equal
+    # to the surface a, so Q fails and nothing analyzes; against <babb> it
+    # applies. Bound from the surface head first, X = a would push the group
+    # past a to Z = b and analyze <baba>.
+    rule = "rule Q: * - X - * => (Z, 0, 0) ... (Y, 0, 0) - Y - * where X != Z\n"
+    g, traces = _traces(rule, "babb", "baba")
+    assert not g.plans["Q"].hoisted and g.plans["Q"].prebind is None
+    assert traces == []
+    assert _traces(rule, "babb", "babb")[1] == [("A", "A", "A", "A", "B"),
+                                                ("A", "A", "A", "Q", "B")]
 
 
 # ---------------------------------------------------------------------------
