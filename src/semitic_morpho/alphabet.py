@@ -57,30 +57,6 @@ SLOTS = frozenset(PATTERN_C_SLOTS) | frozenset(PATTERN_V_SLOTS)
 
 ALL_SYMBOLS = LETTERS | SLOTS | {BOUNDARY}
 
-# Complement of the short vowels over the whole inventory. This must include
-# "+" (R7 licenses omission of an affix vowel whose right neighbour on the
-# pattern tape is the boundary) and the slot symbols.
-NON_VOWELS = frozenset(ALL_SYMBOLS - SHORT_VOWELS)
-
-_CLASS_MEMBERS = {
-    "consonant": CONSONANTS,
-    "short_vowel": SHORT_VOWELS,
-    "non_vowel": NON_VOWELS,
-    "letter": LETTERS,
-    "pattern_consonant_slot": frozenset(PATTERN_C_SLOTS),
-    "pattern_vowel_slot": frozenset(PATTERN_V_SLOTS),
-    "boundary": frozenset({BOUNDARY}),
-    "any": frozenset(ALL_SYMBOLS),
-}
-
-
-def class_members(name: str) -> frozenset:
-    """Members of a named symbol class."""
-    try:
-        return _CLASS_MEMBERS[name]
-    except KeyError:
-        raise UnknownSymbol(name) from None
-
 
 def slot_index(symbol: str) -> int:
     """1-based position a pattern slot points at (c3 -> 3, v2 -> 2)."""
@@ -144,11 +120,6 @@ def tokenize_lexical(text: str) -> SymbolString:
         out.append(ch)
         i += 1
     return tuple(out)
-
-
-def format_lexical(symbols: Iterable[str]) -> str:
-    """Join lexical symbols back into file notation."""
-    return "".join(symbols)
 
 
 def dump_table() -> str:

@@ -11,7 +11,8 @@ from . import arabic_data
 from .alphabet import DecodeError, decode, dump_table, encode
 from .corrector import CorrectionCandidate, correct
 from .dsl import parse_grammar
-from .engine import Analysis, UnknownMorpheme, analyze, generate, is_optional_deletion
+from .engine import (Analysis, UnknownMorpheme, analyze, generate,
+                     optional_deletion_rules)
 from .grammar import GrammarError
 from .lexicon import LexiconError, load_lexicon
 from .morphosyntax import FeatureClash, parse_word, repair_clash
@@ -169,7 +170,7 @@ def cmd_correct(args) -> int:
 
 def cmd_generate(args) -> int:
     grammar, lexicon = _load(args)
-    skip = frozenset(r.name for r in grammar.rules if is_optional_deletion(r)) \
+    skip = optional_deletion_rules(grammar) \
         if args.style == "full_vocalised" else frozenset()
     selection = {"pattern": args.pattern, "root": args.root,
                  "vocalism": args.vocalism, "affixes": args.affix or []}

@@ -17,7 +17,7 @@ from .alphabet import SymbolString
 from .engine import (Analysis, ErrorApplication, FreeRef, PartitionRecord,
                      RecordObligation, SearchState, TapeState, TrieCursor,
                      _item_symbol, _SearchContext, _search, analyze,
-                     is_optional_deletion, to_analysis)
+                     optional_deletion_rules, scripted_surfaces, to_analysis)
 from .grammar import (WILDCARD, ErrorRule, Grammar, match_partition_context,
                       match_record_pattern, match_slot)
 from .lexicon import Lexicon
@@ -33,10 +33,6 @@ class CorrectionCandidate:
     @property
     def zero_error(self) -> bool:
         return not self.error_trace
-
-
-def _deletion_rule_names(grammar: Grammar) -> frozenset:
-    return frozenset(r.name for r in grammar.rules if is_optional_deletion(r))
 
 
 def _budget_allows(state: SearchState, rule: ErrorRule) -> bool:
@@ -165,30 +161,6 @@ def try_error_rules(ctx: _SearchContext, state: SearchState) -> List[SearchState
     return out
 
 
-def ground_variable(state: SearchState, grammar: Grammar,
-                    lexicon: Lexicon) -> List[Tuple[str, SearchState]]:
-    """Ground the free variable at the head of the remaining surface.
-
-    One successor per symbol reachable by an applicable two-level rule whose
-    lexical side can extend along the lexicon trees — lexically impossible
-    correction characters are never considered.
-    """
-    from .engine import step
-
-    if state.remaining is None or not state.remaining:
-        return []
-    head = state.remaining[0]
-    if isinstance(head, str) or head[0] != "free":
-        return []
-    ref = head[1]
-    out = []
-    for succ in step(state, grammar, lexicon):
-        bound = dict(succ.free_vars).get(ref.ref_id)
-        if bound is not None:
-            out.append((bound, succ))
-    return out
-
-
 def rank_key(grammar: Grammar, errors: Sequence, corrected: SymbolString) -> tuple:
     """Total order: fewest error events (a reap chain is one), deepest
     first-error position (backtracking reaches the failure frontier first
@@ -215,19 +187,8 @@ def regenerate(analysis: Analysis, grammar: Grammar, lexicon: Lexicon,
                skip_rules: frozenset) -> Optional[SymbolString]:
     """Canonical surface of an analysis: rerun the rule relation over the
     analysis' own morpheme sequences with an open surface tape."""
-    from .engine import ScriptCursor, _SearchContext, _search
-
-    ctx = _SearchContext(grammar, lexicon, allow_errors=False,
-                         skip_rules=skip_rules)
-    ctx.generation = True
-    initial = SearchState(
-        tapes=tuple(TapeState(cursor=ScriptCursor(analysis.morphemes.get(t, ())))
-                    for t in grammar.tapes),
-        remaining=None,
-    )
-    for s in _search(ctx, initial):
-        return s.surface_out
-    return None
+    return next(scripted_surfaces(analysis.morphemes, grammar, lexicon,
+                                  skip_rules), None)
 
 
 def iter_corrections(word: SymbolString, grammar: Grammar, lexicon: Lexicon,
@@ -246,9 +207,8 @@ def iter_corrections(word: SymbolString, grammar: Grammar, lexicon: Lexicon,
                                   analyses=tuple(base), error_trace=(),
                                   rank_key=(0, 1, -1, tuple(word)))
         return
-    skip = _deletion_rule_names(grammar)
-    ctx = _SearchContext(grammar, lexicon, allow_errors=True,
-                         max_positions=max_positions)
+    skip = optional_deletion_rules(grammar)
+    ctx = _SearchContext(grammar, lexicon, max_positions=max_positions)
     initial = SearchState(
         tapes=tuple(TapeState(cursor=TrieCursor(lexicon.tree(t)))
                     for t in grammar.tapes),

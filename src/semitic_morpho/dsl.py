@@ -448,8 +448,7 @@ def parse_grammar(text: str) -> Grammar:
             tok = cur.next()
             raise RuleSyntaxError(f"trailing {tok.text!r}", tok.line, tok.col)
 
-    g = Grammar(rules=rules, erules=erules, classes=classes, tapes=tapes,
-                source=text)
+    g = Grammar(rules=rules, erules=erules, classes=classes, tapes=tapes)
     _check_partition_names(g)
     return g
 
@@ -507,16 +506,12 @@ def _fmt_context(pat, lexical: bool) -> str:
     return " ".join(parts)
 
 
-class GrammarErrorForPrint(Exception):
-    pass
-
-
 def _fmt_guards(guards: Guards, classes: Dict[str, FrozenSet[str]]) -> str:
     clauses = []
     for var, dom in guards.allowed.items():
         name = next((n for n, members in classes.items() if members == dom), None)
         if name is None:
-            raise GrammarErrorForPrint(f"no declared class for domain of {var}")
+            raise UndeclaredClass(f"no declared class for domain of {var}")
         clauses.append(f"{name}({var})")
     for var, other, _ in guards.diseq:
         clauses.append(f"{var} != {other}")

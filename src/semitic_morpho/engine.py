@@ -10,14 +10,14 @@ against the actual continuation rather than an existential lexicon walk.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .alphabet import BOUNDARY, SymbolString, slot_index
 from .features import FeatureStructure, restrict, unify_all
 from .grammar import (EPS, WILDCARD, Bindings, Grammar, Guards, LexTuple,
                       RecordPattern, RulePlan, TwoLevelRule, match_context,
-                      match_record_pattern, match_slot, match_tuple)
+                      match_lex, match_record_pattern, match_slot)
 from .lexicon import Lexicon, LexiconTree, MorphemeEntry, Node
 
 
@@ -112,14 +112,12 @@ class TrieCursor:
     def depth(self) -> int:
         return self.node.depth
 
-    def at_start(self) -> bool:
+    def done(self) -> bool:
+        """At a morpheme boundary: no morpheme is half read."""
         return self.node is self.tree.root
 
     def reset(self) -> "TrieCursor":
         return TrieCursor(self.tree)
-
-    def exhausted(self) -> bool:
-        return self.at_start()
 
 
 class ScriptCursor:
@@ -152,14 +150,12 @@ class ScriptCursor:
     def depth(self) -> int:
         return self.off
 
-    def at_start(self) -> bool:
-        return self.off == 0
+    def done(self) -> bool:
+        """Every scripted morpheme has been read."""
+        return self.ei >= len(self.entries) and self.off == 0
 
     def reset(self) -> "ScriptCursor":
         return ScriptCursor(self.entries, self.ei + 1, 0)
-
-    def exhausted(self) -> bool:
-        return self.ei >= len(self.entries) and self.off == 0
 
 
 @dataclass(frozen=True)
@@ -278,10 +274,6 @@ class Analysis:
     def rule_trace(self) -> Tuple[str, ...]:
         return tuple(r.rule_name for r in self.records)
 
-    @property
-    def stem_features(self) -> Optional[FeatureStructure]:
-        return self.stems[-1].features if self.stems else None
-
     def affixes(self) -> Tuple[MorphemeEntry, ...]:
         return tuple(e for e in self.morphemes["pattern"]
                      if e.kind in ("prefix", "suffix"))
@@ -302,22 +294,26 @@ def is_optional_deletion(rule: TwoLevelRule) -> bool:
     return False
 
 
+def optional_deletion_rules(grammar: Grammar) -> FrozenSet[str]:
+    """Names of the grammar's optional-deletion rules: the skip_rules that
+    give fully vocalised generation."""
+    return frozenset(r.name for r in grammar.rules if is_optional_deletion(r))
+
+
 class _SearchContext:
     """Shared knobs and mutable frontier info for one search."""
 
-    def __init__(self, grammar: Grammar, lexicon: Lexicon, allow_errors: bool,
+    def __init__(self, grammar: Grammar, lexicon: Lexicon,
                  skip_rules: FrozenSet[str] = frozenset(),
                  max_positions: Optional[int] = None):
         self.grammar = grammar
         self.lexicon = lexicon
-        self.allow_errors = allow_errors
         self.skip_rules = skip_rules
         self.max_positions = max_positions
         self.deepest = 0
         self.lex_cap = lexicon.max_entry_length() + 4
         self.n = len(grammar.tapes)
         self.tape_index = {t: i for i, t in enumerate(grammar.tapes)}
-        self.generation = False
         # the compiled rules this search may apply, in grammar order
         self.plans = tuple(plan for name, plan in grammar.plans.items()
                            if name not in skip_rules)
@@ -466,24 +462,23 @@ def _rlc_to_queues(ctx: _SearchContext, pat, bindings: Bindings) -> Optional[Tup
     return tuple(tuple(q) for q in queues)
 
 
-def _feed_deferred(ctx: _SearchContext, state_fields: dict, consumed,
-                   surf_syms: Sequence[str], tapes_after) -> bool:
-    """Feed obligations and coercion watches with this record's consumption.
-    Mutates state_fields in place; returns False if the branch dies."""
+def _feed_deferred(state: SearchState, consumed, surf_syms: Sequence[str]):
+    """Feed the state's obligations and coercion watches with this record's
+    consumption. Returns (obligations, watches), or None if the branch dies."""
     # rule right-context obligations
     new_obls = []
-    for obl in state_fields["obligations"]:
+    for obl in state.obligations:
         fed = _feed_queues(obl.queues, consumed, dict(obl.bindings), obl.guards)
         if fed is None:
-            return False
+            return None
         queues, b = fed
         if any(queues):
             new_obls.append(Obligation(queues, tuple(sorted(b.items())), obl.guards))
-    state_fields["obligations"] = tuple(new_obls)
 
-    # coercion watches: mismatch kills the watch, completion kills the branch
+    # coercion watches: a mismatch kills the watch; completed watches are
+    # settled after the morpheme commit
     new_watches = []
-    for w in state_fields["watches"]:
+    for w in state.watches:
         fed = _feed_queues(w.queues, consumed, dict(w.bindings), w.guards)
         if fed is None:
             continue
@@ -501,23 +496,17 @@ def _feed_deferred(ctx: _SearchContext, state_fields: dict, consumed,
             surf_q.pop(0)
         if dead:
             continue
-        w2 = CoercionWatch(w.rule_name, queues, tuple(surf_q),
-                           tuple(sorted(b.items())), w.guards, w.feats)
-        if w2.contexts_done():
-            verdict = _watch_feats_state(w2, tapes_after)
-            if verdict is True:
-                return False          # genuine violation
-            if verdict is None:
-                new_watches.append(w2) # awaiting morpheme commitment
-            # verdict False: feature requirement failed, watch dies
-        else:
-            new_watches.append(w2)
-    state_fields["watches"] = tuple(new_watches)
-    return True
+        new_watches.append(CoercionWatch(w.rule_name, queues, tuple(surf_q),
+                                         tuple(sorted(b.items())), w.guards,
+                                         w.feats))
+    return tuple(new_obls), tuple(new_watches)
 
 
 def _watch_feats_state(w: CoercionWatch, tapes: Sequence[TapeState]):
-    """True = violation confirmed, False = watch void, None = undecided."""
+    """True = violation confirmed, False = watch void, None = undecided.
+
+    Commits only append morphemes, so a verdict once decided never changes.
+    """
     for tape_i, attr, val, midx in w.feats:
         tape = tapes[tape_i]
         if len(tape.morphemes) <= midx:
@@ -529,28 +518,20 @@ def _watch_feats_state(w: CoercionWatch, tapes: Sequence[TapeState]):
 
 
 def _scan_coercions(ctx: _SearchContext, state: SearchState,
-                    record: PartitionRecord, state_fields: dict,
-                    applied_rule: str) -> bool:
-    """Check the freshly appended record against every obligatory rule.
-    Returns False if an immediate violation is confirmed."""
+                    record: PartitionRecord,
+                    applied_rule: str) -> Tuple[CoercionWatch, ...]:
+    """Watches for every obligatory rule the freshly made record could
+    violate: its lexical side and left contexts match, its surface differs."""
     if record.error_origin is not None or not record.lex_seg:
-        return True
+        return ()
+    watches = []
     for rule in ctx.grammar.obligatory_rules:
         if ctx.grammar.same_rule(rule.name, applied_rule):
             continue
         if rule.name in ctx.skip_rules:
             continue
-        if len(rule.lex) != len(record.lex_seg):
-            continue
-        b = {}
-        ok = True
-        for pat, tup in zip(rule.lex, record.lex_seg):
-            res = match_tuple(pat, tup, b, rule.guards)
-            if res is None:
-                ok = False
-                break
-            b = res
-        if not ok:
+        b = match_lex(rule.lex, record.lex_seg, {}, rule.guards)
+        if b is None:
             continue
         b = _match_left_contexts(ctx.grammar.plans[rule.name], state, b)
         if b is None:
@@ -567,17 +548,10 @@ def _scan_coercions(ctx: _SearchContext, state: SearchState,
             (ctx.tape_index[tape], attr, val,
              len(state.tapes[ctx.tape_index[tape]].morphemes))
             for tape, attr, val in rule.guards.feats)
-        w = CoercionWatch(rule.name, queues, surf_q, tuple(sorted(b.items())),
-                          rule.guards, feats)
-        if w.contexts_done():
-            verdict = _watch_feats_state(w, state_fields["tapes"])
-            if verdict is True:
-                return False
-            if verdict is None:
-                state_fields["watches"] += (w,)
-        else:
-            state_fields["watches"] += (w,)
-    return True
+        watches.append(CoercionWatch(rule.name, queues, surf_q,
+                                     tuple(sorted(b.items())), rule.guards,
+                                     feats))
+    return tuple(watches)
 
 
 def _affix_order_ok(prior: Tuple[MorphemeEntry, ...], entry: MorphemeEntry) -> bool:
@@ -619,34 +593,24 @@ def _commit_morphemes(ctx: _SearchContext, tapes: List[TapeState]):
         yield tuple(combo)
 
 
-def _stem_check(ctx: _SearchContext, before: Sequence[TapeState],
-                after: Sequence[TapeState]):
-    """When the stem tapes just closed a morpheme, unify hard features.
-
-    Returns the StemInfo or None (no stem closed) or False (clash).
-    """
+def _stem_ok(ctx: _SearchContext, before: Sequence[TapeState],
+             after: Sequence[TapeState]) -> bool:
+    """False when the stem tapes just closed a morpheme whose hard
+    features clash."""
     idx = ctx.tape_index
-    committed = [len(after[i].morphemes) > len(before[i].morphemes)
-                 for i in range(ctx.n)]
-    if ctx.n < 3:
-        return None
     ri, vi, pi = idx.get("root"), idx.get("vocalism"), idx.get("pattern")
     if ri is None or vi is None or pi is None:
-        return None
-    if not (committed[ri] and committed[vi]):
-        return None
+        return True
+    if len(after[ri].morphemes) == len(before[ri].morphemes) or \
+       len(after[vi].morphemes) == len(before[vi].morphemes):
+        return True
     if not after[pi].morphemes:
-        return None
-    pattern = after[pi].morphemes[-1]
-    root = after[ri].morphemes[-1]
-    voc = after[vi].morphemes[-1]
+        return True
     soft = ctx.lexicon.soft_attrs
-    hard = unify_all(restrict(pattern.features, soft),
-                     restrict(root.features, soft),
-                     restrict(voc.features, soft))
-    if hard is None:
-        return False
-    return StemInfo(pattern, root, voc, hard)
+    return unify_all(restrict(after[pi].morphemes[-1].features, soft),
+                     restrict(after[ri].morphemes[-1].features, soft),
+                     restrict(after[vi].morphemes[-1].features, soft)) \
+        is not None
 
 
 def _match_left_contexts(plan: RulePlan, state: SearchState,
@@ -754,13 +718,10 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
                 morphemes=tapes_mid[ti].morphemes,
                 pending_feats=tapes_mid[ti].pending_feats + ((attr, val),))
 
-        fields = {
-            "obligations": state.obligations,
-            "watches": state.watches,
-            "tapes": tuple(tapes_mid),
-        }
-        if not _feed_deferred(ctx, fields, consumed, surf_syms, tuple(tapes_mid)):
+        fed = _feed_deferred(state, consumed, surf_syms)
+        if fed is None:
             continue
+        obligations, pending = fed
         # PRC obligations from error rules constrain this record
         rec_obls = []
         violated = False
@@ -777,22 +738,21 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
                                                  ro.guards))
         if violated:
             continue
-        if not _scan_coercions(ctx, state, record, fields, rule.name):
-            continue
+        pending += _scan_coercions(ctx, state, record, rule.name)
         own_queues = _rlc_to_queues(ctx, rule.rlc, b)
         if own_queues is not None and any(own_queues):
-            fields["obligations"] += (
+            obligations += (
                 Obligation(own_queues, tuple(sorted(
                     (k, v) for k, v in b.items())), rule.guards),)
 
-        for tapes_after in _commit_morphemes(ctx, list(fields["tapes"])):
-            stem = _stem_check(ctx, state.tapes, tapes_after)
-            if stem is False:
+        for tapes_after in _commit_morphemes(ctx, tapes_mid):
+            if not _stem_ok(ctx, state.tapes, tapes_after):
                 continue
-            # completed watches may now be decidable
+            # a watch whose contexts are complete is settled here, once the
+            # record's morphemes are committed
             watches = []
             dead = False
-            for w in fields["watches"]:
+            for w in pending:
                 if w.contexts_done():
                     verdict = _watch_feats_state(w, tapes_after)
                     if verdict is True:
@@ -812,7 +772,7 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
                 lex_tuples=state.lex_tuples + record.lex_seg,
                 surface_out=state.surface_out + surf_syms,
                 free_vars=tuple(sorted(local_free.items())),
-                obligations=fields["obligations"],
+                obligations=obligations,
                 watches=tuple(watches),
                 record_obls=tuple(rec_obls),
                 budget=state.budget,
@@ -823,28 +783,11 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
             )
 
 
-def step(state: SearchState, grammar: Grammar, lexicon: Lexicon,
-         ctx: Optional[_SearchContext] = None) -> List[SearchState]:
-    """Ordinary-rule successors of a state, in deterministic order."""
-    if ctx is None:
-        ctx = _SearchContext(grammar, lexicon, allow_errors=False)
-    return list(_successors(ctx, state, None))
-
-
-def _complete(ctx: _SearchContext, state: SearchState) -> bool:
-    if state.remaining is not None and state.remaining:
-        return False
-    for tape in state.tapes:
-        if state.remaining is None:
-            if not tape.cursor.exhausted():
-                return False
-        elif not tape.cursor.at_start():
-            return False
-    if any(not obl.done() for obl in state.obligations):
-        return False
-    if state.record_obls:
-        return False
-    return True
+def _complete(state: SearchState) -> bool:
+    return (not state.remaining
+            and all(tape.cursor.done() for tape in state.tapes)
+            and all(obl.done() for obl in state.obligations)
+            and not state.record_obls)
 
 
 def _successors(ctx: _SearchContext, state: SearchState,
@@ -889,7 +832,7 @@ def _search(ctx: _SearchContext, initial: SearchState,
             continue
         if state.remaining is not None:
             ctx.deepest = max(ctx.deepest, state.pos)
-        if _complete(ctx, state):
+        if _complete(state):
             yield state
             continue
         stack.append(_successors(ctx, state, error_step))
@@ -901,8 +844,7 @@ def analyze(word: SymbolString, grammar: Grammar, lexicon: Lexicon,
     The empty word has none."""
     if not word:
         return []
-    ctx = _SearchContext(grammar, lexicon, allow_errors=False,
-                         skip_rules=skip_rules)
+    ctx = _SearchContext(grammar, lexicon, skip_rules=skip_rules)
     initial = SearchState(
         tapes=tuple(TapeState(cursor=TrieCursor(lexicon.tree(t)))
                     for t in grammar.tapes),
@@ -983,119 +925,22 @@ def generate(selection: Dict[str, object], grammar: Grammar, lexicon: Lexicon,
         "root": (root,) if root else (),
         "vocalism": (voc,) if voc else (),
     }
-    ctx = _SearchContext(grammar, lexicon, allow_errors=False,
-                         skip_rules=skip_rules)
-    ctx.generation = True
+    return list(dict.fromkeys(scripted_surfaces(scripts, grammar, lexicon,
+                                                skip_rules)))
+
+
+def scripted_surfaces(scripts: Dict[str, Sequence[MorphemeEntry]],
+                      grammar: Grammar, lexicon: Lexicon,
+                      skip_rules: FrozenSet[str] = frozenset()
+                      ) -> Iterator[SymbolString]:
+    """Surfaces of the complete partitions over fixed morpheme sequences
+    (tape name -> entries), lazily in search order; a surface repeats when
+    several partitions produce it."""
+    ctx = _SearchContext(grammar, lexicon, skip_rules=skip_rules)
     initial = SearchState(
-        tapes=tuple(TapeState(cursor=ScriptCursor(scripts.get(t, ())))
+        tapes=tuple(TapeState(cursor=ScriptCursor(tuple(scripts.get(t, ()))))
                     for t in grammar.tapes),
         remaining=None,
     )
-    seen = set()
-    out: List[SymbolString] = []
     for s in _search(ctx, initial):
-        if s.surface_out not in seen:
-            seen.add(s.surface_out)
-            out.append(s.surface_out)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# post-hoc obligatory-rule checking (independent of the engine's watches)
-
-
-def check_obligatory(records: Sequence[PartitionRecord], grammar: Grammar,
-                     morphemes: Optional[Dict[str, Sequence[MorphemeEntry]]] = None
-                     ) -> List[Tuple[int, str]]:
-    """Violations of obligatory rules over a complete partition.
-
-    Returns (record index, rule name) pairs. Error-origin records are exempt.
-    Feature guards are resolved against `morphemes` when given, else assumed
-    satisfied.
-    """
-    n = len(grammar.tapes)
-    tape_index = {t: i for i, t in enumerate(grammar.tapes)}
-    lex_history: List[LexTuple] = []
-    surface: List[str] = []
-    # per-tape morpheme index at each record (number of boundaries consumed)
-    morph_idx = [0] * n
-    violations: List[Tuple[int, str]] = []
-    all_lex = [t for r in records for t in r.lex_seg]
-    all_surf = [s for r in records for s in r.surf_seg]
-
-    for ri, rec in enumerate(records):
-        if rec.error_origin is None and rec.lex_seg:
-            for rule in grammar.obligatory_rules:
-                if grammar.same_rule(rule.name, rec.rule_name):
-                    continue
-                if len(rule.lex) != len(rec.lex_seg):
-                    continue
-                b: Optional[Bindings] = {}
-                for pat, tup in zip(rule.lex, rec.lex_seg):
-                    b = match_tuple(pat, tup, b, rule.guards)
-                    if b is None:
-                        break
-                if b is None:
-                    continue
-                b2 = match_context(rule.llc, lex_history, "left", b, rule.guards)
-                if b2 is None:
-                    continue
-                b2 = match_context(rule.lsc, surface, "left", b2, rule.guards,
-                                   lexical=False)
-                if b2 is None:
-                    continue
-                rest_lex = all_lex[len(lex_history) + len(rec.lex_seg):]
-                b3 = _match_rlc_posthoc(rule.rlc, rest_lex, b2, rule.guards, n)
-                if b3 is None:
-                    continue
-                rest_surf = all_surf[len(surface) + len(rec.surf_seg):]
-                b4 = match_context(rule.rsc, rest_surf, "right", b3, rule.guards,
-                                   lexical=False)
-                if b4 is None:
-                    continue
-                if morphemes is not None and rule.guards.feats:
-                    ok = True
-                    for tape, attr, val in rule.guards.feats:
-                        seq = morphemes.get(tape, ())
-                        mi = morph_idx[tape_index[tape]]
-                        if mi >= len(seq) or val not in seq[mi].features.get(attr, ()):
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                required = _emit_surface(rule.surf, b4)
-                if required is not None and tuple(required) != rec.surf_seg:
-                    violations.append((ri, rule.name))
-        for tup in rec.lex_seg:
-            for ti, sym in enumerate(tup):
-                if sym == BOUNDARY:
-                    morph_idx[ti] += 1
-        lex_history.extend(rec.lex_seg)
-        surface.extend(rec.surf_seg)
-    return violations
-
-
-def _match_rlc_posthoc(pat, rest_lex: Sequence[LexTuple], bindings, guards,
-                       n: int) -> Optional[Bindings]:
-    """Right lexical context over the actual following tuples, per tape."""
-    if pat == WILDCARD:
-        return bindings
-    streams: List[List[str]] = [[] for _ in range(n)]
-    for tup in rest_lex:
-        for ti, sym in enumerate(tup):
-            if sym is not None:
-                streams[ti].append(sym)
-    b = dict(bindings)
-    offsets = [0] * n
-    for item in pat:
-        for ti, slot in enumerate(item):
-            if slot == EPS:
-                continue
-            if offsets[ti] >= len(streams[ti]):
-                return None
-            res = match_slot(slot, streams[ti][offsets[ti]], b, guards)
-            if res is None:
-                return None
-            b = res
-            offsets[ti] += 1
-    return b
+        yield s.surface_out

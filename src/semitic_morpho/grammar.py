@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .alphabet import slot_index
-
 EPS = ("eps",)
 ANY = ("any",)
 ELLIPSIS = ("ellipsis",)
@@ -129,7 +127,6 @@ class Grammar:
     erules: List[ErrorRule]
     classes: Dict[str, FrozenSet[str]]
     tapes: Tuple[str, ...] = ("pattern", "root", "vocalism")
-    source: str = ""
 
     def __post_init__(self):
         self.by_name: Dict[str, str] = {}

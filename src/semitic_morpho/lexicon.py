@@ -7,8 +7,8 @@ entry's form from the tree root always ends at the node holding it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from .alphabet import BOUNDARY, DecodeError, SymbolString, tokenize_lexical
 from .features import FeatureStructure, make_fs
@@ -51,12 +51,6 @@ class Node:
         self.entries: List[MorphemeEntry] = []
         self.depth = depth
 
-    def advance(self, symbol: str) -> Optional["Node"]:
-        return self.edges.get(symbol)
-
-    def branches(self) -> Tuple[str, ...]:
-        return tuple(self.edges)
-
 
 class LexiconTree:
     def __init__(self):
@@ -84,16 +78,6 @@ class LexiconTree:
                 raise DuplicateEntry(f"duplicate entry {entry.id!r} on tape {entry.tape!r}")
         node.entries.append(entry)
         self.entries.append(entry)
-
-
-def advance(node: Node, symbol: str) -> Optional[Node]:
-    """Follow the edge labelled *symbol*, or fail with None."""
-    return node.advance(symbol)
-
-
-def branches(node: Node) -> Tuple[str, ...]:
-    """Edge labels out of *node* — the candidate set for grounding variables."""
-    return node.branches()
 
 
 class Lexicon:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from .alphabet import SymbolString
-from .engine import Analysis, UnknownMorpheme, generate, is_optional_deletion
+from .engine import Analysis, generate, optional_deletion_rules
 from .features import FeatureStructure, conflicts, unify_all
 from .grammar import Grammar
 from .lexicon import Lexicon
@@ -83,7 +83,7 @@ def repair_clash(clash: FeatureClash, grammar: Grammar,
     Each expected pattern carries the vocalism paired with it for the
     inflection; generation runs with the optional deletions disabled.
     """
-    skip = frozenset(r.name for r in grammar.rules if is_optional_deletion(r))
+    skip = optional_deletion_rules(grammar)
     out: List[SymbolString] = []
     for pattern_id in clash.expected_patterns:
         entry = lexicon.entry("pattern", pattern_id)

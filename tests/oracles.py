@@ -1,14 +1,20 @@
 """Independent reference implementations used as test oracles.
 
 Nothing here calls the engine's search: surfaces and orthography sets are
-computed by direct string walks over the lexicon data, and the micro
-partition oracle enumerates alignments exhaustively.
+computed by direct string walks over the lexicon data, the micro partition
+oracle enumerates alignments exhaustively, and the obligatory-rule checker
+reads a complete partition after the fact with the grammar's slot and
+context matchers.
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+from semitic_morpho.alphabet import BOUNDARY
+from semitic_morpho.grammar import (EPS, WILDCARD, match_context, match_slot,
+                                    match_tuple)
 
 C_SLOTS = {"c1": 1, "c2": 2, "c3": 3, "c4": 4}
 V_SLOTS = {"v1": 1, "v2": 2}
@@ -190,3 +196,115 @@ def _micro_violates(rules, tape, word, trace) -> bool:
                word[wi - 1] == spec["lsc"] and word[wi] != spec["surf"]:
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# post-hoc obligatory-rule checking (independent of the engine's watches)
+
+
+def check_obligatory(records, grammar, morphemes=None) -> List[Tuple[int, str]]:
+    """Violations of obligatory rules over a complete partition.
+
+    Returns (record index, rule name) pairs. Error-origin records are exempt.
+    Feature guards are resolved against `morphemes` when given, else assumed
+    satisfied.
+    """
+    n = len(grammar.tapes)
+    tape_index = {t: i for i, t in enumerate(grammar.tapes)}
+    lex_history: List[tuple] = []
+    surface: List[str] = []
+    # per-tape morpheme index at each record (number of boundaries consumed)
+    morph_idx = [0] * n
+    violations: List[Tuple[int, str]] = []
+    all_lex = [t for r in records for t in r.lex_seg]
+    all_surf = [s for r in records for s in r.surf_seg]
+
+    for ri, rec in enumerate(records):
+        if rec.error_origin is None and rec.lex_seg:
+            for rule in grammar.obligatory_rules:
+                if grammar.same_rule(rule.name, rec.rule_name):
+                    continue
+                if len(rule.lex) != len(rec.lex_seg):
+                    continue
+                b: Optional[dict] = {}
+                for pat, tup in zip(rule.lex, rec.lex_seg):
+                    b = match_tuple(pat, tup, b, rule.guards)
+                    if b is None:
+                        break
+                if b is None:
+                    continue
+                b2 = match_context(rule.llc, lex_history, "left", b, rule.guards)
+                if b2 is None:
+                    continue
+                b2 = match_context(rule.lsc, surface, "left", b2, rule.guards,
+                                   lexical=False)
+                if b2 is None:
+                    continue
+                rest_lex = all_lex[len(lex_history) + len(rec.lex_seg):]
+                b3 = _match_rlc_posthoc(rule.rlc, rest_lex, b2, rule.guards, n)
+                if b3 is None:
+                    continue
+                rest_surf = all_surf[len(surface) + len(rec.surf_seg):]
+                b4 = match_context(rule.rsc, rest_surf, "right", b3, rule.guards,
+                                   lexical=False)
+                if b4 is None:
+                    continue
+                if morphemes is not None and rule.guards.feats:
+                    ok = True
+                    for tape, attr, val in rule.guards.feats:
+                        seq = morphemes.get(tape, ())
+                        mi = morph_idx[tape_index[tape]]
+                        if mi >= len(seq) or val not in seq[mi].features.get(attr, ()):
+                            ok = False
+                            break
+                    if not ok:
+                        continue
+                required = _emit_surface(rule.surf, b4)
+                if required is not None and tuple(required) != rec.surf_seg:
+                    violations.append((ri, rule.name))
+        for tup in rec.lex_seg:
+            for ti, sym in enumerate(tup):
+                if sym == BOUNDARY:
+                    morph_idx[ti] += 1
+        lex_history.extend(rec.lex_seg)
+        surface.extend(rec.surf_seg)
+    return violations
+
+
+def _match_rlc_posthoc(pat, rest_lex: Sequence[tuple], bindings, guards,
+                       n: int) -> Optional[dict]:
+    """Right lexical context over the actual following tuples, per tape."""
+    if pat == WILDCARD:
+        return bindings
+    streams: List[List[str]] = [[] for _ in range(n)]
+    for tup in rest_lex:
+        for ti, sym in enumerate(tup):
+            if sym is not None:
+                streams[ti].append(sym)
+    b = dict(bindings)
+    offsets = [0] * n
+    for item in pat:
+        for ti, slot in enumerate(item):
+            if slot == EPS:
+                continue
+            if offsets[ti] >= len(streams[ti]):
+                return None
+            res = match_slot(slot, streams[ti][offsets[ti]], b, guards)
+            if res is None:
+                return None
+            b = res
+            offsets[ti] += 1
+    return b
+
+
+def _emit_surface(surf, bindings) -> Optional[List[str]]:
+    """The surface a rule's surface expression spells under `bindings`."""
+    out = []
+    for pat in surf:
+        if pat[0] == "lit":
+            out.append(pat[1])
+        elif pat[0] == "var" and pat[1] in bindings:
+            out.append(bindings[pat[1]])
+        else:
+            return None
+    return out

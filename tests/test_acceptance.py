@@ -15,7 +15,7 @@ from semitic_morpho.arabic_data import (ACTIVE_VOCALISM, PASSIVE_VOCALISM,
                                         measure_pattern_id, verify_table)
 from semitic_morpho.corrector import correct, iter_corrections
 from semitic_morpho.dsl import parse_grammar
-from semitic_morpho.engine import analyze, generate, is_optional_deletion
+from semitic_morpho.engine import analyze, generate, optional_deletion_rules
 from semitic_morpho.features import restrict, unify, unify_all
 from semitic_morpho.lexicon import load_lexicon
 from semitic_morpho.morphosyntax import FeatureClash, parse_word, repair_clash
@@ -31,10 +31,6 @@ def _report(ident, description, ok):
 def _stem(a):
     return (a.stems[-1].pattern.id, a.stems[-1].vocalism.id) if a.stems \
         else None
-
-
-def _skip(grammar):
-    return frozenset(r.name for r in grammar.rules if is_optional_deletion(r))
 
 
 # --------------------------------------------------------------------------
@@ -242,7 +238,7 @@ def test_criterion_9a_damerau_roundtrip(grammar, lexicon, verb_table):
 
 
 def test_criterion_9b_roundtrip(grammar, lexicon, verb_table):
-    skip = _skip(grammar)
+    skip = optional_deletion_rules(grammar)
     bad = []
     for measure, voice, surface in verb_table.cells():
         analyses = analyze(decode(surface), grammar, lexicon)

@@ -1,11 +1,12 @@
 import pytest
 
 from semitic_morpho.alphabet import decode, encode
-from semitic_morpho.corrector import (correct, ground_variable,
-                                      iter_corrections, rank, rank_key,
-                                      try_error_rules)
+from semitic_morpho.corrector import (correct, iter_corrections, rank,
+                                      rank_key, try_error_rules)
 from semitic_morpho.engine import (SearchState, TapeState, TrieCursor,
                                    _SearchContext, _search, analyze)
+
+from steps import ground_variable, step
 
 
 def _correct(grammar, lexicon, word, **kw):
@@ -146,13 +147,12 @@ def test_iter_corrections_lazy_membership(grammar, lexicon):
 
 
 def _state_after(grammar, lexicon, word, prefix_rules):
-    ctx = _SearchContext(grammar, lexicon, allow_errors=True)
+    ctx = _SearchContext(grammar, lexicon)
     state = SearchState(
         tapes=tuple(TapeState(cursor=TrieCursor(lexicon.tree(t)))
                     for t in grammar.tapes),
         remaining=tuple(decode(word)),
     )
-    from semitic_morpho.engine import step
     for rule_name, lex in prefix_rules:
         succ = step(state, grammar, lexicon, ctx)
         state = next(s for s in succ

@@ -1,16 +1,20 @@
+import dataclasses
 import itertools
 
 import pytest
 
-from semitic_morpho.alphabet import decode, encode
+from semitic_morpho.alphabet import LETTERS, decode, encode
 from semitic_morpho.dsl import parse_grammar
 from semitic_morpho.engine import (SearchState, TapeState, TrieCursor,
-                                   analyze, check_obligatory, generate,
-                                   is_optional_deletion, step)
+                                   analyze, generate, is_optional_deletion,
+                                   optional_deletion_rules)
+from semitic_morpho.grammar import Grammar
 from semitic_morpho.lexicon import load_lexicon
 
-from oracles import (oracle_micro_analyze, orthography_set,
-                     reference_surface)
+from oracles import (check_obligatory, damerau_edits, oracle_micro_analyze,
+                     orthography_set, reference_surface)
+from steps import step
+from test_acceptance import AFFIXED_SURFACES, NOMINAL_SURFACES
 
 
 def _analyses(grammar, lexicon, word):
@@ -20,10 +24,6 @@ def _analyses(grammar, lexicon, word):
 def _stem(a):
     return (a.stems[-1].pattern.id, a.stems[-1].root.id,
             a.stems[-1].vocalism.id) if a.stems else None
-
-
-def _skip(grammar):
-    return frozenset(r.name for r in grammar.rules if is_optional_deletion(r))
 
 
 # ---------------------------------------------------------------------------
@@ -106,18 +106,18 @@ def test_glottal_change_obligatory(grammar, lexicon):
 def test_glottal_change_generation(grammar, lexicon):
     got = generate({"pattern": "CaCaaC", "root": "smA", "vocalism": "a",
                     "affixes": ["suf_iyy"]}, grammar, lexicon,
-                   skip_rules=_skip(grammar))
+                   skip_rules=optional_deletion_rules(grammar))
     assert [encode(s) for s in got] == ["samaawiyy"]
     got = generate({"pattern": "CaCaaC", "root": "hwA", "vocalism": "a",
                     "affixes": ["suf_iyy"]}, grammar, lexicon,
-                   skip_rules=_skip(grammar))
+                   skip_rules=optional_deletion_rules(grammar))
     assert [encode(s) for s in got] == ["hawaaAiyy"]
 
 
 def test_prefix_generation(grammar, lexicon):
     got = generate({"pattern": "M1", "root": "ktb", "vocalism": "ui",
                     "affixes": ["pre_wa"]}, grammar, lexicon,
-                   skip_rules=_skip(grammar))
+                   skip_rules=optional_deletion_rules(grammar))
     assert [encode(s) for s in got] == ["wakutib"]
 
 
@@ -167,7 +167,8 @@ def test_step_optional_deletion(grammar, lexicon):
 
 def test_generate_full_vocalised(grammar, lexicon):
     got = generate({"pattern": "M1", "root": "ktb", "vocalism": "a"},
-                   grammar, lexicon, skip_rules=_skip(grammar))
+                   grammar, lexicon,
+                   skip_rules=optional_deletion_rules(grammar))
     assert [encode(s) for s in got] == ["katab"]
 
 
@@ -183,7 +184,8 @@ def test_generate_all_orthographies_matches_oracle(grammar, lexicon):
 
 def test_generate_broken_plural(grammar, lexicon):
     got = generate({"pattern": "CuCC", "root": "kdW", "vocalism": "u"},
-                   grammar, lexicon, skip_rules=_skip(grammar))
+                   grammar, lexicon,
+                   skip_rules=optional_deletion_rules(grammar))
     assert [encode(s) for s in got] == ["kudW"]
 
 
@@ -210,7 +212,7 @@ def test_generate_outputs_reanalyze(grammar, lexicon, verb_table):
 
 def test_is_optional_deletion_classification(grammar):
     names = {r.name for r in grammar.rules if is_optional_deletion(r)}
-    assert names == {"R7", "R8", "R9"}
+    assert names == optional_deletion_rules(grammar) == {"R7", "R8", "R9"}
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +233,7 @@ def test_partition_soundness(grammar, lexicon, verb_table):
 
 
 def test_round_trip_all_cells(grammar, lexicon, verb_table):
-    skip = _skip(grammar)
+    skip = optional_deletion_rules(grammar)
     for measure, voice, surface in verb_table.cells():
         analyses = _analyses(grammar, lexicon, surface)
         assert analyses, surface
@@ -254,7 +256,7 @@ def test_reference_surface_agrees_with_generation(grammar, lexicon,
     from semitic_morpho.arabic_data import (ACTIVE_VOCALISM,
                                             PASSIVE_VOCALISM,
                                             measure_pattern_id)
-    skip = _skip(grammar)
+    skip = optional_deletion_rules(grammar)
     for measure, voice, surface in verb_table.cells():
         pattern = lexicon.entry("pattern", measure_pattern_id(measure)).body
         voc_id = ACTIVE_VOCALISM if voice == "act" else PASSIVE_VOCALISM
@@ -299,6 +301,39 @@ def test_check_obligatory_engine_output_clean(grammar, lexicon, verb_table):
         for a in _analyses(grammar, lexicon, surface):
             assert check_obligatory(a.records, grammar,
                                     a.morphemes) == []
+
+
+def _demoted(grammar):
+    """The grammar with every <=> rule weakened to =>."""
+    return Grammar([dataclasses.replace(r, op="=>") for r in grammar.rules],
+                   grammar.erules, grammar.classes, grammar.tapes)
+
+
+def _key(a):
+    return a.rule_trace, {t: [e.id for e in es] for t, es in a.morphemes.items()}
+
+
+def test_online_watch_agrees_with_posthoc_oracle(grammar, lexicon, verb_table):
+    # the search prunes <=> violations online; analyzing without obligatory
+    # rules and filtering with the post-hoc oracle must give the same
+    # analyses in the same order
+    demoted = _demoted(grammar)
+    assert not demoted.obligatory_rules
+    blocked = _analyses(demoted, lexicon, "samaaAiyy")
+    assert _analyses(grammar, lexicon, "samaaAiyy") == []
+    assert len(blocked) == 4
+    assert all(check_obligatory(a.records, grammar, a.morphemes)
+               == [(5, "glottal_change")] for a in blocked)
+
+    words = [s for _, _, s in verb_table.cells()] + list(
+        NOMINAL_SURFACES + AFFIXED_SURFACES)
+    for word in ("samaawiyy", "hawaaAiyy"):
+        words += [edit for _, _, edit in damerau_edits(word, sorted(LETTERS))]
+    for word in dict.fromkeys(words):
+        online = [_key(a) for a in _analyses(grammar, lexicon, word)]
+        posthoc = [_key(a) for a in _analyses(demoted, lexicon, word)
+                   if not check_obligatory(a.records, grammar, a.morphemes)]
+        assert online == posthoc, word
 
 
 def test_engine_respects_coercion():

@@ -5,8 +5,9 @@ from semitic_morpho.alphabet import decode
 from semitic_morpho.dsl import parse_grammar, print_grammar
 from semitic_morpho.engine import analyze
 from semitic_morpho.grammar import (ANY, ELLIPSIS, EPS, WILDCARD,
-                                    DuplicateRuleName, GrammarError, Guards,
-                                    RuleSyntaxError, UndeclaredClass,
+                                    DuplicateRuleName, Grammar, GrammarError,
+                                    Guards, RuleSyntaxError, TwoLevelRule,
+                                    UndeclaredClass,
                                     match_context, match_lex,
                                     match_partition_context)
 from semitic_morpho.lexicon import load_lexicon
@@ -81,6 +82,18 @@ def test_print_parse_roundtrip(grammar):
     for a, b in zip(again.erules, grammar.erules):
         assert (a.err, a.corr, a.plc, a.prc, a.reap) == \
                (b.err, b.corr, b.plc, b.prc, b.reap)
+
+
+def test_print_rejects_undeclared_guard_domain():
+    # a hand-built grammar can restrict a variable to a set no class names;
+    # the printer reports it as a grammar error, which the CLI catches
+    rule = TwoLevelRule("R", surf=(("var", "X"),), lex=((("var", "X"),),),
+                        op="=>",
+                        guards=Guards(allowed={"X": frozenset({"a", "k"})}))
+    g = Grammar([rule], [], {"vowel": frozenset({"a", "i", "u"})},
+                tapes=("pattern",))
+    with pytest.raises(GrammarError, match="no declared class"):
+        print_grammar(g)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semitic_morpho.features import conflicts, make_fs, unify, unify_all
-from semitic_morpho.lexicon import (DuplicateEntry, MorphemeEntry, advance,
-                                    branches, load_lexicon)
+from semitic_morpho.lexicon import (DuplicateEntry, LexiconTree, MorphemeEntry,
+                                    load_lexicon)
+
+
+def _walk(tree, symbols):
+    """The node reached by following `symbols` from the root, or None."""
+    node = tree.root
+    for sym in symbols:
+        node = node.edges.get(sym)
+        if node is None:
+            return None
+    return node
 
 
 def test_bundled_roots(lexicon):
@@ -23,70 +33,71 @@ def test_kdW_entry(lexicon):
     entry = lexicon.entry("root", "kdW")
     assert entry.body == ("k", "d", "W")
     assert entry.features["bp_pattern"] == ("CuCC",)
-    node = lexicon.tree("root").root
-    for sym in "kdW":
-        node = advance(node, sym)
-        assert node is not None
+    assert _walk(lexicon.tree("root"), "kdW") is not None
 
 
 def test_advance_examples(lexicon):
-    root = lexicon.tree("root").root
-    node = advance(root, "k")
-    assert node is not None
-    node = advance(node, "t")
-    node = advance(node, "b")
-    assert node is not None
-    terminal = advance(node, "+")
+    tree = lexicon.tree("root")
+    assert _walk(tree, "ktb") is not None
+    terminal = _walk(tree, "ktb+")
     assert terminal is not None and any(e.id == "ktb" for e in terminal.entries)
-    assert advance(root, "z") is None
+    assert _walk(tree, "z") is None
 
 
 def test_branches_root_tree(lexicon):
     # exact set fixed by the shipped lexicon
-    got = branches(lexicon.tree("root").root)
+    got = tuple(lexicon.tree("root").root.edges)
     expected = tuple(sorted({e.form[0] for e in lexicon.entries("root")}))
     assert got == expected == ("d", "h", "k", "s")
 
 
 def test_branches_vocalism_tree(lexicon):
-    got = branches(lexicon.tree("vocalism").root)
+    got = tuple(lexicon.tree("vocalism").root.edges)
     assert set(got) >= {"a", "u"}          # the verbal morphemes
     assert got == ("a", "i", "u")          # shipped nominal vocalisms add i
 
 
 def test_branches_terminal_is_boundary_only(lexicon):
-    node = lexicon.tree("root").root
-    for sym in "ktb":
-        node = advance(node, sym)
-    assert branches(node) == ("+",)
+    assert tuple(_walk(lexicon.tree("root"), "ktb").edges) == ("+",)
 
 
-def test_branches_consistent_with_advance(lexicon):
-    def walk(node):
-        assert set(branches(node)) == \
-               {s for s in node.edges if advance(node, s) is not None}
+_forms = st.lists(
+    st.lists(st.sampled_from(["a", "b", "k", "t", "c1", "v2"]),
+             min_size=1, max_size=4).map(tuple),
+    min_size=1, max_size=12, unique=True)
+
+
+@given(_forms)
+def test_trie_edges_in_symbol_order(bodies):
+    # forms arrive in any order; rule application walks edges in iteration
+    # order and relies on it being symbol order
+    tree = LexiconTree()
+    for i, body in enumerate(bodies):
+        tree.insert(MorphemeEntry(str(i), "pattern", body + ("+",), {}))
+
+    def check(node):
+        assert list(node.edges) == sorted(node.edges)
         for child in node.edges.values():
-            walk(child)
-    for tape in ("pattern", "root", "vocalism"):
-        walk(lexicon.tree(tape).root)
+            assert child.depth == node.depth + 1
+            check(child)
+
+    assert tree.root.depth == 0
+    check(tree.root)
+    for i, body in enumerate(bodies):
+        assert [e.id for e in _walk(tree, body + ("+",)).entries] == [str(i)]
 
 
 def test_every_entry_walkable(lexicon):
     for tape in ("pattern", "root", "vocalism"):
         tree = lexicon.tree(tape)
         for entry in tree.entries:
-            node = tree.root
-            for sym in entry.form:
-                node = advance(node, sym)
-                assert node is not None, entry.id
+            node = _walk(tree, entry.form)
+            assert node is not None, entry.id
             assert any(e.id == entry.id for e in node.entries)
 
 
 def test_homograph_roots(lexicon):
-    node = lexicon.tree("root").root
-    for sym in "kfl+":
-        node = advance(node, sym)
-    ids = {e.id for e in node.entries}
+    ids = {e.id for e in _walk(lexicon.tree("root"), "kfl+").entries}
     assert ids == {"kfl_kaafil", "kfl_kafiil"}
 
 
