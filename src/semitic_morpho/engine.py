@@ -704,7 +704,7 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
         record = PartitionRecord(
             rule_name=rule.name,
             surf_seg=surf_syms,
-            lex_seg=tuple(t for t in lex_tuples),
+            lex_seg=lex_tuples,
             pos=state.pos,
         )
         tapes_mid = [TapeState(cursor=c, morphemes=t.morphemes,
@@ -813,6 +813,49 @@ def _successors(ctx: _SearchContext, state: SearchState,
         yield from error_step(ctx, state)
 
 
+def _table_key(state: SearchState, ids: Dict[object, int]) -> tuple:
+    """Everything the subtree of a budget-spent state reads, each part
+    interned to a small id in `ids` (one dict per search).
+
+    Grounded FreeRefs in `remaining` read as spliced symbols; an ungrounded
+    one keeps its first-occurrence index, domain and exclusions, so a shared
+    ref stays shared and the global ref numbering drops out. Morphemes,
+    trie nodes and guards are named by identity (they live as long as the
+    grammar and lexicon). `records` and `error_apps` are left out: only
+    error-rule partition contexts read records, and no error rule is tried
+    once the budget is spent.
+    """
+    free = state.free_map()
+    remaining = []
+    first: Dict[int, int] = {}
+    for item in state.remaining:
+        if isinstance(item, str) or item[0] == "spl":
+            remaining.append(item)
+            continue
+        ref = item[1]
+        val = free.get(ref.ref_id)
+        if val is not None:
+            remaining.append(("spl", val))
+        else:
+            remaining.append((first.setdefault(ref.ref_id, len(remaining)),
+                              ref.domain, ref.excluded))
+    tapes = tuple([(id(t.cursor.node), tuple(map(id, t.morphemes)),
+                    t.pending_feats) for t in state.tapes])
+    deferred = ()
+    if state.obligations or state.watches or state.record_obls:
+        deferred = (
+            tuple([(o.queues, o.bindings, id(o.guards))
+                   for o in state.obligations]),
+            tuple([(w.rule_name, w.queues, w.surf_queue, w.bindings,
+                    id(w.guards), w.feats) for w in state.watches]),
+            tuple([(r.patterns, r.bindings, id(r.guards))
+                   for r in state.record_obls]))
+    parts = (tuple(remaining), tapes, state.lex_tuples, state.surface_out,
+             deferred)
+    return tuple([ids.setdefault(p, len(ids)) for p in parts]) + (
+        state.pos, state.lex_run, state.last_nonconsuming)
+
+
 def _search(ctx: _SearchContext, initial: SearchState,
             error_step=None) -> Iterator[SearchState]:
     """Depth-first search; yields complete states in deterministic order.
@@ -822,19 +865,48 @@ def _search(ctx: _SearchContext, initial: SearchState,
     fail ... at successively earlier points" under chronological backtracking.
     Successor streams are lazy, so early-exiting consumers skip unexplored
     siblings.
+
+    With an error step, the search tables failed budget-spent states: a
+    state whose budget is spent and whose subtree yielded no complete state
+    has its key (`_table_key`) recorded, and a later state with the same
+    key is not expanded. This is exact. Skipping a subtree that yields
+    nothing leaves the sequence of yielded states, hence candidates, ranks
+    and analysis order, unchanged. Below a spent budget no error successor
+    exists, so the subtree does not depend on `ctx.deepest` (which only
+    grows, and under `max_positions` only removes error successors); and
+    since `pos` is in the key, the positions the skipped subtree would reach
+    are already folded into `deepest`. Searches without an error step do no
+    work for the table.
     """
     stack: List[Iterator[SearchState]] = [iter([initial])]
+    # budget-spent frames on the stack as (depth, key, yields before the
+    # push), innermost last; the keys of those that yielded nothing; and
+    # the interned key parts
+    tabled: List[Tuple[int, tuple, int]] = []
+    failed = set()
+    ids: Dict[object, int] = {}
+    yielded = 0
     while stack:
         try:
             state = next(stack[-1])
         except StopIteration:
             stack.pop()
+            if tabled and tabled[-1][0] == len(stack):
+                _, key, before = tabled.pop()
+                if yielded == before:
+                    failed.add(key)
             continue
         if state.remaining is not None:
             ctx.deepest = max(ctx.deepest, state.pos)
         if _complete(state):
+            yielded += 1
             yield state
             continue
+        if error_step is not None and state.budget == 2:
+            key = _table_key(state, ids)
+            if key in failed:
+                continue
+            tabled.append((len(stack), key, yielded))
         stack.append(_successors(ctx, state, error_step))
 
 

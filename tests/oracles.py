@@ -1,10 +1,12 @@
 """Independent reference implementations used as test oracles.
 
-Nothing here calls the engine's search: surfaces and orthography sets are
-computed by direct string walks over the lexicon data, the micro partition
-oracle enumerates alignments exhaustively, and the obligatory-rule checker
-reads a complete partition after the fact with the grammar's slot and
-context matchers.
+Apart from the reference search, nothing here calls the engine: surfaces
+and orthography sets are computed by direct string walks over the lexicon
+data, the micro partition oracle enumerates alignments exhaustively, and the
+obligatory-rule checker reads a complete partition after the fact with the
+grammar's slot and context matchers. The reference search is the plain
+depth-first search over the engine's successor function, without the error
+search's failure table.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import itertools
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from semitic_morpho.alphabet import BOUNDARY
+from semitic_morpho.engine import _complete, _successors
 from semitic_morpho.grammar import (EPS, WILDCARD, match_context, match_slot,
                                     match_tuple)
 
@@ -308,3 +311,25 @@ def _emit_surface(surf, bindings) -> Optional[List[str]]:
         else:
             return None
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference search (no failure table)
+
+
+def reference_search(ctx, initial, error_step=None):
+    """The engine's depth-first search without the failure table: every
+    state is expanded. A drop-in for `engine._search`."""
+    stack = [iter([initial])]
+    while stack:
+        try:
+            state = next(stack[-1])
+        except StopIteration:
+            stack.pop()
+            continue
+        if state.remaining is not None:
+            ctx.deepest = max(ctx.deepest, state.pos)
+        if _complete(state):
+            yield state
+            continue
+        stack.append(_successors(ctx, state, error_step))

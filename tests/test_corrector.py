@@ -1,12 +1,15 @@
 import pytest
 
-from semitic_morpho.alphabet import decode, encode
+from semitic_morpho import corrector
+from semitic_morpho.alphabet import LETTERS, decode, encode
 from semitic_morpho.corrector import (correct, iter_corrections, rank,
                                       rank_key, try_error_rules)
 from semitic_morpho.engine import (SearchState, TapeState, TrieCursor,
                                    _SearchContext, _search, analyze)
 
+from oracles import damerau_edits, reference_search
 from steps import ground_variable, step
+from test_order_contract import ERROR_EXAMPLES
 
 
 def _correct(grammar, lexicon, word, **kw):
@@ -140,6 +143,60 @@ def test_iter_corrections_lazy_membership(grammar, lexicon):
             break
     else:
         pytest.fail("takaatab not reachable")
+
+
+# ---------------------------------------------------------------------------
+# the error search's failure table against the untabled reference search
+
+# two DEFAULT_SWEEP words, every single Damerau edit of each
+TABLE_SWEEP_WORDS = ("mdiintA", "Aashum")
+
+
+def _full(cands):
+    return [(c.corrected_word, c.error_trace, c.rank_key,
+             [(a.rule_trace, {t: [e.id for e in es]
+                              for t, es in a.morphemes.items()})
+              for a in c.analyses])
+            for c in cands]
+
+
+def _traced_correct(monkeypatch, search, grammar, lexicon, word,
+                    max_positions):
+    """correct() run with `search` as the error search; returns its full
+    output and the number of try_error_rules calls."""
+    calls = []
+
+    def counted(ctx, state):
+        calls.append(None)
+        return try_error_rules(ctx, state)
+
+    monkeypatch.setattr(corrector, "_search", search)
+    monkeypatch.setattr(corrector, "try_error_rules", counted)
+    got = _full(correct(decode(word), grammar, lexicon,
+                        max_positions=max_positions))
+    return got, len(calls)
+
+
+def test_failure_table_matches_reference_search(grammar, lexicon,
+                                                monkeypatch):
+    words = list(ERROR_EXAMPLES)
+    for source in TABLE_SWEEP_WORDS:
+        words += [edit for _, _, edit in damerau_edits(source,
+                                                       sorted(LETTERS))]
+    calls = {}
+    for max_positions in (None, 1, 2):
+        for word in words:
+            tabled, n_tabled = _traced_correct(monkeypatch, _search, grammar,
+                                               lexicon, word, max_positions)
+            plain, n_plain = _traced_correct(monkeypatch, reference_search,
+                                             grammar, lexicon, word,
+                                             max_positions)
+            assert tabled == plain, (word, max_positions)
+            calls[word, max_positions] = n_tabled, n_plain
+    # the table skips failed subtrees, so fewer error steps run
+    for word in ("katbb", "samaaAiyy"):
+        n_tabled, n_plain = calls[word, None]
+        assert n_tabled < n_plain, word
 
 
 # ---------------------------------------------------------------------------

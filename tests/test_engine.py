@@ -5,8 +5,10 @@ import pytest
 
 from semitic_morpho.alphabet import LETTERS, decode, encode
 from semitic_morpho.dsl import parse_grammar
-from semitic_morpho.engine import (SearchState, TapeState, TrieCursor,
-                                   analyze, generate, is_optional_deletion,
+from semitic_morpho.engine import (ErrorApplication, FreeRef,
+                                   PartitionRecord, SearchState, TapeState,
+                                   TrieCursor, _table_key, analyze, generate,
+                                   is_optional_deletion,
                                    optional_deletion_rules)
 from semitic_morpho.grammar import Grammar
 from semitic_morpho.lexicon import load_lexicon
@@ -336,6 +338,41 @@ def test_online_watch_agrees_with_posthoc_oracle(grammar, lexicon, verb_table):
         assert online == posthoc, word
 
 
+# lexical a surfaces as b before a surface k: the coercion watch of an a:a
+# record completes only through its right-surface-context queue
+RSC = """\
+class lt = {a, b, k}
+rule A: * - X - *  =>  * - X - *  where lt(X)
+rule B: * - 0 - *  =>  (B1, 0, 0) - + - *  where B1 != +
+rule O: * - b - k  <=>  * - (a, 0, 0) - *
+"""
+
+RSC_LEX = "".join(f"pattern\t{e}\t\t\n" for e in ("a", "ak", "b", "k", "ka"))
+
+
+def test_right_surface_context_watch_agrees_with_posthoc_oracle():
+    g = parse_grammar(RSC)
+    lex = load_lexicon(RSC_LEX)
+    demoted = _demoted(g)
+    rejected = 0
+    for n in range(1, 6):
+        for word in map("".join, itertools.product("abk", repeat=n)):
+            online = [_key(a) for a in analyze(decode(word), g, lex)]
+            posthoc = []
+            for a in analyze(decode(word), demoted, lex):
+                if check_obligatory(a.records, g, a.morphemes):
+                    rejected += 1
+                else:
+                    posthoc.append(_key(a))
+            assert online == posthoc, word
+    # the watch must prune: some analyses violate O only through its
+    # right surface context
+    assert rejected
+    assert analyze(decode("ak"), demoted, lex)
+    assert analyze(decode("ak"), g, lex) == []
+    assert analyze(decode("bk"), g, lex)
+
+
 def test_engine_respects_coercion():
     g = parse_grammar(SYNTH)
     lex = load_lexicon(SYNTH_LEX)
@@ -370,10 +407,6 @@ def test_micro_oracle_equivalence():
             word = "".join(word)
             got = analyze(decode(word), g, lex)
             engine_set = {
-                (tuple(r.rule_name for r in a.records),
-                 "".join(s for t in a.lexical_strings()[0] for s in t))
-                for a in got
-            } if False else {
                 (tuple(r.rule_name for r in a.records),
                  "".join(t[0] for r in a.records for t in r.lex_seg
                          if t[0] is not None))
@@ -411,3 +444,45 @@ def test_micro_oracle_equivalence_with_coercion():
                 for trace, tape in oracle_micro_analyze(rules, entries, word)
             }
             assert engine_set == oracle_set, word
+
+
+# ---------------------------------------------------------------------------
+# failure-table keys of budget-spent states
+
+
+def _spent(grammar, lexicon, remaining, **fields):
+    return SearchState(
+        tapes=tuple(TapeState(cursor=TrieCursor(lexicon.tree(t)))
+                    for t in grammar.tapes),
+        remaining=remaining, budget=2, **fields)
+
+
+CONS = frozenset("ktb")
+
+
+def test_table_key_ignores_ref_numbering_records_and_error_apps(grammar,
+                                                                lexicon):
+    a, b = FreeRef(CONS, ("t",)), FreeRef(CONS, ("t",))
+    assert a.ref_id != b.ref_id
+    first = _spent(grammar, lexicon, (("free", a), "a", ("free", a)))
+    second = _spent(
+        grammar, lexicon, (("free", b), "a", ("free", b)),
+        records=(PartitionRecord("E2", (), (), error_origin="E2"),),
+        error_apps=(ErrorApplication("E2", 0, (), (("free", b),)),))
+    ids = {}
+    assert _table_key(first, ids) == _table_key(second, ids)
+    # a grounded ref reads as the symbol it was grounded to
+    grounded = _spent(grammar, lexicon, (("free", a), "a"),
+                      free_vars=((a.ref_id, "k"),))
+    spliced = _spent(grammar, lexicon, (("spl", "k"), "a"))
+    assert _table_key(grounded, ids) == _table_key(spliced, ids)
+
+
+def test_table_key_tells_a_shared_ref_from_two_refs(grammar, lexicon):
+    shared = FreeRef(CONS, ())
+    one, other = FreeRef(CONS, ()), FreeRef(CONS, ())
+    ids = {}
+    assert _table_key(_spent(grammar, lexicon,
+                             (("free", shared), ("free", shared))), ids) != \
+        _table_key(_spent(grammar, lexicon,
+                          (("free", one), ("free", other))), ids)
