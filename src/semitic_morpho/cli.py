@@ -46,6 +46,11 @@ def _fs_json(fs):
             for attr, vals in sorted(fs.items())}
 
 
+def _errors_json(errors) -> list:
+    return [{"rule": rule, "pos": pos, "from": encode(err), "to": encode(corr)}
+            for rule, pos, err, corr in errors]
+
+
 def analysis_json(a: Analysis) -> dict:
     stem = a.stems[-1] if a.stems else None
     return {
@@ -58,10 +63,7 @@ def analysis_json(a: Analysis) -> dict:
         },
         "rule_trace": list(a.rule_trace),
         "features": _fs_json(stem.features if stem else {}),
-        "errors": [
-            {"rule": rule, "pos": pos, "from": encode(err), "to": encode(corr)}
-            for rule, pos, err, corr in a.errors
-        ],
+        "errors": _errors_json(a.errors),
     }
 
 
@@ -81,10 +83,7 @@ def _analysis_text(a: Analysis) -> str:
 def _candidate_json(c: CorrectionCandidate) -> dict:
     return {
         "corrected": encode(c.corrected_word),
-        "errors": [
-            {"rule": rule, "pos": pos, "from": encode(err), "to": encode(corr)}
-            for rule, pos, err, corr in c.error_trace
-        ],
+        "errors": _errors_json(c.error_trace),
         "analyses": [analysis_json(a) for a in c.analyses],
     }
 
@@ -122,50 +121,51 @@ def _each_word(args, bad_lines: List[int]):
         yield word, symbols
 
 
-def cmd_analyze(args) -> int:
+def _run_words(args, each) -> int:
+    """Run `each(args, grammar, lexicon, word, symbols)` on every word; it
+    prints its result and returns whether it found one. Exit 1 if some word
+    had none, 2 if some line did not decode."""
     grammar, lexicon = _load(args)
     status = EXIT_OK
     bad_lines: List[int] = []
     for word, symbols in _each_word(args, bad_lines):
-        analyses = analyze(symbols, grammar, lexicon)
-        if args.format == "json":
-            _print_json({"word": word,
-                         "analyses": [analysis_json(a) for a in analyses]})
-        else:
-            if not analyses:
-                print(f"{word}: no analysis")
-            for a in analyses:
-                print(f"{word}: {_analysis_text(a)}")
+        if not each(args, grammar, lexicon, word, symbols):
+            status = EXIT_NO_RESULT
+    return EXIT_USAGE if bad_lines else status
+
+
+def _analyze_word(args, grammar, lexicon, word, symbols) -> bool:
+    analyses = analyze(symbols, grammar, lexicon)
+    if args.format == "json":
+        _print_json({"word": word,
+                     "analyses": [analysis_json(a) for a in analyses]})
+    else:
         if not analyses:
-            status = EXIT_NO_RESULT
-    return EXIT_USAGE if bad_lines else status
+            print(f"{word}: no analysis")
+        for a in analyses:
+            print(f"{word}: {_analysis_text(a)}")
+    return bool(analyses)
 
 
-def cmd_correct(args) -> int:
-    grammar, lexicon = _load(args)
-    status = EXIT_OK
-    bad_lines: List[int] = []
-    for word, symbols in _each_word(args, bad_lines):
-        cands = correct(symbols, grammar, lexicon,
-                        max_candidates=args.max_candidates,
-                        max_positions=args.max_positions)
-        if args.format == "json":
-            _print_json({"word": word,
-                         "candidates": [_candidate_json(c) for c in cands]})
-        else:
-            if not cands:
-                print(f"{word}: no correction found")
-            for c in cands:
-                if c.zero_error:
-                    print(f"{word}: well-formed")
-                    continue
-                trace = "; ".join(
-                    f"{rule}@{pos} {encode(err) or '0'}->{encode(corr) or '0'}"
-                    for rule, pos, err, corr in c.error_trace)
-                print(f"{word}: {encode(c.corrected_word)}  [{trace}]")
+def _correct_word(args, grammar, lexicon, word, symbols) -> bool:
+    cands = correct(symbols, grammar, lexicon,
+                    max_candidates=args.max_candidates,
+                    max_positions=args.max_positions)
+    if args.format == "json":
+        _print_json({"word": word,
+                     "candidates": [_candidate_json(c) for c in cands]})
+    else:
         if not cands:
-            status = EXIT_NO_RESULT
-    return EXIT_USAGE if bad_lines else status
+            print(f"{word}: no correction found")
+        for c in cands:
+            if c.zero_error:
+                print(f"{word}: well-formed")
+                continue
+            trace = "; ".join(
+                f"{rule}@{pos} {encode(err) or '0'}->{encode(corr) or '0'}"
+                for rule, pos, err, corr in c.error_trace)
+            print(f"{word}: {encode(c.corrected_word)}  [{trace}]")
+    return bool(cands)
 
 
 def cmd_generate(args) -> int:
@@ -187,39 +187,33 @@ def cmd_generate(args) -> int:
     return EXIT_OK if surfaces else EXIT_NO_RESULT
 
 
-def cmd_repair(args) -> int:
-    grammar, lexicon = _load(args)
-    status = EXIT_OK
-    bad_lines: List[int] = []
-    for word, symbols in _each_word(args, bad_lines):
-        analyses = analyze(symbols, grammar, lexicon)
-        well_formed = []
-        repairs: List[str] = []
-        for a in analyses:
-            parsed = parse_word(a, lexicon)
-            if isinstance(parsed, FeatureClash):
-                if parsed.attribute == "bp_pattern":
-                    for s in repair_clash(parsed, grammar, lexicon):
-                        enc = encode(s)
-                        if enc not in repairs:
-                            repairs.append(enc)
-            else:
-                well_formed.append(a)
-        if args.format == "json":
-            _print_json({"word": word,
-                         "well_formed": bool(well_formed),
-                         "repairs": repairs})
+def _repair_word(args, grammar, lexicon, word, symbols) -> bool:
+    analyses = analyze(symbols, grammar, lexicon)
+    well_formed = []
+    repairs: List[str] = []
+    for a in analyses:
+        parsed = parse_word(a, lexicon)
+        if isinstance(parsed, FeatureClash):
+            if parsed.attribute == "bp_pattern":
+                for s in repair_clash(parsed, grammar, lexicon):
+                    enc = encode(s)
+                    if enc not in repairs:
+                        repairs.append(enc)
         else:
-            if not analyses:
-                print(f"{word}: no analysis")
-            elif well_formed:
-                print(f"{word}: well-formed")
-            else:
-                print(f"{word}: " + (" ".join(repairs) if repairs
-                                     else "no repair"))
-        if not analyses or (not well_formed and not repairs):
-            status = EXIT_NO_RESULT
-    return EXIT_USAGE if bad_lines else status
+            well_formed.append(a)
+    if args.format == "json":
+        _print_json({"word": word,
+                     "well_formed": bool(well_formed),
+                     "repairs": repairs})
+    else:
+        if not analyses:
+            print(f"{word}: no analysis")
+        elif well_formed:
+            print(f"{word}: well-formed")
+        else:
+            print(f"{word}: " + (" ".join(repairs) if repairs
+                                 else "no repair"))
+    return bool(well_formed or repairs)
 
 
 def cmd_verify(args) -> int:
@@ -250,19 +244,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def word_command(name, func, **kwargs):
+    def word_command(name, each, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("word", nargs="?", help="word in ASCII transliteration")
         p.add_argument("--stdin", action="store_true",
                        help="read words from standard input, one per line")
-        p.set_defaults(func=func)
+        p.set_defaults(func=lambda args: _run_words(args, each))
         return p
 
-    word_command("analyze", cmd_analyze, help="morphological analysis")
-    p = word_command("correct", cmd_correct, help="error correction")
+    word_command("analyze", _analyze_word, help="morphological analysis")
+    p = word_command("correct", _correct_word, help="error correction")
     p.add_argument("--max-candidates", type=int, default=32)
     p.add_argument("--max-positions", type=int, default=None)
-    word_command("repair", cmd_repair,
+    word_command("repair", _repair_word,
                  help="repair morphosyntactically ill-formed words")
 
     p = sub.add_parser("generate", help="generation from a morpheme selection")

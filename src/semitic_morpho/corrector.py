@@ -16,10 +16,13 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .alphabet import SymbolString
 from .engine import (Analysis, ErrorApplication, FreeRef, PartitionRecord,
                      RecordObligation, SearchState, TapeState, TrieCursor,
-                     _item_symbol, _SearchContext, _search, analyze,
-                     optional_deletion_rules, scripted_surfaces, to_analysis)
+                     _feed_record_obls, _item_symbol, _SearchContext, _search,
+                     analyze, optional_deletion_rules, scripted_surfaces,
+                     to_analysis)
 from .grammar import (WILDCARD, ErrorRule, Grammar, match_partition_context,
-                      match_record_pattern, match_slot)
+                      match_slot)
+# unused here: perfbench/tracing.py wraps this name (PRCs feed in engine)
+from .grammar import match_record_pattern  # noqa: F401
 from .lexicon import Lexicon
 
 
@@ -84,12 +87,11 @@ def try_error_rules(ctx: _SearchContext, state: SearchState) -> List[SearchState
        ctx.deepest - state.pos >= ctx.max_positions:
         return []
     out: List[SearchState] = []
-    free_map = state.free_map()
     for rule in grammar.erules:
         if not _budget_allows(state, rule):
             continue
-        b = match_partition_context(rule.plc, state.records, "left", {},
-                                    rule.guards, names_equal=grammar.same_rule)
+        b = match_partition_context(rule.plc, state.records, {}, rule.guards,
+                                    names_equal=grammar.same_rule)
         if b is None:
             continue
         # match the error surface against the input at this position
@@ -101,7 +103,7 @@ def try_error_rules(ctx: _SearchContext, state: SearchState) -> List[SearchState
                 ok = False
                 break
             item = state.remaining[i]
-            sym = _item_symbol(item, free_map)
+            sym = _item_symbol(item)
             if sym is None:
                 ok = False
                 break
@@ -122,19 +124,8 @@ def try_error_rules(ctx: _SearchContext, state: SearchState) -> List[SearchState
         record = PartitionRecord(rule_name=rule.name, surf_seg=(), lex_seg=(),
                                  error_origin=rule.name,
                                  err_seg=tuple(consumed), pos=state.pos)
-        rec_obls: List[RecordObligation] = []
-        violated = False
-        for ro in state.record_obls:
-            rb = match_record_pattern(ro.patterns[0], record, dict(ro.bindings),
-                                      ro.guards, grammar.same_rule)
-            if rb is None:
-                violated = True
-                break
-            if ro.patterns[1:]:
-                rec_obls.append(RecordObligation(ro.patterns[1:],
-                                                 tuple(sorted(rb.items())),
-                                                 ro.guards))
-        if violated:
+        rec_obls = _feed_record_obls(ctx, state, record)
+        if rec_obls is None:
             continue
         if rule.prc != WILDCARD:
             rec_obls.append(RecordObligation(tuple(rule.prc),

@@ -79,12 +79,22 @@ class FreeRef:
 
 # Remaining-surface items: a plain str is an original input symbol,
 # ("spl", sym) a spliced corrected symbol, ("free", ref) an ungrounded one.
-def _item_symbol(item, free_vars) -> Optional[str]:
+# A FreeRef is grounded in place: once a rule grounds it, every remaining
+# occurrence becomes ("spl", sym).
+def _item_symbol(item) -> Optional[str]:
     if isinstance(item, str):
         return item
     if item[0] == "spl":
         return item[1]
-    return free_vars.get(item[1].ref_id)
+    return None
+
+
+def _ground(items: Tuple[object, ...], grounded: Dict[int, str]) -> tuple:
+    """`items` with every FreeRef in `grounded` (ref id -> symbol) replaced
+    by its spliced symbol."""
+    return tuple(("spl", grounded[it[1].ref_id])
+                 if not isinstance(it, str) and it[0] == "free"
+                 and it[1].ref_id in grounded else it for it in items)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +250,7 @@ class SearchState:
     records: Tuple[PartitionRecord, ...] = ()
     lex_tuples: Tuple[LexTuple, ...] = ()            # non-empty lex history
     surface_out: Tuple[str, ...] = ()                # corrected surface so far
-    free_vars: Tuple[Tuple[int, str], ...] = ()
+    free_vars: Tuple[Tuple[int, str], ...] = ()      # (ref id, symbol) log
     obligations: Tuple[Obligation, ...] = ()
     watches: Tuple[CoercionWatch, ...] = ()
     record_obls: Tuple[RecordObligation, ...] = ()
@@ -249,9 +259,6 @@ class SearchState:
     pos: int = 0                                      # original symbols consumed
     lex_run: int = 0                                  # lexical-only progress
     last_nonconsuming: bool = False
-
-    def free_map(self) -> Dict[int, str]:
-        return dict(self.free_vars)
 
 
 @dataclass(frozen=True)
@@ -384,25 +391,27 @@ def _indexes_next(cursors, tapes: Tuple[int, ...], sym: str) -> bool:
 
 
 def _consume_surface(state: SearchState, surf: Tuple[tuple, ...],
-                     bindings: Bindings, guards: Guards,
-                     free_map: Dict[int, str]):
+                     bindings: Bindings, guards: Guards):
     """Match the rule's surface expression against the remaining surface.
 
-    Returns (consumed_syms, n_items, orig_count, new_free_pairs, bindings)
-    or None. Grounds FreeRefs encountered along the way.
+    Returns (consumed_syms, orig_count, grounded, bindings) or None, where
+    `grounded` maps the id of each FreeRef grounded along the way to its
+    symbol.
     """
     remaining = state.remaining
     consumed: List[str] = []
-    new_free: List[Tuple[int, str]] = []
+    grounded: Dict[int, str] = {}
     orig = 0
     b = bindings
     for i, pat in enumerate(surf):
         if i >= len(remaining):
             return None
         item = remaining[i]
-        sym = _item_symbol(item, free_map)
-        if sym is None:                      # ungrounded FreeRef
+        sym = _item_symbol(item)
+        if sym is None:
             ref = item[1]
+            sym = grounded.get(ref.ref_id)
+        if sym is None:                      # ungrounded FreeRef
             if pat[0] == "lit":
                 val = pat[1]
             elif pat[0] == "var":
@@ -413,13 +422,7 @@ def _consume_surface(state: SearchState, surf: Tuple[tuple, ...],
                 return None
             if not ref.admits(val):
                 return None
-            already = free_map.get(ref.ref_id)
-            if already is not None and already != val:
-                return None
-            if already is None:
-                new_free.append((ref.ref_id, val))
-                free_map = dict(free_map)
-                free_map[ref.ref_id] = val
+            grounded[ref.ref_id] = val
             consumed.append(val)
         else:
             res = match_slot(pat, sym, b, guards)
@@ -429,7 +432,7 @@ def _consume_surface(state: SearchState, surf: Tuple[tuple, ...],
             consumed.append(sym)
         if isinstance(item, str):
             orig += 1
-    return consumed, len(surf), orig, new_free, b
+    return consumed, orig, grounded, b
 
 
 def _emit_surface(surf: Tuple[tuple, ...], bindings: Bindings):
@@ -447,6 +450,13 @@ def _emit_surface(surf: Tuple[tuple, ...], bindings: Bindings):
     return out
 
 
+def _bind_slot(slot: tuple, bindings: Bindings) -> tuple:
+    """A variable slot bound in `bindings` becomes its literal."""
+    if slot[0] == "var" and slot[1] in bindings:
+        return ("lit", bindings[slot[1]])
+    return slot
+
+
 def _rlc_to_queues(ctx: _SearchContext, pat, bindings: Bindings) -> Optional[Tuple]:
     """Decompose an RLC into per-tape pattern queues, substituting bound vars."""
     if pat == WILDCARD:
@@ -454,11 +464,8 @@ def _rlc_to_queues(ctx: _SearchContext, pat, bindings: Bindings) -> Optional[Tup
     queues: List[List[tuple]] = [[] for _ in range(ctx.n)]
     for item in pat:
         for ti, slot in enumerate(item):
-            if slot == EPS:
-                continue
-            if slot[0] == "var" and slot[1] in bindings:
-                slot = ("lit", bindings[slot[1]])
-            queues[ti].append(slot)
+            if slot != EPS:
+                queues[ti].append(_bind_slot(slot, bindings))
     return tuple(tuple(q) for q in queues)
 
 
@@ -475,31 +482,39 @@ def _feed_deferred(state: SearchState, consumed, surf_syms: Sequence[str]):
         if any(queues):
             new_obls.append(Obligation(queues, tuple(sorted(b.items())), obl.guards))
 
-    # coercion watches: a mismatch kills the watch; completed watches are
-    # settled after the morpheme commit
+    # coercion watches, the surface queue fed after the tapes: a mismatch
+    # kills the watch; completed watches are settled after the morpheme
+    # commit
     new_watches = []
     for w in state.watches:
-        fed = _feed_queues(w.queues, consumed, dict(w.bindings), w.guards)
+        fed = _feed_queues(w.queues + (w.surf_queue,),
+                           tuple(consumed) + (surf_syms,), dict(w.bindings),
+                           w.guards)
         if fed is None:
             continue
         queues, b = fed
-        surf_q = list(w.surf_queue)
-        dead = False
-        for sym in surf_syms:
-            if not surf_q:
-                break
-            res = match_slot(surf_q[0], sym, b, w.guards)
-            if res is None:
-                dead = True
-                break
-            b = res
-            surf_q.pop(0)
-        if dead:
-            continue
-        new_watches.append(CoercionWatch(w.rule_name, queues, tuple(surf_q),
+        new_watches.append(CoercionWatch(w.rule_name, queues[:-1], queues[-1],
                                          tuple(sorted(b.items())), w.guards,
                                          w.feats))
     return tuple(new_obls), tuple(new_watches)
+
+
+def _feed_record_obls(ctx: _SearchContext, state: SearchState,
+                      record: PartitionRecord) -> Optional[List[RecordObligation]]:
+    """Feed the state's partition right contexts (error-rule PRCs) with the
+    next record. Returns the obligations still pending, or None if the
+    record violates one."""
+    pending = []
+    for ro in state.record_obls:
+        b = match_record_pattern(ro.patterns[0], record, dict(ro.bindings),
+                                 ro.guards, ctx.grammar.same_rule)
+        if b is None:
+            return None
+        if ro.patterns[1:]:
+            pending.append(RecordObligation(ro.patterns[1:],
+                                            tuple(sorted(b.items())),
+                                            ro.guards))
+    return pending
 
 
 def _watch_feats_state(w: CoercionWatch, tapes: Sequence[TapeState]):
@@ -542,8 +557,7 @@ def _scan_coercions(ctx: _SearchContext, state: SearchState,
         queues = _rlc_to_queues(ctx, rule.rlc, b) or tuple(() for _ in range(ctx.n))
         surf_q = ()
         if rule.rsc != WILDCARD:
-            surf_q = tuple(("lit", b[s[1]]) if s[0] == "var" and s[1] in b else s
-                           for s in rule.rsc)
+            surf_q = tuple(_bind_slot(s, b) for s in rule.rsc)
         feats = tuple(
             (ctx.tape_index[tape], attr, val,
              len(state.tapes[ctx.tape_index[tape]].morphemes))
@@ -636,7 +650,6 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
     the walk; see RulePlan.
     """
     plan = ctx.grammar.plans[rule.name]
-    free_map = state.free_map()
     start: Bindings = {}
     if plan.hoisted:
         start = _match_left_contexts(plan, state, start)
@@ -644,7 +657,7 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
             return
     var = plan.surf_var
     if var is not None and state.remaining:
-        head = _item_symbol(state.remaining[0], free_map)
+        head = _item_symbol(state.remaining[0])
         if head is not None:
             bound = start.get(var)
             if bound is not None:
@@ -661,7 +674,8 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
             b = _match_left_contexts(plan, state, b)
             if b is None:
                 continue
-        new_free: List[Tuple[int, str]] = []
+        free_vars = state.free_vars
+        rest = None
         if state.remaining is None:
             emitted = _emit_surface(rule.surf, b)
             if emitted is None:
@@ -670,21 +684,19 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
                 raise UnsupportedInGeneration(
                     f"rule {rule.name}: right surface context in generation")
             surf_syms = tuple(emitted)
-            n_items = 0
             orig = 0
-            local_free = free_map
         else:
-            got = _consume_surface(state, rule.surf, b,
-                                   rule.guards, dict(free_map))
+            got = _consume_surface(state, rule.surf, b, rule.guards)
             if got is None:
                 continue
-            consumed_syms, n_items, orig, new_free, b = got
+            consumed_syms, orig, grounded, b = got
             surf_syms = tuple(consumed_syms)
-            local_free = dict(free_map)
-            local_free.update(new_free)
-            rest = state.remaining[n_items:]
+            rest = state.remaining[len(rule.surf):]
+            if grounded:
+                rest = _ground(rest, grounded)
+                free_vars += tuple(grounded.items())
             if rule.rsc != WILDCARD:
-                seg = tuple(_item_symbol(it, local_free) for it in rest)
+                seg = tuple(_item_symbol(it) for it in rest)
                 if any(s is None for s in seg[:len(rule.rsc)]):
                     continue
                 if match_context(rule.rsc, seg, "right", b, rule.guards,
@@ -722,21 +734,8 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
         if fed is None:
             continue
         obligations, pending = fed
-        # PRC obligations from error rules constrain this record
-        rec_obls = []
-        violated = False
-        for ro in state.record_obls:
-            rb = match_record_pattern(ro.patterns[0], record, dict(ro.bindings),
-                                      ro.guards, ctx.grammar.same_rule)
-            if rb is None:
-                violated = True
-                break
-            rest_pats = ro.patterns[1:]
-            if rest_pats:
-                rec_obls.append(RecordObligation(rest_pats,
-                                                 tuple(sorted(rb.items())),
-                                                 ro.guards))
-        if violated:
+        rec_obls = _feed_record_obls(ctx, state, record)
+        if rec_obls is None:
             continue
         pending += _scan_coercions(ctx, state, record, rule.name)
         own_queues = _rlc_to_queues(ctx, rule.rlc, b)
@@ -766,12 +765,11 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
                 continue
             yield SearchState(
                 tapes=tapes_after,
-                remaining=None if state.remaining is None
-                          else state.remaining[n_items:],
+                remaining=rest,
                 records=state.records + (record,),
                 lex_tuples=state.lex_tuples + record.lex_seg,
                 surface_out=state.surface_out + surf_syms,
-                free_vars=tuple(sorted(local_free.items())),
+                free_vars=free_vars,
                 obligations=obligations,
                 watches=tuple(watches),
                 record_obls=tuple(rec_obls),
@@ -798,7 +796,7 @@ def _successors(ctx: _SearchContext, state: SearchState,
     first lexical tuple needs an edge a cursor lacks, is not tried.
     """
     remaining = state.remaining
-    head = _item_symbol(remaining[0], state.free_map()) if remaining else None
+    head = _item_symbol(remaining[0]) if remaining else None
     edges = [t.cursor.edges() for t in state.tapes]
     for plan in ctx.plans:
         if remaining is not None and plan.rule.surf:
@@ -809,7 +807,8 @@ def _successors(ctx: _SearchContext, state: SearchState,
         if not plan.admits_edges(edges, head):
             continue
         yield from apply_rule(ctx, state, plan.rule)
-    if error_step is not None:
+    # no error rule applies once the budget is spent
+    if error_step is not None and state.budget != 2:
         yield from error_step(ctx, state)
 
 
@@ -817,15 +816,14 @@ def _table_key(state: SearchState, ids: Dict[object, int]) -> tuple:
     """Everything the subtree of a budget-spent state reads, each part
     interned to a small id in `ids` (one dict per search).
 
-    Grounded FreeRefs in `remaining` read as spliced symbols; an ungrounded
-    one keeps its first-occurrence index, domain and exclusions, so a shared
-    ref stays shared and the global ref numbering drops out. Morphemes,
-    trie nodes and guards are named by identity (they live as long as the
-    grammar and lexicon). `records` and `error_apps` are left out: only
-    error-rule partition contexts read records, and no error rule is tried
-    once the budget is spent.
+    A FreeRef in `remaining` (always ungrounded) keeps its first-occurrence
+    index, domain and exclusions, so a shared ref stays shared and the
+    global ref numbering drops out. Morphemes, trie nodes and guards are
+    named by identity (they live as long as the grammar and lexicon).
+    `records` and `error_apps` are left out: only error-rule partition
+    contexts read records, and no error rule is tried once the budget is
+    spent.
     """
-    free = state.free_map()
     remaining = []
     first: Dict[int, int] = {}
     for item in state.remaining:
@@ -833,12 +831,8 @@ def _table_key(state: SearchState, ids: Dict[object, int]) -> tuple:
             remaining.append(item)
             continue
         ref = item[1]
-        val = free.get(ref.ref_id)
-        if val is not None:
-            remaining.append(("spl", val))
-        else:
-            remaining.append((first.setdefault(ref.ref_id, len(remaining)),
-                              ref.domain, ref.excluded))
+        remaining.append((first.setdefault(ref.ref_id, len(remaining)),
+                          ref.domain, ref.excluded))
     tapes = tuple([(id(t.cursor.node), tuple(map(id, t.morphemes)),
                     t.pending_feats) for t in state.tapes])
     deferred = ()
@@ -910,13 +904,13 @@ def _search(ctx: _SearchContext, initial: SearchState,
         stack.append(_successors(ctx, state, error_step))
 
 
-def analyze(word: SymbolString, grammar: Grammar, lexicon: Lexicon,
-            skip_rules: FrozenSet[str] = frozenset()) -> List[Analysis]:
+def analyze(word: SymbolString, grammar: Grammar,
+            lexicon: Lexicon) -> List[Analysis]:
     """All no-error analyses of a decoded word, deterministically ordered.
     The empty word has none."""
     if not word:
         return []
-    ctx = _SearchContext(grammar, lexicon, skip_rules=skip_rules)
+    ctx = _SearchContext(grammar, lexicon)
     initial = SearchState(
         tapes=tuple(TapeState(cursor=TrieCursor(lexicon.tree(t)))
                     for t in grammar.tapes),
@@ -926,7 +920,7 @@ def analyze(word: SymbolString, grammar: Grammar, lexicon: Lexicon,
 
 
 def to_analysis(ctx: _SearchContext, state: SearchState) -> Analysis:
-    free = state.free_map()
+    free = dict(state.free_vars)
     morphemes = {t: state.tapes[i].morphemes
                  for i, t in enumerate(ctx.grammar.tapes)}
     stems = _collect_stems(ctx, state)

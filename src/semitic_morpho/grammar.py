@@ -138,6 +138,8 @@ class Grammar:
         self.erule_index = {r.name: i for i, r in enumerate(self.erules)}
         self.plans: Dict[str, RulePlan] = {
             r.name: RulePlan(r, self.tapes) for r in self.rules}
+        self.obligatory_rules: List[TwoLevelRule] = [
+            r for r in self.rules if r.obligatory]
 
     def canonical(self, name: str) -> str:
         return self.by_name.get(name, name)
@@ -151,10 +153,6 @@ class Grammar:
             if r.name == canon:
                 return r
         raise KeyError(name)
-
-    @property
-    def obligatory_rules(self) -> List[TwoLevelRule]:
-        return [r for r in self.rules if r.obligatory]
 
 
 # ---------------------------------------------------------------------------
@@ -328,20 +326,19 @@ def match_record_pattern(pat: RecordPattern, record, bindings: Bindings,
     return match_tuple(pat.lex, record.lex_seg[0], b, guards)
 
 
-def match_partition_context(pat: ContextPattern, records: Sequence, side: str,
+def match_partition_context(pat: ContextPattern, records: Sequence,
                             bindings: Bindings, guards: Guards = Guards(),
                             names_equal=None) -> Optional[Bindings]:
-    """Match a partition context (PLC/PRC) against PartitionRecords."""
+    """Match a partition left context (PLC) against the PartitionRecords
+    made so far. A PRC is matched record by record as the records are made
+    (engine._feed_record_obls)."""
     if pat == WILDCARD:
         return bindings
 
     def item(p, rec, b, g):
         return match_record_pattern(p, rec, b, g, names_equal)
 
-    if side == "left":
-        return _match_left(pat, records, bindings, guards, item)
-    items = [it for it in pat if it != ELLIPSIS]
-    return _match_right(items, records, bindings, guards, item)
+    return _match_left(pat, records, bindings, guards, item)
 
 
 # ---------------------------------------------------------------------------

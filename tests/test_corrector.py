@@ -1,11 +1,14 @@
 import pytest
 
-from semitic_morpho import corrector
+from semitic_morpho import corrector, engine
 from semitic_morpho.alphabet import LETTERS, decode, encode
 from semitic_morpho.corrector import (correct, iter_corrections, rank,
                                       rank_key, try_error_rules)
+from semitic_morpho.dsl import parse_grammar
 from semitic_morpho.engine import (SearchState, TapeState, TrieCursor,
-                                   _SearchContext, _search, analyze)
+                                   _SearchContext, _search, analyze,
+                                   apply_rule)
+from semitic_morpho.lexicon import load_lexicon
 
 from oracles import damerau_edits, reference_search
 from steps import ground_variable, step
@@ -163,15 +166,15 @@ def _full(cands):
 def _traced_correct(monkeypatch, search, grammar, lexicon, word,
                     max_positions):
     """correct() run with `search` as the error search; returns its full
-    output and the number of try_error_rules calls."""
+    output and the number of apply_rule calls."""
     calls = []
 
-    def counted(ctx, state):
+    def counted(ctx, state, rule):
         calls.append(None)
-        return try_error_rules(ctx, state)
+        return apply_rule(ctx, state, rule)
 
     monkeypatch.setattr(corrector, "_search", search)
-    monkeypatch.setattr(corrector, "try_error_rules", counted)
+    monkeypatch.setattr(engine, "apply_rule", counted)
     got = _full(correct(decode(word), grammar, lexicon,
                         max_positions=max_positions))
     return got, len(calls)
@@ -193,7 +196,7 @@ def test_failure_table_matches_reference_search(grammar, lexicon,
                                              max_positions)
             assert tabled == plain, (word, max_positions)
             calls[word, max_positions] = n_tabled, n_plain
-    # the table skips failed subtrees, so fewer error steps run
+    # the table skips failed subtrees, so fewer rules are tried
     for word in ("katbb", "samaaAiyy"):
         n_tabled, n_plain = calls[word, None]
         assert n_tabled < n_plain, word
@@ -269,6 +272,34 @@ def test_ground_variable_empty_intersection(grammar, lexicon):
     assert all(sym not in "aiu" for sym, _ in grounded)
 
 
+def test_grounding_splices_every_occurrence(grammar, lexicon):
+    # E3's 0 => X X shares one free variable between two slots: grounding
+    # the first splices the symbol into the second, and no state keeps a
+    # grounded FreeRef in its remaining surface
+    ctx, state = _state_after(grammar, lexicon, "tuktib",
+                              [("R0", ("t", None, None)),
+                               ("R2", ("v1", None, "u")),
+                               ("R1", ("c1", "k", None))])
+    e3 = next(s for s in try_error_rules(ctx, state)
+              if s.records[-1].rule_name == "E3")
+    ref = e3.remaining[0][1]
+    assert e3.remaining[:2] == (("free", ref), ("free", ref))
+    grounded = ground_variable(e3, grammar, lexicon)
+    assert grounded
+    for sym, succ in grounded:
+        assert sym == "u"
+        assert succ.remaining[0] == ("spl", "u")
+    frontier = [e3]
+    for _ in range(3):
+        frontier = [s for st in frontier
+                    for s in step(st, grammar, lexicon, ctx)]
+        assert frontier
+        for s in frontier:
+            done = dict(s.free_vars)
+            assert not [it for it in s.remaining if not isinstance(it, str)
+                        and it[0] == "free" and it[1].ref_id in done]
+
+
 def test_budget_spent_blocks_error_rules(grammar, lexicon):
     ctx, state = _state_after(grammar, lexicon, "tuktib",
                               [("R0", ("t", None, None)),
@@ -292,3 +323,34 @@ def test_reap_budget_allows_same_family(grammar, lexicon):
     again = try_error_rules(ctx, e0[0])
     assert all(s.records[-1].rule_name in ("E0", "E0a", "E1")
                for s in again)
+
+
+# ---------------------------------------------------------------------------
+# partition right contexts of error rules
+
+# P deletes an a; its PRC names the reap error rule Q, which deletes a b
+PRC = """\
+class lt = {a, b, k}
+rule A: * - X - *  =>  * - X - *  where lt(X)
+rule B: * - 0 - *  =>  (B1, 0, 0) - + - *  where B1 != +
+erule P: a => 0  { * - [Q, 0, *] }  reap=y
+erule Q: b => 0  { * - * }  reap=y
+"""
+
+
+def test_error_rule_prc_constrains_the_next_error_record():
+    g = parse_grammar(PRC)
+    lex = load_lexicon("pattern\tk\t\t\n")
+
+    def found(word):
+        return [(encode(c.corrected_word), [(r, p) for r, p, _, _ in
+                                            c.error_trace])
+                for c in correct(decode(word), g, lex)]
+
+    # the record after P is a Q record: accepted
+    assert found("abk") == [("k", [("P", 0), ("Q", 1)])]
+    assert found("abbk") == [("k", [("P", 0), ("Q", 1), ("Q", 2)])]
+    # the record after P is another P record, or an ordinary one: rejected
+    assert found("aabk") == []
+    assert found("ak") == []
+    assert found("bk") == [("k", [("Q", 0)])]

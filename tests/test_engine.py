@@ -471,11 +471,6 @@ def test_table_key_ignores_ref_numbering_records_and_error_apps(grammar,
         error_apps=(ErrorApplication("E2", 0, (), (("free", b),)),))
     ids = {}
     assert _table_key(first, ids) == _table_key(second, ids)
-    # a grounded ref reads as the symbol it was grounded to
-    grounded = _spent(grammar, lexicon, (("free", a), "a"),
-                      free_vars=((a.ref_id, "k"),))
-    spliced = _spent(grammar, lexicon, (("spl", "k"), "a"))
-    assert _table_key(grounded, ids) == _table_key(spliced, ids)
 
 
 def test_table_key_tells_a_shared_ref_from_two_refs(grammar, lexicon):

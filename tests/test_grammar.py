@@ -9,7 +9,8 @@ from semitic_morpho.grammar import (ANY, ELLIPSIS, EPS, WILDCARD,
                                     Guards, RuleSyntaxError, TwoLevelRule,
                                     UndeclaredClass,
                                     match_context, match_lex,
-                                    match_partition_context)
+                                    match_partition_context,
+                                    match_record_pattern)
 from semitic_morpho.lexicon import load_lexicon
 
 MICRO_HEADER = "class vowel = {a, i, u}\nclass cons = {b, d, k, t}\n"
@@ -245,19 +246,20 @@ def test_match_partition_context_e0(grammar):
         _Rec("R8", (), (("v1", None, "u"),)),
         _Rec("R1", ("H",), (("c2", "H", None),)),
     ]
-    got = match_partition_context(e0.plc, records, "left", {}, e0.guards,
+    got = match_partition_context(e0.plc, records, {}, e0.guards,
                                   names_equal=grammar.same_rule)
     assert got == {"X": "u"}
 
 
 def test_match_partition_context_wildcard_empty():
-    assert match_partition_context(WILDCARD, [], "left", {}) == {}
+    assert match_partition_context(WILDCARD, [], {}) == {}
 
 
-def test_match_partition_context_prc_named(grammar):
+def test_match_record_pattern_e4_prc_named(grammar):
+    # a PRC is fed record by record: E4's one item against the next record
     e4 = grammar.erules[5]
     assert e4.name == "E4"
     rec = _Rec("glottal_change", ("w",), (("c3", "A", None),))
-    got = match_partition_context(e4.prc, [rec], "right", {}, e4.guards,
-                                  names_equal=grammar.same_rule)
+    got = match_record_pattern(e4.prc[0], rec, {}, e4.guards,
+                               grammar.same_rule)
     assert got is not None and got["Pc"] == "c3"
