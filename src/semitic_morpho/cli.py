@@ -15,7 +15,8 @@ from .engine import (Analysis, UnknownMorpheme, analyze, generate,
                      optional_deletion_rules)
 from .grammar import GrammarError
 from .lexicon import LexiconError, load_lexicon
-from .morphosyntax import FeatureClash, parse_word, repair_clash
+from .morphosyntax import (FeatureClash, UnknownPattern, parse_word,
+                           repair_clash)
 
 EXIT_OK = 0
 EXIT_NO_RESULT = 1
@@ -101,10 +102,10 @@ def _decode_or_fail(word: str):
         raise SystemExit(EXIT_USAGE)
 
 
-def _each_word(args, bad_lines: List[int]):
+def _each_word(args, errors: List[str]):
     """(word, decoded word) for the WORD argument or each line of standard
-    input. A line that does not decode is reported, added to `bad_lines`
-    and skipped."""
+    input. A line that does not decode is reported, added to `errors` and
+    skipped."""
     if not args.stdin:
         yield args.word, _decode_or_fail(args.word)
         return
@@ -116,7 +117,7 @@ def _each_word(args, bad_lines: List[int]):
             symbols = decode(word)
         except DecodeError as exc:
             print(f"error: line {lineno}: {word}: {exc}", file=sys.stderr)
-            bad_lines.append(lineno)
+            errors.append(word)
             continue
         yield word, symbols
 
@@ -124,14 +125,20 @@ def _each_word(args, bad_lines: List[int]):
 def _run_words(args, each) -> int:
     """Run `each(args, grammar, lexicon, word, symbols)` on every word; it
     prints its result and returns whether it found one. Exit 1 if some word
-    had none, 2 if some line did not decode."""
+    had none, 2 if some line did not decode or the data failed a word."""
     grammar, lexicon = _load(args)
     status = EXIT_OK
-    bad_lines: List[int] = []
-    for word, symbols in _each_word(args, bad_lines):
-        if not each(args, grammar, lexicon, word, symbols):
+    errors: List[str] = []
+    for word, symbols in _each_word(args, errors):
+        try:
+            found = each(args, grammar, lexicon, word, symbols)
+        except UnknownPattern as exc:
+            print(f"error: {word}: {exc}", file=sys.stderr)
+            errors.append(word)
+            continue
+        if not found:
             status = EXIT_NO_RESULT
-    return EXIT_USAGE if bad_lines else status
+    return EXIT_USAGE if errors else status
 
 
 def _analyze_word(args, grammar, lexicon, word, symbols) -> bool:
@@ -234,6 +241,16 @@ def cmd_dump_alphabet(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semitic-morpho",
@@ -254,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     word_command("analyze", _analyze_word, help="morphological analysis")
     p = word_command("correct", _correct_word, help="error correction")
-    p.add_argument("--max-candidates", type=int, default=32)
-    p.add_argument("--max-positions", type=int, default=None)
+    p.add_argument("--max-candidates", type=_positive_int, default=32)
+    p.add_argument("--max-positions", type=_positive_int, default=None)
     word_command("repair", _repair_word,
                  help="repair morphosyntactically ill-formed words")
 

@@ -141,7 +141,6 @@ def try_error_rules(ctx: _SearchContext, state: SearchState) -> List[SearchState
             surface_out=state.surface_out,
             free_vars=state.free_vars,
             obligations=state.obligations,
-            watches=state.watches,
             record_obls=tuple(rec_obls),
             budget=1 if rule.reap else 2,
             error_apps=state.error_apps + (app,),

@@ -2,9 +2,14 @@
 
 Analysis aligns a known surface string with paths through the lexicon trees;
 generation runs the same rule relation with scripted tapes and an open
-surface. Right contexts and obligatory-rule coercions are enforced as
-deferred obligations fed by subsequently consumed material, so they hold
-against the actual continuation rather than an existential lexicon walk.
+surface. Right contexts and feature guards are enforced as one kind of
+deferred obligation, fed by the material later records consume (tapes, then
+the corrected or generated surface) and settled after each morpheme commit,
+so they hold against the actual continuation rather than an existential
+lexicon walk. An applied rule's own obligation must be met; a watch for an
+obligatory rule the record could violate prunes the branch once met. Rules
+with a right surface context therefore generate, and read a surface that an
+error rule has corrected.
 """
 
 from __future__ import annotations
@@ -26,10 +31,6 @@ class EngineError(Exception):
 
 
 class UnknownMorpheme(EngineError):
-    pass
-
-
-class UnsupportedInGeneration(EngineError):
     pass
 
 
@@ -172,7 +173,6 @@ class ScriptCursor:
 class TapeState:
     cursor: object
     morphemes: Tuple[MorphemeEntry, ...] = ()
-    pending_feats: Tuple[Tuple[str, str], ...] = ()   # (attr, value) requirements
 
 
 # ---------------------------------------------------------------------------
@@ -180,32 +180,26 @@ class TapeState:
 
 @dataclass(frozen=True)
 class Obligation:
-    """Pending right-lexical-context of an applied rule: per-tape symbol
-    pattern queues that upcoming tape consumption must satisfy."""
+    """Right contexts and feature guards of a rule applied (or, for a
+    watch, applicable) at one record, pending the material that decides
+    them.
+
+    `queues` holds one slot queue per tape, then one surface queue: the
+    rule's RLC and RSC with bound variables substituted. `feats` holds
+    (tape index, attr, value, morpheme index) requirements on the morpheme
+    each tape was reading. `coerces` is None for the applied rule's own
+    obligation, which must be met; for a watch it names the obligatory rule
+    whose violation is confirmed, pruning the branch, once the watch is met.
+    """
 
     queues: Tuple[Tuple[tuple, ...], ...]
     bindings: Tuple[Tuple[str, str], ...]
     guards: Guards
-
-    def done(self) -> bool:
-        return all(not q for q in self.queues)
-
-
-@dataclass(frozen=True)
-class CoercionWatch:
-    """A potential violation of an obligatory rule, pending its right
-    contexts and feature requirements. If everything completes, the branch
-    is pruned."""
-
-    rule_name: str
-    queues: Tuple[Tuple[tuple, ...], ...]
-    surf_queue: Tuple[tuple, ...]
-    bindings: Tuple[Tuple[str, str], ...]
-    guards: Guards
-    feats: Tuple[Tuple[str, str, str, int], ...]   # (tape, attr, val, morpheme_idx)
+    feats: Tuple[Tuple[int, str, str, int], ...]
+    coerces: Optional[str] = None
 
     def contexts_done(self) -> bool:
-        return all(not q for q in self.queues) and not self.surf_queue
+        return not any(self.queues)
 
 
 @dataclass(frozen=True)
@@ -217,25 +211,20 @@ class RecordObligation:
     guards: Guards
 
 
-def _feed_queues(queues, consumed, bindings: Dict[str, str], guards: Guards):
-    """Advance per-tape pattern queues over consumed symbols.
+def _feed_queues(queues, material, bindings: Bindings, guards: Guards):
+    """Advance slot queues over one record's material, a symbol sequence
+    per queue; symbols past the end of a queue are not read.
 
-    Returns (new_queues, new_bindings) or None on mismatch. `consumed` is a
-    sequence of per-tape symbol tuples for this record.
+    Returns (new_queues, new_bindings) or None on mismatch.
     """
     new_queues = []
-    b = dict(bindings)
-    for q, syms in zip(queues, consumed):
-        q = list(q)
-        for sym in syms:
-            if not q:
-                continue
-            res = match_slot(q[0], sym, b, guards)
-            if res is None:
+    b = bindings
+    for q, syms in zip(queues, material):
+        for pat, sym in zip(q, syms):
+            b = match_slot(pat, sym, b, guards)
+            if b is None:
                 return None
-            b = res
-            q.pop(0)
-        new_queues.append(tuple(q))
+        new_queues.append(q[len(syms):])
     return tuple(new_queues), b
 
 
@@ -252,7 +241,6 @@ class SearchState:
     surface_out: Tuple[str, ...] = ()                # corrected surface so far
     free_vars: Tuple[Tuple[int, str], ...] = ()      # (ref id, symbol) log
     obligations: Tuple[Obligation, ...] = ()
-    watches: Tuple[CoercionWatch, ...] = ()
     record_obls: Tuple[RecordObligation, ...] = ()
     budget: int = 0                                   # 0 none, 1 reap chain, 2 spent
     error_apps: Tuple[ErrorApplication, ...] = ()
@@ -321,6 +309,10 @@ class _SearchContext:
         self.lex_cap = lexicon.max_entry_length() + 4
         self.n = len(grammar.tapes)
         self.tape_index = {t: i for i, t in enumerate(grammar.tapes)}
+        # pattern, root and vocalism tape indices, when all three exist
+        stem = tuple(self.tape_index.get(t)
+                     for t in ("pattern", "root", "vocalism"))
+        self.stem_tapes = None if None in stem else stem
         # the compiled rules this search may apply, in grammar order
         self.plans = tuple(plan for name, plan in grammar.plans.items()
                            if name not in skip_rules)
@@ -457,46 +449,43 @@ def _bind_slot(slot: tuple, bindings: Bindings) -> tuple:
     return slot
 
 
-def _rlc_to_queues(ctx: _SearchContext, pat, bindings: Bindings) -> Optional[Tuple]:
-    """Decompose an RLC into per-tape pattern queues, substituting bound vars."""
-    if pat == WILDCARD:
-        return None
+def _obligation(ctx: _SearchContext, state: SearchState, rule: TwoLevelRule,
+                bindings: Bindings, coerces: Optional[str] = None) -> Obligation:
+    """`rule`'s right contexts and feature guards under `bindings`, for a
+    record made at `state`."""
     queues: List[List[tuple]] = [[] for _ in range(ctx.n)]
-    for item in pat:
-        for ti, slot in enumerate(item):
-            if slot != EPS:
-                queues[ti].append(_bind_slot(slot, bindings))
-    return tuple(tuple(q) for q in queues)
+    if rule.rlc != WILDCARD:
+        for item in rule.rlc:
+            for ti, slot in enumerate(item):
+                if slot != EPS:
+                    queues[ti].append(_bind_slot(slot, bindings))
+    surf = () if rule.rsc == WILDCARD else \
+        tuple(_bind_slot(slot, bindings) for slot in rule.rsc)
+    feats = tuple((ctx.tape_index[tape], attr, val,
+                   len(state.tapes[ctx.tape_index[tape]].morphemes))
+                  for tape, attr, val in rule.guards.feats)
+    return Obligation(tuple(map(tuple, queues)) + (surf,),
+                      tuple(sorted(bindings.items())), rule.guards, feats,
+                      coerces)
 
 
-def _feed_deferred(state: SearchState, consumed, surf_syms: Sequence[str]):
-    """Feed the state's obligations and coercion watches with this record's
-    consumption. Returns (obligations, watches), or None if the branch dies."""
-    # rule right-context obligations
-    new_obls = []
-    for obl in state.obligations:
-        fed = _feed_queues(obl.queues, consumed, dict(obl.bindings), obl.guards)
+def _feed_obligations(obligations: Sequence[Obligation], consumed: tuple,
+                      surf_syms: Tuple[str, ...]) -> Optional[List[Obligation]]:
+    """Feed each obligation's tape queues, then its surface queue, with one
+    record's material. A mismatch drops a watch, and kills the branch
+    (None) for an own obligation."""
+    material = consumed + (surf_syms,)
+    fed_obls = []
+    for o in obligations:
+        fed = _feed_queues(o.queues, material, dict(o.bindings), o.guards)
         if fed is None:
-            return None
-        queues, b = fed
-        if any(queues):
-            new_obls.append(Obligation(queues, tuple(sorted(b.items())), obl.guards))
-
-    # coercion watches, the surface queue fed after the tapes: a mismatch
-    # kills the watch; completed watches are settled after the morpheme
-    # commit
-    new_watches = []
-    for w in state.watches:
-        fed = _feed_queues(w.queues + (w.surf_queue,),
-                           tuple(consumed) + (surf_syms,), dict(w.bindings),
-                           w.guards)
-        if fed is None:
+            if o.coerces is None:
+                return None
             continue
         queues, b = fed
-        new_watches.append(CoercionWatch(w.rule_name, queues[:-1], queues[-1],
-                                         tuple(sorted(b.items())), w.guards,
-                                         w.feats))
-    return tuple(new_obls), tuple(new_watches)
+        fed_obls.append(Obligation(queues, tuple(sorted(b.items())), o.guards,
+                                   o.feats, o.coerces))
+    return fed_obls
 
 
 def _feed_record_obls(ctx: _SearchContext, state: SearchState,
@@ -517,28 +506,48 @@ def _feed_record_obls(ctx: _SearchContext, state: SearchState,
     return pending
 
 
-def _watch_feats_state(w: CoercionWatch, tapes: Sequence[TapeState]):
-    """True = violation confirmed, False = watch void, None = undecided.
-
-    Commits only append morphemes, so a verdict once decided never changes.
-    """
-    for tape_i, attr, val, midx in w.feats:
-        tape = tapes[tape_i]
-        if len(tape.morphemes) <= midx:
-            return None
-        entry = tape.morphemes[midx]
-        if val not in entry.features.get(attr, ()):
+def _requirements_hold(o: Obligation,
+                       tapes: Sequence[TapeState]) -> Optional[bool]:
+    """True when every feature requirement holds, False when one fails,
+    None while one waits for its morpheme. Commits only append morphemes,
+    so a verdict once decided never changes."""
+    verdict: Optional[bool] = True
+    for tape_i, attr, val, midx in o.feats:
+        morphemes = tapes[tape_i].morphemes
+        if len(morphemes) <= midx:
+            verdict = None
+        elif val not in morphemes[midx].features.get(attr, ()):
             return False
-    return True
+    return verdict
+
+
+def _settle(obligations: Sequence[Obligation],
+            tapes: Sequence[TapeState]) -> Optional[Tuple[Obligation, ...]]:
+    """The obligations still pending after a morpheme commit, or None if
+    the branch dies. A failed requirement kills an own obligation and voids
+    a watch; complete contexts with holding requirements meet an own
+    obligation and let a watch kill the branch."""
+    pending = []
+    for o in obligations:
+        holds = _requirements_hold(o, tapes)
+        if holds is False:
+            if o.coerces is None:
+                return None
+        elif holds and o.contexts_done():
+            if o.coerces is not None:
+                return None
+        else:
+            pending.append(o)
+    return tuple(pending)
 
 
 def _scan_coercions(ctx: _SearchContext, state: SearchState,
                     record: PartitionRecord,
-                    applied_rule: str) -> Tuple[CoercionWatch, ...]:
+                    applied_rule: str) -> List[Obligation]:
     """Watches for every obligatory rule the freshly made record could
     violate: its lexical side and left contexts match, its surface differs."""
     if record.error_origin is not None or not record.lex_seg:
-        return ()
+        return []
     watches = []
     for rule in ctx.grammar.obligatory_rules:
         if ctx.grammar.same_rule(rule.name, applied_rule):
@@ -554,18 +563,8 @@ def _scan_coercions(ctx: _SearchContext, state: SearchState,
         required = _emit_surface(rule.surf, b)
         if required is None or tuple(required) == record.surf_seg:
             continue
-        queues = _rlc_to_queues(ctx, rule.rlc, b) or tuple(() for _ in range(ctx.n))
-        surf_q = ()
-        if rule.rsc != WILDCARD:
-            surf_q = tuple(_bind_slot(s, b) for s in rule.rsc)
-        feats = tuple(
-            (ctx.tape_index[tape], attr, val,
-             len(state.tapes[ctx.tape_index[tape]].morphemes))
-            for tape, attr, val in rule.guards.feats)
-        watches.append(CoercionWatch(rule.name, queues, surf_q,
-                                     tuple(sorted(b.items())), rule.guards,
-                                     feats))
-    return tuple(watches)
+        watches.append(_obligation(ctx, state, rule, b, coerces=rule.name))
+    return watches
 
 
 def _affix_order_ok(prior: Tuple[MorphemeEntry, ...], entry: MorphemeEntry) -> bool:
@@ -581,7 +580,7 @@ def _commit_morphemes(ctx: _SearchContext, tapes: List[TapeState]):
     """Resolve tapes sitting on entry terminals into entry choices.
 
     Yields fully committed tape tuples (choice points over homographs),
-    filtered by pending feature requirements and affix ordering.
+    filtered by affix ordering.
     """
     pattern_i = ctx.tape_index.get("pattern")
     options: List[List[TapeState]] = []
@@ -592,14 +591,10 @@ def _commit_morphemes(ctx: _SearchContext, tapes: List[TapeState]):
             continue
         choices = []
         for entry in entries:
-            if not all(val in entry.features.get(attr, ())
-                       for attr, val in tape.pending_feats):
-                continue
             if ti == pattern_i and not _affix_order_ok(tape.morphemes, entry):
                 continue
             choices.append(TapeState(cursor=tape.cursor.reset(),
-                                     morphemes=tape.morphemes + (entry,),
-                                     pending_feats=()))
+                                     morphemes=tape.morphemes + (entry,)))
         if not choices:
             return
         options.append(choices)
@@ -611,33 +606,40 @@ def _stem_ok(ctx: _SearchContext, before: Sequence[TapeState],
              after: Sequence[TapeState]) -> bool:
     """False when the stem tapes just closed a morpheme whose hard
     features clash."""
-    idx = ctx.tape_index
-    ri, vi, pi = idx.get("root"), idx.get("vocalism"), idx.get("pattern")
-    if ri is None or vi is None or pi is None:
+    if ctx.stem_tapes is None:
         return True
+    pi, ri, vi = ctx.stem_tapes
     if len(after[ri].morphemes) == len(before[ri].morphemes) or \
        len(after[vi].morphemes) == len(before[vi].morphemes):
         return True
     if not after[pi].morphemes:
         return True
+    return _hard_features(ctx, after[pi].morphemes[-1],
+                          after[ri].morphemes[-1],
+                          after[vi].morphemes[-1]) is not None
+
+
+def _hard_features(ctx: _SearchContext, pattern: MorphemeEntry,
+                   root: MorphemeEntry,
+                   vocalism: MorphemeEntry) -> Optional[FeatureStructure]:
+    """The unified features of a stem without the soft attributes, or None
+    when they clash."""
     soft = ctx.lexicon.soft_attrs
-    return unify_all(restrict(after[pi].morphemes[-1].features, soft),
-                     restrict(after[ri].morphemes[-1].features, soft),
-                     restrict(after[vi].morphemes[-1].features, soft)) \
-        is not None
+    return unify_all(restrict(pattern.features, soft),
+                     restrict(root.features, soft),
+                     restrict(vocalism.features, soft))
 
 
 def _match_left_contexts(plan: RulePlan, state: SearchState,
                          bindings: Bindings) -> Optional[Bindings]:
     guards = plan.rule.guards
     if plan.llc != WILDCARD:
-        bindings = match_context(plan.llc, state.lex_tuples, "left", bindings,
-                                 guards)
+        bindings = match_context(plan.llc, state.lex_tuples, bindings, guards)
         if bindings is None:
             return None
     if plan.lsc != WILDCARD:
-        bindings = match_context(plan.lsc, state.surface_out, "left",
-                                 bindings, guards, lexical=False)
+        bindings = match_context(plan.lsc, state.surface_out, bindings,
+                                 guards, lexical=False)
     return bindings
 
 
@@ -680,9 +682,6 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
             emitted = _emit_surface(rule.surf, b)
             if emitted is None:
                 continue
-            if rule.rsc != WILDCARD:
-                raise UnsupportedInGeneration(
-                    f"rule {rule.name}: right surface context in generation")
             surf_syms = tuple(emitted)
             orig = 0
         else:
@@ -695,13 +694,6 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
             if grounded:
                 rest = _ground(rest, grounded)
                 free_vars += tuple(grounded.items())
-            if rule.rsc != WILDCARD:
-                seg = tuple(_item_symbol(it) for it in rest)
-                if any(s is None for s in seg[:len(rule.rsc)]):
-                    continue
-                if match_context(rule.rsc, seg, "right", b, rule.guards,
-                                 lexical=False) is None:
-                    continue
         total_consumed = sum(len(c) for c in consumed)
         nonconsuming = total_consumed == 0 and not surf_syms and orig == 0
         if nonconsuming and state.last_nonconsuming:
@@ -719,49 +711,23 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
             lex_seg=lex_tuples,
             pos=state.pos,
         )
-        tapes_mid = [TapeState(cursor=c, morphemes=t.morphemes,
-                               pending_feats=t.pending_feats)
+        tapes_mid = [TapeState(cursor=c, morphemes=t.morphemes)
                      for c, t in zip(cursors, state.tapes)]
-        # feature guards of this rule attach to the affected tapes
-        for tape_name, attr, val in rule.guards.feats:
-            ti = ctx.tape_index[tape_name]
-            tapes_mid[ti] = TapeState(
-                cursor=tapes_mid[ti].cursor,
-                morphemes=tapes_mid[ti].morphemes,
-                pending_feats=tapes_mid[ti].pending_feats + ((attr, val),))
-
-        fed = _feed_deferred(state, consumed, surf_syms)
-        if fed is None:
+        pending = _feed_obligations(state.obligations, consumed, surf_syms)
+        if pending is None:
             continue
-        obligations, pending = fed
         rec_obls = _feed_record_obls(ctx, state, record)
         if rec_obls is None:
             continue
         pending += _scan_coercions(ctx, state, record, rule.name)
-        own_queues = _rlc_to_queues(ctx, rule.rlc, b)
-        if own_queues is not None and any(own_queues):
-            obligations += (
-                Obligation(own_queues, tuple(sorted(
-                    (k, v) for k, v in b.items())), rule.guards),)
+        if rule.rlc != WILDCARD or rule.rsc != WILDCARD or rule.guards.feats:
+            pending.append(_obligation(ctx, state, rule, b))
 
         for tapes_after in _commit_morphemes(ctx, tapes_mid):
-            if not _stem_ok(ctx, state.tapes, tapes_after):
+            obligations = _settle(pending, tapes_after)
+            if obligations is None:
                 continue
-            # a watch whose contexts are complete is settled here, once the
-            # record's morphemes are committed
-            watches = []
-            dead = False
-            for w in pending:
-                if w.contexts_done():
-                    verdict = _watch_feats_state(w, tapes_after)
-                    if verdict is True:
-                        dead = True
-                        break
-                    if verdict is None:
-                        watches.append(w)
-                else:
-                    watches.append(w)
-            if dead:
+            if not _stem_ok(ctx, state.tapes, tapes_after):
                 continue
             yield SearchState(
                 tapes=tapes_after,
@@ -771,7 +737,6 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
                 surface_out=state.surface_out + surf_syms,
                 free_vars=free_vars,
                 obligations=obligations,
-                watches=tuple(watches),
                 record_obls=tuple(rec_obls),
                 budget=state.budget,
                 error_apps=state.error_apps,
@@ -784,7 +749,8 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
 def _complete(state: SearchState) -> bool:
     return (not state.remaining
             and all(tape.cursor.done() for tape in state.tapes)
-            and all(obl.done() for obl in state.obligations)
+            and all(o.coerces is not None or o.contexts_done()
+                    for o in state.obligations)
             and not state.record_obls)
 
 
@@ -833,15 +799,13 @@ def _table_key(state: SearchState, ids: Dict[object, int]) -> tuple:
         ref = item[1]
         remaining.append((first.setdefault(ref.ref_id, len(remaining)),
                           ref.domain, ref.excluded))
-    tapes = tuple([(id(t.cursor.node), tuple(map(id, t.morphemes)),
-                    t.pending_feats) for t in state.tapes])
+    tapes = tuple([(id(t.cursor.node), tuple(map(id, t.morphemes)))
+                   for t in state.tapes])
     deferred = ()
-    if state.obligations or state.watches or state.record_obls:
+    if state.obligations or state.record_obls:
         deferred = (
-            tuple([(o.queues, o.bindings, id(o.guards))
+            tuple([(o.queues, o.bindings, id(o.guards), o.feats, o.coerces)
                    for o in state.obligations]),
-            tuple([(w.rule_name, w.queues, w.surf_queue, w.bindings,
-                    id(w.guards), w.feats) for w in state.watches]),
             tuple([(r.patterns, r.bindings, id(r.guards))
                    for r in state.record_obls]))
     parts = (tuple(remaining), tapes, state.lex_tuples, state.surface_out,
@@ -931,10 +895,9 @@ def to_analysis(ctx: _SearchContext, state: SearchState) -> Analysis:
 
 
 def _collect_stems(ctx: _SearchContext, state: SearchState) -> Tuple[StemInfo, ...]:
-    idx = ctx.tape_index
-    ri, vi, pi = idx.get("root"), idx.get("vocalism"), idx.get("pattern")
-    if ri is None or vi is None or pi is None:
+    if ctx.stem_tapes is None:
         return ()
+    pi, ri, vi = ctx.stem_tapes
     roots = state.tapes[ri].morphemes
     vocs = state.tapes[vi].morphemes
     if not roots or len(roots) != len(vocs):
@@ -943,13 +906,11 @@ def _collect_stems(ctx: _SearchContext, state: SearchState) -> Tuple[StemInfo, .
     patterns = [e for e in state.tapes[pi].morphemes
                 if e.kind not in ("prefix", "suffix", "word")]
     stems = []
-    soft = ctx.lexicon.soft_attrs
     for i, (r, v) in enumerate(zip(roots, vocs)):
         if i >= len(patterns):
             break
         p = patterns[i]
-        hard = unify_all(restrict(p.features, soft), restrict(r.features, soft),
-                         restrict(v.features, soft))
+        hard = _hard_features(ctx, p, r, v)
         stems.append(StemInfo(p, r, v, hard if hard is not None else {}))
     return tuple(stems)
 

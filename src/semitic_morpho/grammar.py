@@ -268,13 +268,6 @@ def _match_left(items, segment, bindings, guards, match_item) -> Optional[Bindin
     return bindings
 
 
-def _match_right(items, segment, bindings, guards, match_item) -> Optional[Bindings]:
-    """Right context: items anchor flush after the core (no ellipsis)."""
-    if len(segment) < len(items):
-        return None
-    return _match_group_at(list(items), segment, 0, bindings, guards, match_item)
-
-
 def _surface_item(pat: Slot, sym: Optional[str], bindings, guards):
     return match_slot(pat, sym, bindings, guards)
 
@@ -283,22 +276,18 @@ def _lex_item(pat: TuplePattern, tup: LexTuple, bindings, guards):
     return match_tuple(pat, tup, bindings, guards)
 
 
-def match_context(pat: ContextPattern, segment: Sequence, side: str,
-                  bindings: Bindings, guards: Guards = Guards(),
+def match_context(pat: ContextPattern, segment: Sequence, bindings: Bindings,
+                  guards: Guards = Guards(),
                   lexical: bool = True) -> Optional[Bindings]:
-    """Match a context pattern against consumed (left) or remaining (right)
-    material. For lexical contexts the segment holds LexTuples, for surface
-    contexts surface symbols. Failure is None.
+    """Match a left context pattern against the material consumed so far:
+    LexTuples for a lexical context, surface symbols for a surface one.
+    Failure is None. Right contexts are fed to deferred obligations as
+    later records are made (engine.Obligation).
     """
     if pat == WILDCARD:
         return bindings
     match_item = _lex_item if lexical else _surface_item
-    if side == "left":
-        return _match_left(pat, segment, bindings, guards, match_item)
-    items = [it for it in pat if it != ELLIPSIS]
-    if len(items) != len(pat):
-        raise GrammarError("ellipsis is only legal in left contexts")
-    return _match_right(items, segment, bindings, guards, match_item)
+    return _match_left(pat, segment, bindings, guards, match_item)
 
 
 def match_record_pattern(pat: RecordPattern, record, bindings: Bindings,

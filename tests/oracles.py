@@ -3,10 +3,10 @@
 Apart from the reference search, nothing here calls the engine: surfaces
 and orthography sets are computed by direct string walks over the lexicon
 data, the micro partition oracle enumerates alignments exhaustively, and the
-obligatory-rule checker reads a complete partition after the fact with the
-grammar's slot and context matchers. The reference search is the plain
-depth-first search over the engine's successor function, without the error
-search's failure table.
+licensing and obligatory-rule checkers read a complete partition after the
+fact with the grammar's slot and context matchers. The reference search is
+the plain depth-first search over the engine's successor function, without
+the error search's failure table.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from semitic_morpho.alphabet import BOUNDARY
 from semitic_morpho.engine import _complete, _successors
-from semitic_morpho.grammar import (EPS, WILDCARD, match_context, match_slot,
-                                    match_tuple)
+from semitic_morpho.grammar import (EPS, WILDCARD, match_context, match_lex,
+                                    match_slot)
 
 C_SLOTS = {"c1": 1, "c2": 2, "c3": 3, "c4": 4}
 V_SLOTS = {"v1": 1, "v2": 2}
@@ -202,7 +202,64 @@ def _micro_violates(rules, tape, word, trace) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# post-hoc obligatory-rule checking (independent of the engine's watches)
+# post-hoc licensing and obligatory-rule checking (independent of the
+# engine's deferred obligations)
+
+
+def _partition_walk(records, n: int):
+    """For each record: (index, record, lexical tuples before it, surface
+    before it, lexical tuples after it, surface after it, per-tape index of
+    the morpheme being read, i.e. the boundaries consumed before it)."""
+    all_lex = [t for r in records for t in r.lex_seg]
+    all_surf = [s for r in records for s in r.surf_seg]
+    lex_at = surf_at = 0
+    morph_idx = [0] * n
+    for ri, rec in enumerate(records):
+        lex_end = lex_at + len(rec.lex_seg)
+        surf_end = surf_at + len(rec.surf_seg)
+        yield (ri, rec, all_lex[:lex_at], all_surf[:surf_at],
+               all_lex[lex_end:], all_surf[surf_end:], tuple(morph_idx))
+        for tup in rec.lex_seg:
+            for ti, sym in enumerate(tup):
+                if sym == BOUNDARY:
+                    morph_idx[ti] += 1
+        lex_at, surf_at = lex_end, surf_end
+
+
+def _match_surface(pats, syms, b, guards) -> Optional[dict]:
+    if len(pats) != len(syms):
+        return None
+    for pat, sym in zip(pats, syms):
+        b = match_slot(pat, sym, b, guards)
+        if b is None:
+            return None
+    return b
+
+
+def _left_contexts(rule, b, history, surface) -> Optional[dict]:
+    b = match_context(rule.llc, history, b, rule.guards)
+    if b is None:
+        return None
+    return match_context(rule.lsc, surface, b, rule.guards, lexical=False)
+
+
+def _right_contexts(rule, b, rest_lex, rest_surf, n: int) -> Optional[dict]:
+    """The RLC over the following tuples per tape, then the RSC flush
+    against the following surface (the parser forbids ellipsis there)."""
+    b = _match_rlc_posthoc(rule.rlc, rest_lex, b, rule.guards, n)
+    if b is None:
+        return None
+    return match_context(rule.rsc, rest_surf[:len(rule.rsc)], b, rule.guards,
+                         lexical=False)
+
+
+def _feature_verdicts(rule, grammar, morphemes, morph_idx):
+    """Per feature guard of `rule`: whether the morpheme its tape was
+    reading has the feature, or None when that morpheme never committed."""
+    for tape, attr, val in rule.guards.feats:
+        seq = morphemes.get(tape, ())
+        mi = morph_idx[grammar.tapes.index(tape)]
+        yield None if mi >= len(seq) else val in seq[mi].features.get(attr, ())
 
 
 def check_obligatory(records, grammar, morphemes=None) -> List[Tuple[int, str]]:
@@ -213,65 +270,53 @@ def check_obligatory(records, grammar, morphemes=None) -> List[Tuple[int, str]]:
     satisfied.
     """
     n = len(grammar.tapes)
-    tape_index = {t: i for i, t in enumerate(grammar.tapes)}
-    lex_history: List[tuple] = []
-    surface: List[str] = []
-    # per-tape morpheme index at each record (number of boundaries consumed)
-    morph_idx = [0] * n
     violations: List[Tuple[int, str]] = []
-    all_lex = [t for r in records for t in r.lex_seg]
-    all_surf = [s for r in records for s in r.surf_seg]
-
-    for ri, rec in enumerate(records):
-        if rec.error_origin is None and rec.lex_seg:
-            for rule in grammar.obligatory_rules:
-                if grammar.same_rule(rule.name, rec.rule_name):
-                    continue
-                if len(rule.lex) != len(rec.lex_seg):
-                    continue
-                b: Optional[dict] = {}
-                for pat, tup in zip(rule.lex, rec.lex_seg):
-                    b = match_tuple(pat, tup, b, rule.guards)
-                    if b is None:
-                        break
-                if b is None:
-                    continue
-                b2 = match_context(rule.llc, lex_history, "left", b, rule.guards)
-                if b2 is None:
-                    continue
-                b2 = match_context(rule.lsc, surface, "left", b2, rule.guards,
-                                   lexical=False)
-                if b2 is None:
-                    continue
-                rest_lex = all_lex[len(lex_history) + len(rec.lex_seg):]
-                b3 = _match_rlc_posthoc(rule.rlc, rest_lex, b2, rule.guards, n)
-                if b3 is None:
-                    continue
-                rest_surf = all_surf[len(surface) + len(rec.surf_seg):]
-                b4 = match_context(rule.rsc, rest_surf, "right", b3, rule.guards,
-                                   lexical=False)
-                if b4 is None:
-                    continue
-                if morphemes is not None and rule.guards.feats:
-                    ok = True
-                    for tape, attr, val in rule.guards.feats:
-                        seq = morphemes.get(tape, ())
-                        mi = morph_idx[tape_index[tape]]
-                        if mi >= len(seq) or val not in seq[mi].features.get(attr, ()):
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                required = _emit_surface(rule.surf, b4)
-                if required is not None and tuple(required) != rec.surf_seg:
-                    violations.append((ri, rule.name))
-        for tup in rec.lex_seg:
-            for ti, sym in enumerate(tup):
-                if sym == BOUNDARY:
-                    morph_idx[ti] += 1
-        lex_history.extend(rec.lex_seg)
-        surface.extend(rec.surf_seg)
+    for ri, rec, history, surface, rest_lex, rest_surf, morph_idx in \
+            _partition_walk(records, n):
+        if rec.error_origin is not None or not rec.lex_seg:
+            continue
+        for rule in grammar.obligatory_rules:
+            if grammar.same_rule(rule.name, rec.rule_name):
+                continue
+            b = match_lex(rule.lex, rec.lex_seg, {}, rule.guards)
+            if b is not None:
+                b = _left_contexts(rule, b, history, surface)
+            if b is not None:
+                b = _right_contexts(rule, b, rest_lex, rest_surf, n)
+            if b is None:
+                continue
+            if morphemes is not None and not all(
+                    _feature_verdicts(rule, grammar, morphemes, morph_idx)):
+                continue
+            required = _emit_surface(rule.surf, b)
+            if required is not None and tuple(required) != rec.surf_seg:
+                violations.append((ri, rule.name))
     return violations
+
+
+def check_licensed(records, grammar, morphemes) -> List[int]:
+    """Indices of the non-error records of a complete partition that their
+    own rule does not license: its lexical or surface expression, one of
+    its four contexts, or a feature guard fails. A feature guard on a
+    morpheme that never commits is not decided, so it does not fail."""
+    n = len(grammar.tapes)
+    unlicensed: List[int] = []
+    for ri, rec, history, surface, rest_lex, rest_surf, morph_idx in \
+            _partition_walk(records, n):
+        if rec.error_origin is not None:
+            continue
+        rule = grammar.rule(rec.rule_name)
+        b = match_lex(rule.lex, rec.lex_seg, {}, rule.guards)
+        if b is not None:
+            b = _left_contexts(rule, b, history, surface)
+        if b is not None:
+            b = _match_surface(rule.surf, rec.surf_seg, b, rule.guards)
+        if b is not None:
+            b = _right_contexts(rule, b, rest_lex, rest_surf, n)
+        if b is None or False in _feature_verdicts(rule, grammar, morphemes,
+                                                  morph_idx):
+            unlicensed.append(ri)
+    return unlicensed
 
 
 def _match_rlc_posthoc(pat, rest_lex: Sequence[tuple], bindings, guards,

@@ -3,7 +3,10 @@ import json
 
 import pytest
 
+from semitic_morpho import arabic_data
 from semitic_morpho.cli import run
+
+from test_engine import RSC_OWN, RSC_OWN_LEX
 
 
 def _run(capsys, *argv):
@@ -150,6 +153,16 @@ def test_grammar_lexicon_overrides(tmp_path, capsys):
     assert code == 0 and "trace=A,A,B" in out
 
 
+def test_generate_rule_with_right_surface_context(tmp_path, capsys):
+    gpath, lpath = tmp_path / "g.tlr", tmp_path / "l.lex"
+    gpath.write_text(RSC_OWN, encoding="utf-8")
+    lpath.write_text(RSC_OWN_LEX, encoding="utf-8")
+    code, out, err = _run(capsys, "--grammar", str(gpath),
+                          "--lexicon", str(lpath), "generate", "--pattern",
+                          "bk")
+    assert (code, out, err) == (0, "ak\n", "")
+
+
 # ---------------------------------------------------------------------------
 # IO errors and bad input lines: one error line, exit 2, no traceback
 
@@ -192,6 +205,33 @@ def test_data_dir_override_missing_exit_code(capsys, monkeypatch):
     code, out, err = _run_failing(capsys, "verify")
     assert code == 2
     assert err.startswith("error: ") and "arabic.tlr" in err
+
+
+def test_repair_unknown_expected_pattern_exit_code(tmp_path, capsys):
+    # the root kdW expects a broken-plural pattern the lexicon lacks
+    lexicon = arabic_data.data_text(arabic_data.LEXICON_FILE)
+    assert lexicon.count("bp_pattern=CuCC\tkadish") == 1
+    path = tmp_path / "l.lex"
+    path.write_text(lexicon.replace("bp_pattern=CuCC\tkadish",
+                                    "bp_pattern=CuCuC\tkadish"),
+                    encoding="utf-8")
+    code, out, err = _run(capsys, "--lexicon", str(path), "repair", "kidaaW")
+    assert code == 2 and out == ""
+    assert err == ("error: kidaaW: root kdW expects pattern 'CuCuC', "
+                   "absent from the lexicon\n")
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--max-candidates", "0"),
+    ("--max-candidates", "-3"),
+    ("--max-positions", "0"),
+    ("--max-positions", "-1"),
+    ("--max-positions", "x"),
+])
+def test_correct_rejects_non_positive_bounds(capsys, option, value):
+    code, out, err = _run_failing(capsys, "correct", "tuktib", option, value)
+    assert code == 2 and out == ""
+    assert f"{option}: {value!r} is not a positive integer" in err
 
 
 def _stdin_run(capsys, monkeypatch, text, *argv):

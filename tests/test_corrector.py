@@ -12,6 +12,7 @@ from semitic_morpho.lexicon import load_lexicon
 
 from oracles import damerau_edits, reference_search
 from steps import ground_variable, step
+from test_engine import RSC_OWN, RSC_OWN_LEX
 from test_order_contract import ERROR_EXAMPLES
 
 
@@ -354,3 +355,18 @@ def test_error_rule_prc_constrains_the_next_error_record():
     assert found("aabk") == []
     assert found("ak") == []
     assert found("bk") == [("k", [("Q", 0)])]
+
+
+def test_right_surface_context_reads_the_corrected_surface():
+    # R's surface context k is met by the symbol D3 splices after it, and
+    # regenerating the correction runs R in generation
+    g = parse_grammar(RSC_OWN)
+    lex = load_lexicon(RSC_OWN_LEX)
+
+    def found(word):
+        return [(encode(c.corrected_word), [
+            f"{r}@{p} {encode(e)}->{encode(c_)}" for r, p, e, c_ in
+            c.error_trace]) for c in correct(decode(word), g, lex)]
+
+    assert found("ab") == [("ak", ["D3@1 b->k"])]
+    assert found("kk") == [("ak", ["D3@0 k->a"])]

@@ -13,8 +13,8 @@ from semitic_morpho.engine import (ErrorApplication, FreeRef,
 from semitic_morpho.grammar import Grammar
 from semitic_morpho.lexicon import load_lexicon
 
-from oracles import (check_obligatory, damerau_edits, oracle_micro_analyze,
-                     orthography_set, reference_surface)
+from oracles import (check_licensed, check_obligatory, damerau_edits,
+                     oracle_micro_analyze, orthography_set, reference_surface)
 from steps import step
 from test_acceptance import AFFIXED_SURFACES, NOMINAL_SURFACES
 
@@ -332,8 +332,12 @@ def test_online_watch_agrees_with_posthoc_oracle(grammar, lexicon, verb_table):
     for word in ("samaawiyy", "hawaaAiyy"):
         words += [edit for _, _, edit in damerau_edits(word, sorted(LETTERS))]
     for word in dict.fromkeys(words):
-        online = [_key(a) for a in _analyses(grammar, lexicon, word)]
-        posthoc = [_key(a) for a in _analyses(demoted, lexicon, word)
+        analyses = _analyses(grammar, lexicon, word)
+        weakened = _analyses(demoted, lexicon, word)
+        for a in analyses + weakened:
+            assert check_licensed(a.records, grammar, a.morphemes) == [], word
+        online = [_key(a) for a in analyses]
+        posthoc = [_key(a) for a in weakened
                    if not check_obligatory(a.records, grammar, a.morphemes)]
         assert online == posthoc, word
 
@@ -357,20 +361,48 @@ def test_right_surface_context_watch_agrees_with_posthoc_oracle():
     rejected = 0
     for n in range(1, 6):
         for word in map("".join, itertools.product("abk", repeat=n)):
-            online = [_key(a) for a in analyze(decode(word), g, lex)]
+            analyses = analyze(decode(word), g, lex)
+            online = [_key(a) for a in analyses]
             posthoc = []
             for a in analyze(decode(word), demoted, lex):
+                assert check_licensed(a.records, g, a.morphemes) == [], word
                 if check_obligatory(a.records, g, a.morphemes):
                     rejected += 1
                 else:
                     posthoc.append(_key(a))
             assert online == posthoc, word
+            assert all(check_licensed(a.records, g, a.morphemes) == []
+                       for a in analyses), word
     # the watch must prune: some analyses violate O only through its
     # right surface context
     assert rejected
     assert analyze(decode("ak"), demoted, lex)
     assert analyze(decode("ak"), g, lex) == []
     assert analyze(decode("bk"), g, lex)
+
+
+# lexical b surfaces as a before a surface k, by an optional rule whose own
+# right surface context is a deferred obligation like any other
+RSC_OWN = """\
+class ak = {a, k}
+rule A: * - X - *  =>  * - X - *  where ak(X)
+rule B: * - 0 - *  =>  (B1, 0, 0) - + - *  where B1 != +
+rule R: * - a - k  =>  * - (b, 0, 0) - *
+erule D3: X => Y  { * - * }  reap=n
+"""
+
+RSC_OWN_LEX = "pattern\tbk\t\t\n"
+
+
+def test_own_right_surface_context_generates():
+    g = parse_grammar(RSC_OWN)
+    lex = load_lexicon(RSC_OWN_LEX)
+    assert generate({"pattern": "bk"}, g, lex) == [decode("ak")]
+    got = analyze(decode("ak"), g, lex)
+    assert [a.rule_trace for a in got] == [("R", "A", "B")]
+    assert check_licensed(got[0].records, g, got[0].morphemes) == []
+    # the context is read from the surface, not assumed
+    assert analyze(decode("a"), g, lex) == []
 
 
 def test_engine_respects_coercion():

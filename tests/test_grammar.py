@@ -198,15 +198,14 @@ def test_match_lex_eps_mismatch():
 
 
 def test_match_context_wildcard():
-    assert match_context(WILDCARD, [("a", None, None)], "left", {}) == {}
+    assert match_context(WILDCARD, [("a", None, None)], {}) == {}
 
 
 def test_match_context_nearest_anchor():
     # LLC "(v1, 0, V) ..." against two vowel tuples: nearest one wins
     pat = ((("lit", "v1"), EPS, ("var", "V")), ELLIPSIS)
     segment = [("v1", None, "u"), ("c2", "t", None), ("v1", None, "a")]
-    got = match_context(pat, segment, "left", {},
-                        _guards(V={"a", "i", "u"}))
+    got = match_context(pat, segment, {}, _guards(V={"a", "i", "u"}))
     assert got == {"V": "a"}
 
 
@@ -215,8 +214,8 @@ def test_match_context_flush_without_ellipsis():
     segment = [("a", None, None), ("+", None, None)]
     guards = Guards(allowed={"B": frozenset("ab+")},
                     diseq=(("B", "+", False),))
-    assert match_context(pat, segment, "left", {}, guards) is None
-    assert match_context(pat, segment[:1], "left", {}, guards) == {"B": "a"}
+    assert match_context(pat, segment, {}, guards) is None
+    assert match_context(pat, segment[:1], {}, guards) == {"B": "a"}
 
 
 @given(st.lists(st.sampled_from("aiu"), min_size=1, max_size=8))
@@ -225,8 +224,7 @@ def test_nearest_match_picks_rightmost(vowels):
     # matching tuple
     pat = ((("lit", "v1"), EPS, ("var", "V")), ELLIPSIS)
     segment = [("v1", None, v) for v in vowels]
-    got = match_context(pat, segment, "left", {},
-                        _guards(V={"a", "i", "u"}))
+    got = match_context(pat, segment, {}, _guards(V={"a", "i", "u"}))
     assert got == {"V": vowels[-1]}
 
 
