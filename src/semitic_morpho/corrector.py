@@ -246,8 +246,14 @@ def correct(word: SymbolString, grammar: Grammar, lexicon: Lexicon,
     zero-error candidate. Otherwise the search is rerun with error rules
     enabled; each complete partition is regenerated to its fully vocalised
     surface, deduplicated by corrected word (best error trace kept), and
-    ranked.
+    ranked. Each bound is None (unbounded) or at least 1; ValueError
+    otherwise.
     """
+    for name, bound in (("max_candidates", max_candidates),
+                        ("max_positions", max_positions)):
+        if bound is not None and bound < 1:
+            raise ValueError(f"{name} must be at least 1 or None, "
+                             f"not {bound!r}")
     best: Dict[SymbolString, CorrectionCandidate] = {}
     for cand in iter_corrections(word, grammar, lexicon,
                                  max_positions=max_positions):

@@ -9,7 +9,8 @@ so they hold against the actual continuation rather than an existential
 lexicon walk. An applied rule's own obligation must be met; a watch for an
 obligatory rule the record could violate prunes the branch once met. Rules
 with a right surface context therefore generate, and read a surface that an
-error rule has corrected.
+error rule has corrected. Searches take rule dispatch, and analysis its trie
+walks, from a step memo per (grammar, lexicon) pair, keyed by all they read.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ class ScriptCursor:
         return ScriptCursor(self.entries, self.ei + 1, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TapeState:
     cursor: object
     morphemes: Tuple[MorphemeEntry, ...] = ()
@@ -232,7 +233,7 @@ def _feed_queues(queues, material, bindings: Bindings, guards: Guards):
 # search state
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SearchState:
     tapes: Tuple[TapeState, ...]
     remaining: Optional[Tuple[object, ...]]          # None in generation mode
@@ -295,6 +296,71 @@ def optional_deletion_rules(grammar: Grammar) -> FrozenSet[str]:
     return frozenset(r.name for r in grammar.rules if is_optional_deletion(r))
 
 
+class StepMemo:
+    """The lexicon side of rule application for one (grammar, lexicon)
+    pair, filled lazily and shared by every search over the pair.
+
+    Each table holds a pure function of trie nodes (by identity), surface
+    symbols and bindings, so a hit returns what the walk would compute.
+    Generation walks scripted cursors, which have no trie node, without the
+    walk table. Lexicon.add bumps the lexicon's revision, which replaces the
+    memo (step_memo).
+
+    masks    per tape, trie node (or, for a scripted cursor, the tuple of
+             symbols it offers) -> bitmask of the plans whose first lexical
+             tuple finds the edges it needs there (bit i: the i-th rule in
+             grammar order; RulePlan.admits_edges)
+    heads    grounded surface head -> bitmask of the plans that can take it:
+             those with an empty surface expression and those whose first
+             surface slot admits it
+    surfaced bitmask of the plans with a non-empty surface expression
+    by_mask  bitmask -> its plans in grammar order
+    walks    (plan, node per read tape, value per read variable) -> the
+             plan's trie walks in walk order, each as (child cursor per read
+             tape, symbols consumed per tape, lexical tuples, bindings
+             added); see _advance_tapes
+    lex_cap  the longest lexical-only run a partition may make
+    """
+
+    def __init__(self, grammar: Grammar, lexicon: Lexicon):
+        self.revision = lexicon.revision
+        self.plans = tuple(grammar.plans.values())
+        self.masks: Tuple[Dict[object, int], ...] = tuple(
+            {} for _ in grammar.tapes)
+        self.heads: Dict[str, int] = {}
+        self.surfaced = self.mask(lambda plan: bool(plan.rule.surf))
+        self.by_mask: Dict[int, Tuple[RulePlan, ...]] = {}
+        self.walks: Dict[tuple, tuple] = {}
+        self.lex_cap = lexicon.max_entry_length() + 4
+
+    def mask(self, admits) -> int:
+        """Bitmask of the plans for which `admits(plan)` holds."""
+        return sum(1 << i for i, plan in enumerate(self.plans) if admits(plan))
+
+    def head_mask(self, head: str) -> int:
+        m = self.heads.get(head)
+        if m is None:
+            m = self.heads[head] = self.mask(
+                lambda plan: not plan.rule.surf or plan.admits_head(head))
+        return m
+
+    def plans_in(self, mask: int) -> Tuple[RulePlan, ...]:
+        plans = self.by_mask.get(mask)
+        if plans is None:
+            plans = self.by_mask[mask] = tuple(
+                plan for i, plan in enumerate(self.plans) if mask >> i & 1)
+        return plans
+
+
+def step_memo(grammar: Grammar, lexicon: Lexicon) -> StepMemo:
+    """The step memo of a (grammar, lexicon) pair. It lives on the grammar,
+    keyed weakly by the lexicon, so releasing either releases it."""
+    memo = grammar.step_memos.get(lexicon)
+    if memo is None or memo.revision != lexicon.revision:
+        memo = grammar.step_memos[lexicon] = StepMemo(grammar, lexicon)
+    return memo
+
+
 class _SearchContext:
     """Shared knobs and mutable frontier info for one search."""
 
@@ -306,16 +372,16 @@ class _SearchContext:
         self.skip_rules = skip_rules
         self.max_positions = max_positions
         self.deepest = 0
-        self.lex_cap = lexicon.max_entry_length() + 4
+        self.memo = step_memo(grammar, lexicon)
         self.n = len(grammar.tapes)
         self.tape_index = {t: i for i, t in enumerate(grammar.tapes)}
         # pattern, root and vocalism tape indices, when all three exist
         stem = tuple(self.tape_index.get(t)
                      for t in ("pattern", "root", "vocalism"))
         self.stem_tapes = None if None in stem else stem
-        # the compiled rules this search may apply, in grammar order
-        self.plans = tuple(plan for name, plan in grammar.plans.items()
-                           if name not in skip_rules)
+        # the compiled rules this search may apply
+        self.allowed = self.memo.mask(
+            lambda plan: plan.rule.name not in skip_rules)
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +391,48 @@ class _SearchContext:
 def _advance_tapes(ctx: _SearchContext, plan: RulePlan, state: SearchState,
                    bindings: Bindings):
     """Enumerate tape advances matching the rule's lexical expression.
+    Yields (cursors, consumed_per_tape, lex_tuples, bindings).
+
+    In analysis the walks come from the step memo. The key is all the walk
+    reads: the plan, the trie node of each tape in plan.read_tapes and the
+    binding of each variable in plan.read_vars; the walks store what they
+    add to the cursors and bindings, so a hit yields what _walk would.
+    """
+    cursors = [t.cursor for t in state.tapes]
+    if state.remaining is None:          # generation: scripted cursors
+        yield from _walk(ctx, plan, cursors, bindings)
+        return
+    read = plan.read_tapes
+    key = (plan, *[cursors[ti].node for ti in read],
+           *[bindings.get(v) for v in plan.read_vars])
+    walks = ctx.memo.walks.get(key)
+    if walks is None:
+        walks = ctx.memo.walks[key] = tuple(
+            (tuple([curs[ti] for ti in read]), consumed, tuples,
+             tuple([(v, sym) for v, sym in b.items() if v not in bindings]))
+            for curs, consumed, tuples, b in _walk(ctx, plan, cursors,
+                                                   bindings))
+    for children, consumed, tuples, added in walks:
+        curs = list(cursors)
+        for ti, child in zip(read, children):
+            curs[ti] = child
+        b = bindings
+        if added:
+            b = dict(bindings)
+            b.update(added)
+        yield curs, consumed, tuples, b
+
+
+def _walk(ctx: _SearchContext, plan: RulePlan, cursors: list,
+          bindings: Bindings):
+    """The tape advances of _advance_tapes, walked from `cursors`.
 
     Advances come in the lexicographic order of the symbols taken, slot by
     slot (trie edges are kept sorted). A bound variable follows its one
-    edge. Yields (cursors, consumed_per_tape, lex_tuples, bindings).
+    edge.
     """
     guards = plan.rule.guards
-    walks = [([t.cursor for t in state.tapes], [None] * plan.width, bindings)]
+    walks = [(cursors, [None] * plan.width, bindings)]
     for flat, ti, tag, value, domain, aligned, named in plan.steps:
         taken = []
         for curs, syms, b in walks:
@@ -543,15 +644,14 @@ def _settle(obligations: Sequence[Obligation],
 
 def _scan_coercions(ctx: _SearchContext, state: SearchState,
                     record: PartitionRecord,
-                    applied_rule: str) -> List[Obligation]:
-    """Watches for every obligatory rule the freshly made record could
-    violate: its lexical side and left contexts match, its surface differs."""
-    if record.error_origin is not None or not record.lex_seg:
+                    plan: RulePlan) -> List[Obligation]:
+    """Watches for every obligatory rule the record, freshly made by
+    `plan`'s rule, could violate: its lexical side and left contexts match,
+    its surface differs."""
+    if not record.lex_seg:
         return []
     watches = []
-    for rule in ctx.grammar.obligatory_rules:
-        if ctx.grammar.same_rule(rule.name, applied_rule):
-            continue
+    for rule in plan.watch:
         if rule.name in ctx.skip_rules:
             continue
         b = match_lex(rule.lex, record.lex_seg, {}, rule.guards)
@@ -702,7 +802,7 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
             lex_run = 0
         else:
             lex_run = state.lex_run + total_consumed
-            if lex_run > ctx.lex_cap:
+            if lex_run > ctx.memo.lex_cap:
                 continue
 
         record = PartitionRecord(
@@ -719,7 +819,7 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
         rec_obls = _feed_record_obls(ctx, state, record)
         if rec_obls is None:
             continue
-        pending += _scan_coercions(ctx, state, record, rule.name)
+        pending += _scan_coercions(ctx, state, record, plan)
         if rule.rlc != WILDCARD or rule.rsc != WILDCARD or rule.guards.feats:
             pending.append(_obligation(ctx, state, rule, b))
 
@@ -759,18 +859,34 @@ def _successors(ctx: _SearchContext, state: SearchState,
     """Rule successors in grammar order, then error successors.
 
     A rule whose first surface slot cannot take the surface head, or whose
-    first lexical tuple needs an edge a cursor lacks, is not tried.
+    first lexical tuple needs an edge a cursor lacks, is not tried. Both
+    tests are bitmasks from the step memo.
     """
     remaining = state.remaining
-    head = _item_symbol(remaining[0]) if remaining else None
-    edges = [t.cursor.edges() for t in state.tapes]
-    for plan in ctx.plans:
-        if remaining is not None and plan.rule.surf:
-            if not remaining:
-                continue
-            if head is not None and not plan.admits_head(head):
-                continue
-        if not plan.admits_edges(edges, head):
+    memo = ctx.memo
+    mask = ctx.allowed
+    head = None
+    if remaining:
+        head = _item_symbol(remaining[0])
+        if head is not None:
+            mask &= memo.head_mask(head)
+    elif remaining is not None:
+        mask &= ~memo.surfaced
+    for ti, t in enumerate(state.tapes):
+        cursor = t.cursor
+        # a scripted cursor (generation) offers at most one symbol
+        key = cursor.node if remaining is not None else tuple(cursor.edges())
+        masks = memo.masks[ti]
+        m = masks.get(key)
+        if m is None:
+            offered = cursor.edges()
+            m = masks[key] = memo.mask(
+                lambda plan: plan.admits_edges(ti, offered))
+        mask &= m
+    for plan in memo.plans_in(mask):
+        if head is not None and plan.prebind_tapes and any(
+                head not in state.tapes[ti].cursor.node.edges
+                for ti in plan.prebind_tapes):
             continue
         yield from apply_rule(ctx, state, plan.rule)
     # no error rule applies once the budget is spent

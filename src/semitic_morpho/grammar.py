@@ -14,6 +14,7 @@ Lexical tuples in partitions use ``None`` for an empty slot.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -136,10 +137,16 @@ class Grammar:
                     raise DuplicateRuleName(f"rule name {n!r} declared twice")
                 self.by_name[n] = r.name
         self.erule_index = {r.name: i for i, r in enumerate(self.erules)}
-        self.plans: Dict[str, RulePlan] = {
-            r.name: RulePlan(r, self.tapes) for r in self.rules}
         self.obligatory_rules: List[TwoLevelRule] = [
             r for r in self.rules if r.obligatory]
+        self.plans: Dict[str, RulePlan] = {
+            r.name: RulePlan(r, self.tapes, tuple(
+                o for o in self.obligatory_rules
+                if not self.same_rule(o.name, r.name)))
+            for r in self.rules}
+        # the engine's step memo per lexicon (engine.StepMemo), released
+        # with the lexicon
+        self.step_memos = weakref.WeakKeyDictionary()
 
     def canonical(self, name: str) -> str:
         return self.by_name.get(name, name)
@@ -380,9 +387,18 @@ class RulePlan:
                  the variable).
     head_steps   the steps of the first lexical tuple, whose edges the
                  cursors must offer.
+    prebind_tapes  the tapes of the head steps that read the pre-bound
+                 variable: they must offer the surface head itself.
+    read_tapes   the tapes whose trie nodes the walk reads: those its steps
+                 advance and those its aligned guards name (by depth).
+    read_vars    the bindings the walk reads: its lexical variables and
+                 their != partners. With read_tapes they determine the walk.
+    watch        the obligatory rules a record made by this rule could
+                 violate, in grammar order: every one but the rule itself.
     """
 
-    def __init__(self, rule: TwoLevelRule, tapes: Sequence[str]):
+    def __init__(self, rule: TwoLevelRule, tapes: Sequence[str],
+                 watch: Tuple[TwoLevelRule, ...]):
         guards = rule.guards
         n = len(tapes)
         self.rule = rule
@@ -427,6 +443,16 @@ class RulePlan:
                               guards.allowed.get(var), aligned, var in named))
         self.steps = tuple(steps)
         self.head_steps = tuple(st for st in steps if st[0] < n)
+        self.prebind_tapes = tuple(
+            ti for _, ti, tag, value, _, _, _ in self.head_steps
+            if tag == "var" and value == self.prebind)
+        self.read_tapes = tuple(sorted(
+            {st[1] for st in steps} | {ti for st in steps for ti in st[5]}))
+        partners = {other if v in lex_vars else v
+                    for v, other, is_var in guards.diseq
+                    if is_var and {v, other} & lex_vars}
+        self.read_vars = tuple(sorted(lex_vars | partners))
+        self.watch = watch
 
     def admits_head(self, head: str) -> bool:
         """Can the first surface slot take `head`, a grounded symbol?"""
@@ -434,18 +460,16 @@ class RulePlan:
             return head == self.surf_lit
         return self.surf_domain is None or head in self.surf_domain
 
-    def admits_edges(self, edges: Sequence, head: Optional[str]) -> bool:
-        """Do the cursors offer each edge the first lexical tuple needs?
-
-        `edges` holds each tape's outgoing edges; `head` is the grounded
-        surface head, which the pre-bound variable takes, or None.
-        """
-        for _, ti, tag, value, domain, _, _ in self.head_steps:
-            offered = edges[ti]
+    def admits_edges(self, ti: int, offered) -> bool:
+        """Do `offered`, the outgoing edges of tape `ti`, hold each edge the
+        first lexical tuple needs there? The pre-bound variable counts as
+        unbound; a surface head it takes must be offered as well
+        (prebind_tapes)."""
+        for _, t, tag, value, domain, _, _ in self.head_steps:
+            if t != ti:
+                continue
             if tag == "lit":
                 ok = value in offered
-            elif tag == "var" and value == self.prebind and head is not None:
-                ok = head in offered
             elif domain is not None:
                 ok = not domain.isdisjoint(offered)
             else:

@@ -87,6 +87,9 @@ class Lexicon:
         self.trees: Dict[str, LexiconTree] = {t: LexiconTree() for t in TAPES}
         self.by_id: Dict[Tuple[str, str], MorphemeEntry] = {}
         self.soft_attrs: frozenset = frozenset()
+        # bumped by every add: a step memo built for an older revision
+        # (engine.step_memo) is replaced
+        self.revision = 0
 
     def tree(self, tape: str) -> LexiconTree:
         return self.trees[tape]
@@ -95,6 +98,7 @@ class Lexicon:
         key = (entry.tape, entry.id)
         self.trees[entry.tape].insert(entry)
         self.by_id.setdefault(key, entry)
+        self.revision += 1
 
     def entry(self, tape: str, entry_id: str) -> Optional[MorphemeEntry]:
         return self.by_id.get((tape, entry_id))

@@ -140,6 +140,13 @@ def test_max_positions_window(grammar, lexicon):
     assert "tukuttib" in tight
 
 
+@pytest.mark.parametrize("bound", ["max_candidates", "max_positions"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_correct_rejects_bounds_below_one(grammar, lexicon, bound, value):
+    with pytest.raises(ValueError, match=bound):
+        _correct(grammar, lexicon, "katbb", **{bound: value})
+
+
 def test_iter_corrections_lazy_membership(grammar, lexicon):
     target = decode("takaatab")
     for cand in iter_corrections(decode("takaata"), grammar, lexicon):

@@ -1,0 +1,154 @@
+"""The step memo (engine.StepMemo): the lexicon side of rule application,
+filled once per (grammar, lexicon) pair and shared by every analysis."""
+
+import gc
+import weakref
+
+from hypothesis import given, settings, strategies as st
+
+from semitic_morpho import load_builtin
+from semitic_morpho.alphabet import LETTERS, decode
+from semitic_morpho.arabic_data import LEXICON_FILE, VERB_TABLE, data_text
+from semitic_morpho.dsl import parse_grammar
+from semitic_morpho.engine import (SearchState, TapeState, TrieCursor,
+                                   _advance_tapes, _SearchContext, _walk,
+                                   analyze, step_memo)
+from semitic_morpho.lexicon import load_lexicon
+
+from oracles import damerau_edits
+from test_acceptance import AFFIXED_SURFACES
+
+CELLS = tuple(s for _, _, s in VERB_TABLE.cells())
+ALPHABET = sorted(LETTERS)
+
+
+def _key(analyses):
+    return [(a.rule_trace, {t: [e.id for e in es]
+                            for t, es in a.morphemes.items()})
+            for a in analyses]
+
+
+# ---------------------------------------------------------------------------
+# a warm memo answers as a fresh one
+
+
+_WARM = load_builtin()
+_FRESH = {}
+
+
+def _fresh(word):
+    """`word` analyzed on a pair that has analyzed nothing else."""
+    if word not in _FRESH:
+        grammar, lexicon, _ = load_builtin()
+        _FRESH[word] = _key(analyze(decode(word), grammar, lexicon))
+    return _FRESH[word]
+
+
+@st.composite
+def _edit(draw):
+    word = draw(st.sampled_from(CELLS + AFFIXED_SURFACES))
+    edits = list(damerau_edits(word, ALPHABET))
+    return draw(st.sampled_from(edits))[2]
+
+
+_WORDS = st.one_of(st.sampled_from(CELLS), st.sampled_from(AFFIXED_SURFACES),
+                   _edit())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_WORDS, min_size=1, max_size=6))
+def test_warm_memo_answers_as_a_fresh_pair(words):
+    grammar, lexicon, _ = _WARM
+    for word in words:
+        assert _key(analyze(decode(word), grammar, lexicon)) == _fresh(word), \
+            word
+
+
+def test_add_after_analyze_matches_a_fresh_lexicon():
+    # Without measure 5 the words do not analyze, and the memo holds walks
+    # and dispatch masks from pattern nodes the added entry extends.
+    grammar, full, _ = load_builtin()
+    lines = data_text(LEXICON_FILE).splitlines(keepends=True)
+    m5 = next(line for line in lines if "id=M5;" in line)
+    partial = load_lexicon("".join(line for line in lines if line != m5))
+    words = ("takattab", "tukuttib")
+    before = [_key(analyze(decode(w), grammar, partial)) for w in words]
+    assert before == [[], []]
+    partial.add(load_lexicon(m5).entries("pattern")[0])
+    after = [_key(analyze(decode(w), grammar, partial)) for w in words]
+    assert after == [_key(analyze(decode(w), grammar, full)) for w in words]
+    assert all(after)
+
+
+def test_memo_is_released_with_its_lexicon_or_grammar():
+    for release in ("lexicon", "grammar"):
+        grammar, lexicon, _ = load_builtin()
+        analyze(decode("katab"), grammar, lexicon)
+        memo = weakref.ref(step_memo(grammar, lexicon))
+        assert memo().walks
+        owner = weakref.ref(lexicon if release == "lexicon" else grammar)
+        if release == "lexicon":
+            del lexicon
+        else:
+            del grammar
+        gc.collect()
+        assert owner() is None and memo() is None, release
+        if release == "lexicon":
+            assert not grammar.step_memos
+
+
+# ---------------------------------------------------------------------------
+# the memo key holds every part the walk reads
+
+
+# D surfaces a pattern slot as `a` when the slot indexes the next root
+# position, without reading the root tape: the root node is in D's key only
+# through its aligned guard.
+ALIGNED_ONLY = """\
+class pc = {c1, c2}
+class cons = {k, t}
+rule C: * - C - * => * - (P, C, 0) - * where pc(P), cons(C), aligned(P, root)
+rule D: * - a - * => * - (P, 0, 0) - * where pc(P), aligned(P, root)
+rule B: * - 0 - * => * - (+, +, 0) - *
+"""
+
+
+def test_key_holds_a_tape_named_only_by_an_aligned_guard():
+    # In <aa>, D reads c1 at root depth 0, reaching the pattern node after
+    # c1 with the root still at depth 0, where D cannot take c2. In <ka>, C
+    # reads c1 with k, and D meets the same pattern node at root depth 1,
+    # where c2 is the next root position.
+    g = parse_grammar(ALIGNED_ONLY)
+    assert g.plans["D"].read_tapes == (0, 1)
+    lex = load_lexicon("pattern\tc1c2\t\t\nroot\tk\t\t\n")
+    traces = [[a.rule_trace for a in analyze(decode(w), g, lex)]
+              for w in ("aa", "ka")]
+    assert traces == [[], [("C", "D", "B")]]
+
+
+# N deletes a pattern letter X unlike the letter Y before it.
+UNLIKE = """\
+class lt = {a, b}
+rule N: * - 0 - * => (Y, 0, 0) - (X, 0, 0) - * where lt(X), X != Y
+"""
+
+
+def test_key_holds_the_inequality_partner_of_a_lexical_variable():
+    # apply_rule never starts a walk with a != partner bound (RulePlan hoists
+    # no context linked to the walk by !=, and pre-binds no variable a guard
+    # names), so the walk is driven directly: from the root of lexicon
+    # {a, b}, X takes the letter Y is not.
+    g = parse_grammar(UNLIKE)
+    plan = g.plans["N"]
+    assert plan.read_vars == ("X", "Y")
+    lex = load_lexicon("pattern\ta\t\t\npattern\tb\t\t\n")
+    ctx = _SearchContext(g, lex)
+    state = SearchState(tapes=tuple(TapeState(cursor=TrieCursor(lex.tree(t)))
+                                    for t in g.tapes), remaining=("a",))
+    for y in ("a", "b", "a"):
+        walked = [(c, t, b) for _, c, t, b in _walk(
+            ctx, plan, [t.cursor for t in state.tapes], {"Y": y})]
+        memo = [(c, t, b) for _, c, t, b in _advance_tapes(ctx, plan, state,
+                                                           {"Y": y})]
+        assert memo == walked and len(walked) == 1, y
+        assert walked[0][2]["X"] != y
