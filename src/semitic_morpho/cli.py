@@ -298,6 +298,10 @@ def run(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "word", "skip") is None and not getattr(args, "stdin", False):
         parser.error(f"{args.command} needs a WORD or --stdin")
+    if args.command == "generate" and not (
+            args.pattern or args.root or args.vocalism or args.affix):
+        parser.error("generate needs a --pattern, --root, --vocalism or "
+                     "--affix")
     return args.func(args)
 
 

@@ -181,6 +181,11 @@ def regenerate(analysis: Analysis, grammar: Grammar, lexicon: Lexicon,
                                   skip_rules), None)
 
 
+def _check_bound(name: str, bound: Optional[int]) -> None:
+    if bound is not None and bound < 1:
+        raise ValueError(f"{name} must be at least 1 or None, not {bound!r}")
+
+
 def iter_corrections(word: SymbolString, grammar: Grammar, lexicon: Lexicon,
                      max_positions: Optional[int] = None
                      ) -> Iterator[CorrectionCandidate]:
@@ -189,8 +194,10 @@ def iter_corrections(word: SymbolString, grammar: Grammar, lexicon: Lexicon,
     A corrected word is yielded when first reached and again whenever a
     better-ranked error path to it turns up; correct() is the ranked,
     deduplicated front end. If the word already analyzes, only the
-    zero-error candidate is yielded.
+    zero-error candidate is yielded. max_positions is None (unbounded) or
+    at least 1; ValueError otherwise.
     """
+    _check_bound("max_positions", max_positions)
     base = analyze(word, grammar, lexicon)
     if base:
         yield CorrectionCandidate(corrected_word=tuple(word),
@@ -249,11 +256,7 @@ def correct(word: SymbolString, grammar: Grammar, lexicon: Lexicon,
     ranked. Each bound is None (unbounded) or at least 1; ValueError
     otherwise.
     """
-    for name, bound in (("max_candidates", max_candidates),
-                        ("max_positions", max_positions)):
-        if bound is not None and bound < 1:
-            raise ValueError(f"{name} must be at least 1 or None, "
-                             f"not {bound!r}")
+    _check_bound("max_candidates", max_candidates)
     best: Dict[SymbolString, CorrectionCandidate] = {}
     for cand in iter_corrections(word, grammar, lexicon,
                                  max_positions=max_positions):

@@ -9,8 +9,10 @@ so they hold against the actual continuation rather than an existential
 lexicon walk. An applied rule's own obligation must be met; a watch for an
 obligatory rule the record could violate prunes the branch once met. Rules
 with a right surface context therefore generate, and read a surface that an
-error rule has corrected. Searches take rule dispatch, and analysis its trie
-walks, from a step memo per (grammar, lexicon) pair, keyed by all they read.
+error rule has corrected. Searches in both modes take rule dispatch and trie
+walks from a step memo per (grammar, lexicon) pair, keyed by all they read. A
+scripted tape reads its current morpheme's form along a one-path trie, so
+what it offers a walk is that form and the offset into it.
 """
 
 from __future__ import annotations
@@ -110,19 +112,21 @@ class TrieCursor:
         self.tree = tree
         self.node = node if node is not None else tree.root
 
-    def edges(self) -> Dict[str, Node]:
-        return self.node.edges
-
     def advance(self, sym: str) -> Optional["TrieCursor"]:
         child = self.node.edges.get(sym)
         return TrieCursor(self.tree, child) if child is not None else None
 
-    def terminal_entries(self) -> List[MorphemeEntry]:
-        return self.node.entries
+    def mark(self) -> "TrieCursor":
+        """What a stored walk keeps of the cursor it reached: the cursor
+        itself, which belongs to no one search."""
+        return self
 
-    @property
-    def depth(self) -> int:
-        return self.node.depth
+    def moved(self, mark: "TrieCursor") -> "TrieCursor":
+        """This cursor moved as a stored walk moved one at its node."""
+        return mark
+
+    def terminal_entries(self) -> Sequence[MorphemeEntry]:
+        return self.node.entries
 
     def done(self) -> bool:
         """At a morpheme boundary: no morpheme is half read."""
@@ -133,41 +137,56 @@ class TrieCursor:
 
 
 class ScriptCursor:
-    """Cursor over a fixed sequence of morpheme entries (generation mode)."""
+    """Cursor over a fixed sequence of morpheme entries (generation mode).
 
-    __slots__ = ("entries", "ei", "off")
+    It reads the form of entry `ei` along that form's one-path trie
+    (StepMemo.path): its node stands for the form and the offset into it,
+    which is the node's depth. `paths` holds each entry's path root, then
+    the empty path that the cursor rests on once every entry is read.
+    """
 
-    def __init__(self, entries: Tuple[MorphemeEntry, ...], ei: int = 0, off: int = 0):
+    __slots__ = ("entries", "paths", "ei", "node")
+
+    def __init__(self, entries: Tuple[MorphemeEntry, ...],
+                 paths: Tuple[Node, ...], ei: int = 0,
+                 node: Optional[Node] = None):
         self.entries = entries
+        self.paths = paths
         self.ei = ei
-        self.off = off
+        self.node = paths[ei] if node is None else node
 
-    def edges(self) -> Dict[str, "ScriptCursor"]:
-        if self.ei >= len(self.entries):
-            return {}
-        form = self.entries[self.ei].form
-        if self.off >= len(form):
-            return {}
-        return {form[self.off]: ScriptCursor(self.entries, self.ei, self.off + 1)}
+    @classmethod
+    def over(cls, entries: Sequence[MorphemeEntry],
+             memo: "StepMemo") -> "ScriptCursor":
+        """A cursor at the start of `entries`, on the memo's paths."""
+        entries = tuple(entries)
+        return cls(entries, tuple(memo.path(e.form) for e in entries)
+                   + (memo.path(()),))
 
     def advance(self, sym: str) -> Optional["ScriptCursor"]:
-        return self.edges().get(sym)
+        child = self.node.edges.get(sym)
+        return self.moved(child) if child is not None else None
 
-    def terminal_entries(self) -> List[MorphemeEntry]:
-        if self.ei < len(self.entries) and self.off == len(self.entries[self.ei].form):
-            return [self.entries[self.ei]]
-        return []
+    def mark(self) -> Node:
+        """What a stored walk keeps of the cursor it reached: its node, and
+        nothing of the script."""
+        return self.node
 
-    @property
-    def depth(self) -> int:
-        return self.off
+    def moved(self, node: Node) -> "ScriptCursor":
+        """This cursor moved to `node` of its form's path."""
+        return ScriptCursor(self.entries, self.paths, self.ei, node)
+
+    def terminal_entries(self) -> Sequence[MorphemeEntry]:
+        if self.node.edges or self.ei == len(self.entries):
+            return ()
+        return (self.entries[self.ei],)
 
     def done(self) -> bool:
         """Every scripted morpheme has been read."""
-        return self.ei >= len(self.entries) and self.off == 0
+        return self.ei == len(self.entries)
 
     def reset(self) -> "ScriptCursor":
-        return ScriptCursor(self.entries, self.ei + 1, 0)
+        return ScriptCursor(self.entries, self.paths, self.ei + 1)
 
 
 @dataclass(slots=True)
@@ -301,13 +320,13 @@ class StepMemo:
     pair, filled lazily and shared by every search over the pair.
 
     Each table holds a pure function of trie nodes (by identity), surface
-    symbols and bindings, so a hit returns what the walk would compute.
-    Generation walks scripted cursors, which have no trie node, without the
-    walk table. Lexicon.add bumps the lexicon's revision, which replaces the
-    memo (step_memo).
+    symbols and bindings, so a hit returns what the walk would compute. A
+    scripted cursor's node is a node of the one-path trie of the form it
+    reads (`paths`), so its key is that form and the offset into it, and
+    homographs share their entries. Lexicon.add bumps the lexicon's
+    revision, which replaces the memo (step_memo).
 
-    masks    per tape, trie node (or, for a scripted cursor, the tuple of
-             symbols it offers) -> bitmask of the plans whose first lexical
+    masks    per tape, trie node -> bitmask of the plans whose first lexical
              tuple finds the edges it needs there (bit i: the i-th rule in
              grammar order; RulePlan.admits_edges)
     heads    grounded surface head -> bitmask of the plans that can take it:
@@ -316,9 +335,10 @@ class StepMemo:
     surfaced bitmask of the plans with a non-empty surface expression
     by_mask  bitmask -> its plans in grammar order
     walks    (plan, node per read tape, value per read variable) -> the
-             plan's trie walks in walk order, each as (child cursor per read
-             tape, symbols consumed per tape, lexical tuples, bindings
-             added); see _advance_tapes
+             plan's trie walks in walk order, each as (mark of the cursor
+             reached per read tape, symbols consumed per tape, lexical
+             tuples, bindings added); see _advance_tapes
+    paths    form -> the root of the one-path trie that spells it
     lex_cap  the longest lexical-only run a partition may make
     """
 
@@ -331,6 +351,7 @@ class StepMemo:
         self.surfaced = self.mask(lambda plan: bool(plan.rule.surf))
         self.by_mask: Dict[int, Tuple[RulePlan, ...]] = {}
         self.walks: Dict[tuple, tuple] = {}
+        self.paths: Dict[SymbolString, Node] = {}
         self.lex_cap = lexicon.max_entry_length() + 4
 
     def mask(self, admits) -> int:
@@ -350,6 +371,16 @@ class StepMemo:
             plans = self.by_mask[mask] = tuple(
                 plan for i, plan in enumerate(self.plans) if mask >> i & 1)
         return plans
+
+    def path(self, form: SymbolString) -> Node:
+        """The root of the one-path trie that spells `form`."""
+        root = self.paths.get(form)
+        if root is None:
+            root = node = self.paths[form] = Node()
+            for sym in form:
+                child = node.edges[sym] = Node(node.depth + 1)
+                node = child
+        return root
 
 
 def step_memo(grammar: Grammar, lexicon: Lexicon) -> StepMemo:
@@ -393,29 +424,27 @@ def _advance_tapes(ctx: _SearchContext, plan: RulePlan, state: SearchState,
     """Enumerate tape advances matching the rule's lexical expression.
     Yields (cursors, consumed_per_tape, lex_tuples, bindings).
 
-    In analysis the walks come from the step memo. The key is all the walk
-    reads: the plan, the trie node of each tape in plan.read_tapes and the
-    binding of each variable in plan.read_vars; the walks store what they
-    add to the cursors and bindings, so a hit yields what _walk would.
+    The walks come from the step memo. The key is all the walk reads: the
+    plan, the node of each tape in plan.read_tapes and the binding of each
+    variable in plan.read_vars. The walks store what they add to the
+    bindings and, per read tape, the mark of the cursor reached, which the
+    current cursor is moved to, so a hit yields what _walk would.
     """
     cursors = [t.cursor for t in state.tapes]
-    if state.remaining is None:          # generation: scripted cursors
-        yield from _walk(ctx, plan, cursors, bindings)
-        return
     read = plan.read_tapes
     key = (plan, *[cursors[ti].node for ti in read],
            *[bindings.get(v) for v in plan.read_vars])
     walks = ctx.memo.walks.get(key)
     if walks is None:
         walks = ctx.memo.walks[key] = tuple(
-            (tuple([curs[ti] for ti in read]), consumed, tuples,
+            (tuple([curs[ti].mark() for ti in read]), consumed, tuples,
              tuple([(v, sym) for v, sym in b.items() if v not in bindings]))
             for curs, consumed, tuples, b in _walk(ctx, plan, cursors,
                                                    bindings))
-    for children, consumed, tuples, added in walks:
+    for marks, consumed, tuples, added in walks:
         curs = list(cursors)
-        for ti, child in zip(read, children):
-            curs[ti] = child
+        for ti, mark in zip(read, marks):
+            curs[ti] = cursors[ti].moved(mark)
         b = bindings
         if added:
             b = dict(bindings)
@@ -443,7 +472,7 @@ def _walk(ctx: _SearchContext, plan: RulePlan, cursors: list,
                 choices = ((sym, child, b),) if child is not None else ()
             else:
                 choices = []
-                for sym in cursor.edges():
+                for sym in cursor.node.edges:
                     nb = b
                     if tag == "var":
                         if domain is not None and sym not in domain:
@@ -476,7 +505,7 @@ def _indexes_next(cursors, tapes: Tuple[int, ...], sym: str) -> bool:
     """Does the slot symbol index the next position of each aligned tape?"""
     for ti in tapes:
         try:
-            if slot_index(sym) != cursors[ti].depth + 1:
+            if slot_index(sym) != cursors[ti].node.depth + 1:
                 return False
         except (ValueError, IndexError):
             return False
@@ -873,15 +902,12 @@ def _successors(ctx: _SearchContext, state: SearchState,
     elif remaining is not None:
         mask &= ~memo.surfaced
     for ti, t in enumerate(state.tapes):
-        cursor = t.cursor
-        # a scripted cursor (generation) offers at most one symbol
-        key = cursor.node if remaining is not None else tuple(cursor.edges())
+        node = t.cursor.node
         masks = memo.masks[ti]
-        m = masks.get(key)
+        m = masks.get(node)
         if m is None:
-            offered = cursor.edges()
-            m = masks[key] = memo.mask(
-                lambda plan: plan.admits_edges(ti, offered))
+            m = masks[node] = memo.mask(
+                lambda plan: plan.admits_edges(ti, node.edges))
         mask &= m
     for plan in memo.plans_in(mask):
         if head is not None and plan.prebind_tapes and any(
@@ -1038,7 +1064,8 @@ def generate(selection: Dict[str, object], grammar: Grammar, lexicon: Lexicon,
     selection: {"pattern": id or None, "root": id or None,
                 "vocalism": id or None, "affixes": [ids]}.
     Pass the optional-deletion rule names in skip_rules for fully vocalised
-    output; an empty set enumerates every licensed orthography.
+    output; an empty set enumerates every licensed orthography. A selection
+    that names no morpheme generates nothing.
     """
     def lookup(tape: str, key: str) -> Optional[MorphemeEntry]:
         ident = selection.get(key)
@@ -1068,6 +1095,8 @@ def generate(selection: Dict[str, object], grammar: Grammar, lexicon: Lexicon,
         "root": (root,) if root else (),
         "vocalism": (voc,) if voc else (),
     }
+    if not any(scripts.values()):
+        return []
     return list(dict.fromkeys(scripted_surfaces(scripts, grammar, lexicon,
                                                 skip_rules)))
 
@@ -1081,7 +1110,8 @@ def scripted_surfaces(scripts: Dict[str, Sequence[MorphemeEntry]],
     several partitions produce it."""
     ctx = _SearchContext(grammar, lexicon, skip_rules=skip_rules)
     initial = SearchState(
-        tapes=tuple(TapeState(cursor=ScriptCursor(tuple(scripts.get(t, ()))))
+        tapes=tuple(TapeState(cursor=ScriptCursor.over(scripts.get(t, ()),
+                                                       ctx.memo))
                     for t in grammar.tapes),
         remaining=None,
     )

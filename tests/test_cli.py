@@ -99,6 +99,16 @@ def test_generate_unknown_morpheme(capsys):
     assert code == 2 and "M99" in err
 
 
+def test_generate_without_morpheme_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["generate", "--style", "all_orthographies"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert [line for line in out.err.splitlines() if "error:" in line] == [
+        "semitic-morpho: error: generate needs a --pattern, --root, "
+        "--vocalism or --affix"]
+
+
 def test_generate_with_affix(capsys):
     code, out, err = _run(capsys, "generate", "--pattern", "Q3",
                           "--root", "dHrJ", "--vocalism", "ui",

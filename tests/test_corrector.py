@@ -147,6 +147,14 @@ def test_correct_rejects_bounds_below_one(grammar, lexicon, bound, value):
         _correct(grammar, lexicon, "katbb", **{bound: value})
 
 
+@pytest.mark.parametrize("value", [0, -2])
+def test_iter_corrections_rejects_max_positions_below_one(grammar, lexicon,
+                                                          value):
+    with pytest.raises(ValueError, match="max_positions"):
+        list(iter_corrections(decode("katbb"), grammar, lexicon,
+                              max_positions=value))
+
+
 def test_iter_corrections_lazy_membership(grammar, lexicon):
     target = decode("takaatab")
     for cand in iter_corrections(decode("takaata"), grammar, lexicon):

@@ -198,6 +198,14 @@ def test_generate_unknown_morpheme(grammar, lexicon):
                  grammar, lexicon)
 
 
+@pytest.mark.parametrize("selection", [
+    {}, {"pattern": None, "root": None, "vocalism": None, "affixes": []}])
+def test_empty_selection_generates_nothing(grammar, lexicon, selection):
+    # the empty surface is no word: analyze(()) is [] as well
+    assert generate(selection, grammar, lexicon) == []
+    assert analyze((), grammar, lexicon) == []
+
+
 def test_generate_outputs_reanalyze(grammar, lexicon, verb_table):
     for measure, voice, surface in itertools.islice(verb_table.cells(), 8):
         a, = [x for x in _analyses(grammar, lexicon, surface)

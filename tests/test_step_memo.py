@@ -1,5 +1,6 @@
 """The step memo (engine.StepMemo): the lexicon side of rule application,
-filled once per (grammar, lexicon) pair and shared by every analysis."""
+filled once per (grammar, lexicon) pair and shared by every analysis and
+generation over it."""
 
 import gc
 import weakref
@@ -7,16 +8,17 @@ import weakref
 from hypothesis import given, settings, strategies as st
 
 from semitic_morpho import load_builtin
-from semitic_morpho.alphabet import LETTERS, decode
+from semitic_morpho.alphabet import LETTERS, decode, encode
 from semitic_morpho.arabic_data import LEXICON_FILE, VERB_TABLE, data_text
 from semitic_morpho.dsl import parse_grammar
-from semitic_morpho.engine import (SearchState, TapeState, TrieCursor,
-                                   _advance_tapes, _SearchContext, _walk,
-                                   analyze, step_memo)
+from semitic_morpho.engine import (ScriptCursor, SearchState, TapeState,
+                                   TrieCursor, _advance_tapes, _search,
+                                   _SearchContext, _walk, analyze, generate,
+                                   optional_deletion_rules, step_memo)
 from semitic_morpho.lexicon import load_lexicon
 
 from oracles import damerau_edits
-from test_acceptance import AFFIXED_SURFACES
+from test_acceptance import AFFIXED_SURFACES, NOMINAL_SURFACES
 
 CELLS = tuple(s for _, _, s in VERB_TABLE.cells())
 ALPHABET = sorted(LETTERS)
@@ -62,6 +64,59 @@ def test_warm_memo_answers_as_a_fresh_pair(words):
     for word in words:
         assert _key(analyze(decode(word), grammar, lexicon)) == _fresh(word), \
             word
+
+
+# (pattern, root, vocalism, affixes) of every stem analysis of the table
+# cells, the nominal words and the affixed words
+SELECTIONS = tuple(sorted({
+    (a.stems[-1].pattern.id, a.stems[-1].root.id, a.stems[-1].vocalism.id,
+     tuple(e.id for e in a.affixes()))
+    for word in CELLS + NOMINAL_SURFACES + AFFIXED_SURFACES
+    for a in analyze(decode(word), *_WARM[:2]) if a.stems}))
+_FRESH_GENERATED = {}
+
+
+def _generate(pair, selection, full):
+    grammar, lexicon = pair[:2]
+    pattern, root, vocalism, affixes = selection
+    skip = optional_deletion_rules(grammar) if full else frozenset()
+    return generate({"pattern": pattern, "root": root, "vocalism": vocalism,
+                     "affixes": affixes}, grammar, lexicon, skip_rules=skip)
+
+
+def _fresh_generated(selection, full):
+    """`selection` generated on a pair that has done nothing else."""
+    if (selection, full) not in _FRESH_GENERATED:
+        _FRESH_GENERATED[selection, full] = _generate(load_builtin(),
+                                                      selection, full)
+    return _FRESH_GENERATED[selection, full]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(SELECTIONS), st.booleans()),
+                min_size=1, max_size=6))
+def test_warm_memo_generates_as_a_fresh_pair(calls):
+    assert {s[1] for s in SELECTIONS} > {"ktb", "dHrJ"}
+    assert any(s[3] for s in SELECTIONS)
+    for selection, full in calls:
+        assert _generate(_WARM, selection, full) == \
+            _fresh_generated(selection, full), (selection, full)
+
+
+def test_generation_memo_is_bounded_by_the_lexicon():
+    # A stored walk holds nothing of the script that filled it, so a second
+    # pass over the same selections, in another order, adds no entry.
+    pair = load_builtin()
+    memo = step_memo(*pair[:2])
+    calls = [(selection, full) for selection in SELECTIONS
+             for full in (True, False)]
+    sizes = []
+    for order in (calls, calls[::-1]):
+        for selection, full in order:
+            _generate(pair, selection, full)
+        sizes.append((len(memo.walks), [len(m) for m in memo.masks],
+                      len(memo.paths)))
+    assert sizes[0] == sizes[1] and sizes[0][0] > 0
 
 
 def test_add_after_analyze_matches_a_fresh_lexicon():
@@ -152,3 +207,59 @@ def test_key_holds_the_inequality_partner_of_a_lexical_variable():
                                                            {"Y": y})]
         assert memo == walked and len(walked) == 1, y
         assert walked[0][2]["X"] != y
+
+
+def test_scripted_key_holds_the_offset_an_aligned_guard_reads():
+    # Generation with the pattern cursor on c2: D may read it only when the
+    # root cursor, which D does not advance, has read k (depth 1), so that
+    # c2 indexes the next root position. The two root offsets share a form.
+    g = parse_grammar(ALIGNED_ONLY)
+    plan = g.plans["D"]
+    lex = load_lexicon("pattern\tc1c2\t\t\nroot\tk\t\t\n")
+    ctx = _SearchContext(g, lex)
+
+    def cursor(tape, *read):
+        c = ScriptCursor.over(lex.entries(tape), ctx.memo)
+        for sym in read:
+            c = c.advance(sym)
+        return c
+
+    def cursors(walks):
+        return [([(c.ei, c.node) for c in curs], consumed, tuples, b)
+                for curs, consumed, tuples, b in walks]
+
+    for root_read in ((), ("k",), ()):
+        state = SearchState(tapes=(
+            TapeState(cursor("pattern", "c1")),
+            TapeState(cursor("root", *root_read)),
+            TapeState(cursor("vocalism"))), remaining=None)
+        walked = cursors(_walk(ctx, plan, [t.cursor for t in state.tapes],
+                               {}))
+        memo = cursors(_advance_tapes(ctx, plan, state, {}))
+        assert memo == walked and len(walked) == len(root_read), root_read
+    assert [encode(s) for s in generate({"pattern": "c1c2", "root": "k"},
+                                        g, lex)] == ["ka"]
+
+
+def test_homographs_share_walks_and_commit_the_scripted_root():
+    # The two kfl roots share one form, hence every walk entry, and differ
+    # only in a soft feature: each must still commit itself.
+    grammar, lexicon, _ = load_builtin()
+    roots = [lexicon.entry("root", i) for i in ("kfl_kaafil", "kfl_kafiil")]
+    assert roots[0].form == roots[1].form
+    scripts = {"pattern": (lexicon.entry("pattern", "CuCCaC"),),
+               "vocalism": (lexicon.entry("vocalism", "ua"),)}
+    root_i = grammar.tapes.index("root")
+    walks = []
+    for root in roots + roots:
+        ctx = _SearchContext(grammar, lexicon,
+                             skip_rules=optional_deletion_rules(grammar))
+        scripts["root"] = (root,)
+        initial = SearchState(tapes=tuple(
+            TapeState(ScriptCursor.over(scripts.get(t, ()), ctx.memo))
+            for t in grammar.tapes), remaining=None)
+        finals = list(_search(ctx, initial))
+        assert [encode(s.surface_out) for s in finals] == ["kuffal"]
+        assert [s.tapes[root_i].morphemes for s in finals] == [(root,)]
+        walks.append(len(ctx.memo.walks))
+    assert walks[0] > 0 and len(set(walks)) == 1
