@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .alphabet import SymbolString
-from .engine import (Analysis, ErrorApplication, FreeRef, PartitionRecord,
-                     RecordObligation, SearchState, TapeState, TrieCursor,
-                     _feed_record_obls, _item_symbol, _SearchContext, _search,
-                     analyze, optional_deletion_rules, scripted_surfaces,
-                     to_analysis)
+from .engine import (Analysis, FreeRef, Obligation, PartitionRecord,
+                     SearchState, _feed_obligations, _item_symbol,
+                     _SearchContext, _search, analysis_start, analyze,
+                     optional_deletion_rules, scripted_surfaces, to_analysis)
 from .grammar import (WILDCARD, ErrorRule, Grammar, match_partition_context,
                       match_slot)
 # unused here: perfbench/tracing.py wraps this name (PRCs feed in engine)
@@ -123,16 +122,18 @@ def try_error_rules(ctx: _SearchContext, state: SearchState) -> List[SearchState
         splice = _splice_corr(rule, b)
         record = PartitionRecord(rule_name=rule.name, surf_seg=(), lex_seg=(),
                                  error_origin=rule.name,
-                                 err_seg=tuple(consumed), pos=state.pos)
-        rec_obls = _feed_record_obls(ctx, state, record)
-        if rec_obls is None:
+                                 err_seg=tuple(consumed), pos=state.pos,
+                                 corr=tuple(s[1] for s in splice))
+        # an error record has no tape or surface material: it advances only
+        # the pending PRCs
+        pending = _feed_obligations(ctx, state.obligations,
+                                    ((),) * ctx.n, (), record)
+        if pending is None:
             continue
         if rule.prc != WILDCARD:
-            rec_obls.append(RecordObligation(tuple(rule.prc),
-                                             tuple(sorted(b.items())),
-                                             rule.guards))
-        app = ErrorApplication(rule.name, state.pos, tuple(consumed),
-                               tuple(s[1] for s in splice))
+            pending.append(Obligation(((),) * (ctx.n + 1),
+                                      tuple(sorted(b.items())), rule.guards,
+                                      (), records=tuple(rule.prc)))
         out.append(SearchState(
             tapes=state.tapes,
             remaining=splice + state.remaining[len(rule.err):],
@@ -140,10 +141,8 @@ def try_error_rules(ctx: _SearchContext, state: SearchState) -> List[SearchState
             lex_tuples=state.lex_tuples,
             surface_out=state.surface_out,
             free_vars=state.free_vars,
-            obligations=state.obligations,
-            record_obls=tuple(rec_obls),
+            obligations=tuple(pending),
             budget=1 if rule.reap else 2,
-            error_apps=state.error_apps + (app,),
             pos=state.pos + orig,
             lex_run=state.lex_run,
             last_nonconsuming=nonconsuming,
@@ -202,22 +201,18 @@ def iter_corrections(word: SymbolString, grammar: Grammar, lexicon: Lexicon,
     if base:
         yield CorrectionCandidate(corrected_word=tuple(word),
                                   analyses=tuple(base), error_trace=(),
-                                  rank_key=(0, 1, -1, tuple(word)))
+                                  rank_key=rank_key(grammar, (), tuple(word)))
         return
     skip = optional_deletion_rules(grammar)
     ctx = _SearchContext(grammar, lexicon, max_positions=max_positions)
-    initial = SearchState(
-        tapes=tuple(TapeState(cursor=TrieCursor(lexicon.tree(t)))
-                    for t in grammar.tapes),
-        remaining=tuple(word),
-    )
     seen: Dict[SymbolString, tuple] = {}
     analysis_cache: Dict[SymbolString, tuple] = {}
     # regenerated surfaces by morpheme selection, each entry named by id and
     # form (an id alone may repeat on a tape)
     regenerated: Dict[tuple, Optional[SymbolString]] = {}
-    for final in _search(ctx, initial, error_step=try_error_rules):
-        if not final.error_apps:
+    for final in _search(ctx, analysis_start(grammar, lexicon, word),
+                         error_step=try_error_rules):
+        if final.budget == 0:
             continue
         partial = to_analysis(ctx, final)
         selection = tuple(tuple((e.id, e.form) for e in partial.morphemes[t])

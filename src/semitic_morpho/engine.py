@@ -2,14 +2,17 @@
 
 Analysis aligns a known surface string with paths through the lexicon trees;
 generation runs the same rule relation with scripted tapes and an open
-surface. Right contexts and feature guards are enforced as one kind of
-deferred obligation, fed by the material later records consume (tapes, then
-the corrected or generated surface) and settled after each morpheme commit,
-so they hold against the actual continuation rather than an existential
-lexicon walk. An applied rule's own obligation must be met; a watch for an
+surface. Right contexts, feature guards and error-rule partition right
+contexts (PRCs) are enforced as one kind of deferred obligation, fed by the
+material later records consume (tapes, then the corrected or generated
+surface, then the record itself) and settled after each morpheme commit, so
+they hold against the actual continuation rather than an existential lexicon
+walk. An applied rule's own obligation must be met; a watch for an
 obligatory rule the record could violate prunes the branch once met. Rules
 with a right surface context therefore generate, and read a surface that an
-error rule has corrected. Searches in both modes take rule dispatch and trie
+error rule has corrected. An error application lives in its record alone:
+the record keeps what it consumed and spliced, and Analysis.errors is read
+from the records. Searches in both modes take rule dispatch and trie
 walks from a step memo per (grammar, lexicon) pair, keyed by all they read. A
 scripted tape reads its current morpheme's form along a one-path trie, so
 what it offers a walk is that form and the offset into it.
@@ -45,23 +48,7 @@ class PartitionRecord:
     error_origin: Optional[str] = None
     err_seg: Tuple[str, ...] = ()        # original error surface consumed
     pos: int = 0                         # original-surface offset of the record
-
-
-@dataclass(frozen=True)
-class ErrorApplication:
-    rule: str
-    pos: int
-    err: Tuple[str, ...]
-    corr: Tuple[object, ...]             # symbols or FreeRef placeholders
-
-    def resolved_corr(self, free_vars: Dict[int, str]) -> Tuple[str, ...]:
-        out = []
-        for item in self.corr:
-            if isinstance(item, FreeRef):
-                out.append(free_vars.get(item.ref_id, "?"))
-            else:
-                out.append(item)
-        return tuple(out)
+    corr: Tuple[object, ...] = ()        # spliced symbols or FreeRefs (error)
 
 
 class FreeRef:
@@ -205,11 +192,13 @@ class Obligation:
     them.
 
     `queues` holds one slot queue per tape, then one surface queue: the
-    rule's RLC and RSC with bound variables substituted. `feats` holds
-    (tape index, attr, value, morpheme index) requirements on the morpheme
-    each tape was reading. `coerces` is None for the applied rule's own
-    obligation, which must be met; for a watch it names the obligatory rule
-    whose violation is confirmed, pruning the branch, once the watch is met.
+    rule's RLC and RSC with bound variables substituted. `records` holds
+    the record patterns of an error rule's PRC that the next records must
+    match, one record each. `feats` holds (tape index, attr, value,
+    morpheme index) requirements on the morpheme each tape was reading.
+    `coerces` is None for the applied rule's own obligation, which must be
+    met; for a watch it names the obligatory rule whose violation is
+    confirmed, pruning the branch, once the watch is met.
     """
 
     queues: Tuple[Tuple[tuple, ...], ...]
@@ -217,18 +206,10 @@ class Obligation:
     guards: Guards
     feats: Tuple[Tuple[int, str, str, int], ...]
     coerces: Optional[str] = None
+    records: Tuple[RecordPattern, ...] = ()
 
     def contexts_done(self) -> bool:
-        return not any(self.queues)
-
-
-@dataclass(frozen=True)
-class RecordObligation:
-    """PRC of an error rule: patterns the next record(s) must satisfy."""
-
-    patterns: Tuple[RecordPattern, ...]
-    bindings: Tuple[Tuple[str, str], ...]
-    guards: Guards
+        return not self.records and not any(self.queues)
 
 
 def _feed_queues(queues, material, bindings: Bindings, guards: Guards):
@@ -261,9 +242,7 @@ class SearchState:
     surface_out: Tuple[str, ...] = ()                # corrected surface so far
     free_vars: Tuple[Tuple[int, str], ...] = ()      # (ref id, symbol) log
     obligations: Tuple[Obligation, ...] = ()
-    record_obls: Tuple[RecordObligation, ...] = ()
     budget: int = 0                                   # 0 none, 1 reap chain, 2 spent
-    error_apps: Tuple[ErrorApplication, ...] = ()
     pos: int = 0                                      # original symbols consumed
     lex_run: int = 0                                  # lexical-only progress
     last_nonconsuming: bool = False
@@ -599,41 +578,29 @@ def _obligation(ctx: _SearchContext, state: SearchState, rule: TwoLevelRule,
                       coerces)
 
 
-def _feed_obligations(obligations: Sequence[Obligation], consumed: tuple,
-                      surf_syms: Tuple[str, ...]) -> Optional[List[Obligation]]:
+def _feed_obligations(ctx: _SearchContext, obligations: Sequence[Obligation],
+                      consumed: tuple, surf_syms: Tuple[str, ...],
+                      record: PartitionRecord) -> Optional[List[Obligation]]:
     """Feed each obligation's tape queues, then its surface queue, with one
-    record's material. A mismatch drops a watch, and kills the branch
-    (None) for an own obligation."""
+    record's material, then match its first pending record pattern against
+    the record. A mismatch drops a watch, and kills the branch (None) for
+    an own obligation."""
     material = consumed + (surf_syms,)
     fed_obls = []
     for o in obligations:
         fed = _feed_queues(o.queues, material, dict(o.bindings), o.guards)
+        if fed is not None and o.records:
+            b = match_record_pattern(o.records[0], record, fed[1], o.guards,
+                                     ctx.grammar.same_rule)
+            fed = None if b is None else (fed[0], b)
         if fed is None:
             if o.coerces is None:
                 return None
             continue
         queues, b = fed
         fed_obls.append(Obligation(queues, tuple(sorted(b.items())), o.guards,
-                                   o.feats, o.coerces))
+                                   o.feats, o.coerces, o.records[1:]))
     return fed_obls
-
-
-def _feed_record_obls(ctx: _SearchContext, state: SearchState,
-                      record: PartitionRecord) -> Optional[List[RecordObligation]]:
-    """Feed the state's partition right contexts (error-rule PRCs) with the
-    next record. Returns the obligations still pending, or None if the
-    record violates one."""
-    pending = []
-    for ro in state.record_obls:
-        b = match_record_pattern(ro.patterns[0], record, dict(ro.bindings),
-                                 ro.guards, ctx.grammar.same_rule)
-        if b is None:
-            return None
-        if ro.patterns[1:]:
-            pending.append(RecordObligation(ro.patterns[1:],
-                                            tuple(sorted(b.items())),
-                                            ro.guards))
-    return pending
 
 
 def _requirements_hold(o: Obligation,
@@ -842,11 +809,9 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
         )
         tapes_mid = [TapeState(cursor=c, morphemes=t.morphemes)
                      for c, t in zip(cursors, state.tapes)]
-        pending = _feed_obligations(state.obligations, consumed, surf_syms)
+        pending = _feed_obligations(ctx, state.obligations, consumed,
+                                    surf_syms, record)
         if pending is None:
-            continue
-        rec_obls = _feed_record_obls(ctx, state, record)
-        if rec_obls is None:
             continue
         pending += _scan_coercions(ctx, state, record, plan)
         if rule.rlc != WILDCARD or rule.rsc != WILDCARD or rule.guards.feats:
@@ -866,9 +831,7 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
                 surface_out=state.surface_out + surf_syms,
                 free_vars=free_vars,
                 obligations=obligations,
-                record_obls=tuple(rec_obls),
                 budget=state.budget,
-                error_apps=state.error_apps,
                 pos=state.pos + orig,
                 lex_run=lex_run,
                 last_nonconsuming=nonconsuming,
@@ -879,8 +842,7 @@ def _complete(state: SearchState) -> bool:
     return (not state.remaining
             and all(tape.cursor.done() for tape in state.tapes)
             and all(o.coerces is not None or o.contexts_done()
-                    for o in state.obligations)
-            and not state.record_obls)
+                    for o in state.obligations))
 
 
 def _successors(ctx: _SearchContext, state: SearchState,
@@ -928,9 +890,10 @@ def _table_key(state: SearchState, ids: Dict[object, int]) -> tuple:
     index, domain and exclusions, so a shared ref stays shared and the
     global ref numbering drops out. Morphemes, trie nodes and guards are
     named by identity (they live as long as the grammar and lexicon).
-    `records` and `error_apps` are left out: only error-rule partition
-    contexts read records, and no error rule is tried once the budget is
-    spent.
+    `records` is left out: only error rules read records, through their
+    partition left contexts, and no error rule is tried once the budget is
+    spent. A pending PRC reads the records to come, and it is in the key
+    as the record patterns its obligation holds.
     """
     remaining = []
     first: Dict[int, int] = {}
@@ -943,13 +906,8 @@ def _table_key(state: SearchState, ids: Dict[object, int]) -> tuple:
                           ref.domain, ref.excluded))
     tapes = tuple([(id(t.cursor.node), tuple(map(id, t.morphemes)))
                    for t in state.tapes])
-    deferred = ()
-    if state.obligations or state.record_obls:
-        deferred = (
-            tuple([(o.queues, o.bindings, id(o.guards), o.feats, o.coerces)
-                   for o in state.obligations]),
-            tuple([(r.patterns, r.bindings, id(r.guards))
-                   for r in state.record_obls]))
+    deferred = tuple([(o.queues, o.bindings, id(o.guards), o.feats,
+                       o.coerces, o.records) for o in state.obligations])
     parts = (tuple(remaining), tapes, state.lex_tuples, state.surface_out,
              deferred)
     return tuple([ids.setdefault(p, len(ids)) for p in parts]) + (
@@ -1017,12 +975,19 @@ def analyze(word: SymbolString, grammar: Grammar,
     if not word:
         return []
     ctx = _SearchContext(grammar, lexicon)
-    initial = SearchState(
+    return [to_analysis(ctx, s)
+            for s in _search(ctx, analysis_start(grammar, lexicon, word))]
+
+
+def analysis_start(grammar: Grammar, lexicon: Lexicon,
+                   word: SymbolString) -> SearchState:
+    """The initial state of a search over `word`: every tape at the root of
+    its lexicon tree."""
+    return SearchState(
         tapes=tuple(TapeState(cursor=TrieCursor(lexicon.tree(t)))
                     for t in grammar.tapes),
         remaining=tuple(word),
     )
-    return [to_analysis(ctx, s) for s in _search(ctx, initial)]
 
 
 def to_analysis(ctx: _SearchContext, state: SearchState) -> Analysis:
@@ -1030,8 +995,10 @@ def to_analysis(ctx: _SearchContext, state: SearchState) -> Analysis:
     morphemes = {t: state.tapes[i].morphemes
                  for i, t in enumerate(ctx.grammar.tapes)}
     stems = _collect_stems(ctx, state)
-    errors = tuple((e.rule, e.pos, e.err, e.resolved_corr(free))
-                   for e in state.error_apps)
+    errors = tuple((r.rule_name, r.pos, r.err_seg,
+                    tuple(free.get(c.ref_id, "?") if isinstance(c, FreeRef)
+                          else c for c in r.corr))
+                   for r in state.records if r.error_origin is not None)
     return Analysis(surface=state.surface_out, records=state.records,
                     morphemes=morphemes, stems=stems, errors=errors)
 
@@ -1062,7 +1029,9 @@ def generate(selection: Dict[str, object], grammar: Grammar, lexicon: Lexicon,
     """Surfaces licensed for a morpheme selection.
 
     selection: {"pattern": id or None, "root": id or None,
-                "vocalism": id or None, "affixes": [ids]}.
+                "vocalism": id or None, "affixes": [ids]}. An id that
+    names no entry, or an affix id that names no prefix or suffix, raises
+    UnknownMorpheme.
     Pass the optional-deletion rule names in skip_rules for fully vocalised
     output; an empty set enumerates every licensed orthography. A selection
     that names no morpheme generates nothing.
@@ -1082,12 +1051,12 @@ def generate(selection: Dict[str, object], grammar: Grammar, lexicon: Lexicon,
     affixes = []
     for ident in selection.get("affixes", ()) or ():
         entry = lexicon.entry("pattern", str(ident))
-        if entry is None:
+        if entry is None or entry.kind not in ("prefix", "suffix"):
             raise UnknownMorpheme(f"no affix morpheme {ident!r}")
         affixes.append(entry)
 
     prefixes = tuple(e for e in affixes if e.kind == "prefix")
-    suffixes = tuple(e for e in affixes if e.kind != "prefix")
+    suffixes = tuple(e for e in affixes if e.kind == "suffix")
     pattern_seq = prefixes + ((pattern,) if pattern else ()) + suffixes
 
     scripts = {

@@ -275,14 +275,6 @@ def _match_left(items, segment, bindings, guards, match_item) -> Optional[Bindin
     return bindings
 
 
-def _surface_item(pat: Slot, sym: Optional[str], bindings, guards):
-    return match_slot(pat, sym, bindings, guards)
-
-
-def _lex_item(pat: TuplePattern, tup: LexTuple, bindings, guards):
-    return match_tuple(pat, tup, bindings, guards)
-
-
 def match_context(pat: ContextPattern, segment: Sequence, bindings: Bindings,
                   guards: Guards = Guards(),
                   lexical: bool = True) -> Optional[Bindings]:
@@ -293,7 +285,7 @@ def match_context(pat: ContextPattern, segment: Sequence, bindings: Bindings,
     """
     if pat == WILDCARD:
         return bindings
-    match_item = _lex_item if lexical else _surface_item
+    match_item = match_tuple if lexical else match_slot
     return _match_left(pat, segment, bindings, guards, match_item)
 
 
@@ -326,8 +318,8 @@ def match_partition_context(pat: ContextPattern, records: Sequence,
                             bindings: Bindings, guards: Guards = Guards(),
                             names_equal=None) -> Optional[Bindings]:
     """Match a partition left context (PLC) against the PartitionRecords
-    made so far. A PRC is matched record by record as the records are made
-    (engine._feed_record_obls)."""
+    made so far. A PRC is matched record by record as the records are made,
+    as the record patterns of a deferred obligation (engine.Obligation)."""
     if pat == WILDCARD:
         return bindings
 

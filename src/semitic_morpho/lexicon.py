@@ -32,7 +32,6 @@ class MorphemeEntry:
     features: FeatureStructure
     gloss: str = ""
     kind: str = ""               # "", "prefix", "suffix", "word"
-    stem: bool = False
 
     @property
     def body(self) -> SymbolString:
@@ -177,7 +176,6 @@ def load_lexicon(text: str) -> Lexicon:
             features=make_fs(feats),
             gloss=gloss,
             kind=meta.get("kind", kind),
-            stem=meta.get("stem", "") == "yes",
         )
         lex.add(entry)
     lex.soft_attrs = frozenset(soft)

@@ -99,6 +99,14 @@ def test_generate_unknown_morpheme(capsys):
     assert code == 2 and "M99" in err
 
 
+def test_generate_non_affix_as_affix(capsys):
+    code, out, err = _run(capsys, "generate", "--pattern", "M1",
+                          "--root", "ktb", "--vocalism", "ui",
+                          "--affix", "M2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "M2" in err
+
+
 def test_generate_without_morpheme_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["generate", "--style", "all_orthographies"])

@@ -5,9 +5,8 @@ from semitic_morpho.alphabet import LETTERS, decode, encode
 from semitic_morpho.corrector import (correct, iter_corrections, rank,
                                       rank_key, try_error_rules)
 from semitic_morpho.dsl import parse_grammar
-from semitic_morpho.engine import (SearchState, TapeState, TrieCursor,
-                                   _SearchContext, _search, analyze,
-                                   apply_rule)
+from semitic_morpho.engine import (_SearchContext, _search, analysis_start,
+                                   analyze, apply_rule)
 from semitic_morpho.lexicon import load_lexicon
 
 from oracles import damerau_edits, reference_search
@@ -224,11 +223,7 @@ def test_failure_table_matches_reference_search(grammar, lexicon,
 
 def _state_after(grammar, lexicon, word, prefix_rules):
     ctx = _SearchContext(grammar, lexicon)
-    state = SearchState(
-        tapes=tuple(TapeState(cursor=TrieCursor(lexicon.tree(t)))
-                    for t in grammar.tapes),
-        remaining=tuple(decode(word)),
-    )
+    state = analysis_start(grammar, lexicon, decode(word))
     for rule_name, lex in prefix_rules:
         succ = step(state, grammar, lexicon, ctx)
         state = next(s for s in succ
@@ -370,6 +365,27 @@ def test_error_rule_prc_constrains_the_next_error_record():
     assert found("aabk") == []
     assert found("ak") == []
     assert found("bk") == [("k", [("Q", 0)])]
+
+
+def test_two_item_prc_needs_two_following_error_records():
+    g = parse_grammar(PRC.replace("{ * - [Q, 0, *] }",
+                                  "{ * - [Q, 0, *] [Q, 0, *] }"))
+    lex = load_lexicon("pattern\tk\n")
+
+    def found(word):
+        return [(encode(c.corrected_word),
+                 [f"{r}@{p}" for r, p, _, _ in c.error_trace])
+                for c in correct(decode(word), g, lex)]
+
+    assert found("abbk") == [("k", ["P@0", "Q@1", "Q@2"])]
+    assert found("abbbk") == [("k", ["P@0", "Q@1", "Q@2", "Q@3"])]
+    # the PRC is met by the last records of the word
+    assert found("kabb") == [("k", ["P@1", "Q@2", "Q@3"])]
+    # one Q record, the word ending with the PRC unmet, or a P record
+    # where a Q record is due: rejected
+    assert found("abk") == []
+    assert found("kab") == []
+    assert found("aabbk") == []
 
 
 def test_right_surface_context_reads_the_corrected_surface():

@@ -5,9 +5,8 @@ import pytest
 
 from semitic_morpho.alphabet import LETTERS, decode, encode
 from semitic_morpho.dsl import parse_grammar
-from semitic_morpho.engine import (ErrorApplication, FreeRef,
-                                   PartitionRecord, SearchState, TapeState,
-                                   TrieCursor, _table_key, analyze, generate,
+from semitic_morpho.engine import (FreeRef, PartitionRecord, _table_key,
+                                   analysis_start, analyze, generate,
                                    is_optional_deletion,
                                    optional_deletion_rules)
 from semitic_morpho.grammar import Grammar
@@ -128,11 +127,7 @@ def test_prefix_generation(grammar, lexicon):
 
 
 def _initial(grammar, lexicon, word):
-    return SearchState(
-        tapes=tuple(TapeState(cursor=TrieCursor(lexicon.tree(t)))
-                    for t in grammar.tapes),
-        remaining=tuple(decode(word)),
-    )
+    return analysis_start(grammar, lexicon, decode(word))
 
 
 def test_step_first_consonant(grammar, lexicon):
@@ -196,6 +191,15 @@ def test_generate_unknown_morpheme(grammar, lexicon):
     with pytest.raises(UnknownMorpheme):
         generate({"pattern": "M99", "root": "ktb", "vocalism": "a"},
                  grammar, lexicon)
+
+
+@pytest.mark.parametrize("affix", ["M2", "mdiintA"])
+def test_generate_rejects_a_non_affix_as_affix(grammar, lexicon, affix):
+    # a stem pattern or a linear word is no prefix or suffix
+    from semitic_morpho.engine import UnknownMorpheme
+    with pytest.raises(UnknownMorpheme, match=affix):
+        generate({"pattern": "M1", "root": "ktb", "vocalism": "ui",
+                  "affixes": [affix]}, grammar, lexicon)
 
 
 @pytest.mark.parametrize("selection", [
@@ -491,10 +495,8 @@ def test_micro_oracle_equivalence_with_coercion():
 
 
 def _spent(grammar, lexicon, remaining, **fields):
-    return SearchState(
-        tapes=tuple(TapeState(cursor=TrieCursor(lexicon.tree(t)))
-                    for t in grammar.tapes),
-        remaining=remaining, budget=2, **fields)
+    return dataclasses.replace(analysis_start(grammar, lexicon, remaining),
+                               budget=2, **fields)
 
 
 CONS = frozenset("ktb")
@@ -507,8 +509,8 @@ def test_table_key_ignores_ref_numbering_records_and_error_apps(grammar,
     first = _spent(grammar, lexicon, (("free", a), "a", ("free", a)))
     second = _spent(
         grammar, lexicon, (("free", b), "a", ("free", b)),
-        records=(PartitionRecord("E2", (), (), error_origin="E2"),),
-        error_apps=(ErrorApplication("E2", 0, (), (("free", b),)),))
+        records=(PartitionRecord("E2", (), (), error_origin="E2",
+                                 corr=(b,)),))
     ids = {}
     assert _table_key(first, ids) == _table_key(second, ids)
 
