@@ -15,14 +15,14 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .alphabet import SymbolString
 from .engine import (Analysis, FreeRef, Obligation, PartitionRecord,
-                     SearchState, _feed_obligations, _item_symbol,
-                     _SearchContext, _search, analysis_start, analyze,
+                     SearchState, _feed_obligations, _SearchContext, _search,
+                     _unread, analysis_start, analyze,
                      optional_deletion_rules, scripted_surfaces, to_analysis)
 from .grammar import (WILDCARD, ErrorRule, Grammar, match_partition_context,
                       match_slot)
 # unused here: perfbench/tracing.py wraps this name (PRCs feed in engine)
 from .grammar import match_record_pattern  # noqa: F401
-from .lexicon import Lexicon
+from .lexicon import TAPES, Lexicon
 
 
 @dataclass(frozen=True)
@@ -45,20 +45,17 @@ def _budget_allows(state: SearchState, rule: ErrorRule) -> bool:
     return False
 
 
-def _splice_corr(rule: ErrorRule, bindings) -> Tuple[tuple, ...]:
-    """Resolve the corrected surface into remaining-surface items; unbound
+def _splice_corr(rule: ErrorRule, bindings) -> Tuple[object, ...]:
+    """Resolve the corrected surface into symbols to splice; unbound
     variables become FreeRefs shared across repeated occurrences."""
-    items: List[tuple] = []
+    items: List[object] = []
     refs: Dict[str, FreeRef] = {}
     for pat in rule.corr:
-        if pat[0] == "lit":
-            items.append(("spl", pat[1]))
+        val = pat[1] if pat[0] == "lit" else bindings.get(pat[1])
+        if val is not None:
+            items.append(val)
             continue
         name = pat[1]
-        val = bindings.get(name)
-        if val is not None:
-            items.append(("spl", val))
-            continue
         ref = refs.get(name)
         if ref is None:
             excluded: List[str] = []
@@ -73,13 +70,13 @@ def _splice_corr(rule: ErrorRule, bindings) -> Tuple[tuple, ...]:
                         excluded.append(tgt)
             ref = FreeRef(rule.guards.domain(name), tuple(excluded))
             refs[name] = ref
-        items.append(("free", ref))
+        items.append(ref)
     return tuple(items)
 
 
 def try_error_rules(ctx: _SearchContext, state: SearchState) -> List[SearchState]:
     """Successor states obtained by applying one error rule at this state."""
-    if state.remaining is None:
+    if state.word is None:
         return []
     grammar = ctx.grammar
     if ctx.max_positions is not None and \
@@ -93,28 +90,17 @@ def try_error_rules(ctx: _SearchContext, state: SearchState) -> List[SearchState
                                     names_equal=grammar.same_rule)
         if b is None:
             continue
-        # match the error surface against the input at this position
-        consumed: List[str] = []
-        orig = 0
-        ok = True
-        for i, pat in enumerate(rule.err):
-            if i >= len(state.remaining):
-                ok = False
+        # match the error surface against the unread surface; an
+        # ungrounded FreeRef matches nothing
+        consumed = _unread(state, len(rule.err))
+        if consumed is None or any(isinstance(sym, FreeRef)
+                                   for sym in consumed):
+            continue
+        for pat, sym in zip(rule.err, consumed):
+            b = match_slot(pat, sym, b, rule.guards)
+            if b is None:
                 break
-            item = state.remaining[i]
-            sym = _item_symbol(item)
-            if sym is None:
-                ok = False
-                break
-            res = match_slot(pat, sym, b, rule.guards)
-            if res is None:
-                ok = False
-                break
-            b = res
-            consumed.append(sym)
-            if isinstance(item, str):
-                orig += 1
-        if not ok:
+        if b is None:
             continue
         nonconsuming = not consumed
         if nonconsuming and state.last_nonconsuming:
@@ -122,28 +108,28 @@ def try_error_rules(ctx: _SearchContext, state: SearchState) -> List[SearchState
         splice = _splice_corr(rule, b)
         record = PartitionRecord(rule_name=rule.name, surf_seg=(), lex_seg=(),
                                  error_origin=rule.name,
-                                 err_seg=tuple(consumed), pos=state.pos,
-                                 corr=tuple(s[1] for s in splice))
+                                 err_seg=consumed, pos=state.pos, corr=splice)
         # an error record has no tape or surface material: it advances only
         # the pending PRCs
         pending = _feed_obligations(ctx, state.obligations,
-                                    ((),) * ctx.n, (), record)
+                                    ((),) * len(TAPES), (), record)
         if pending is None:
             continue
         if rule.prc != WILDCARD:
-            pending.append(Obligation(((),) * (ctx.n + 1),
+            pending.append(Obligation(((),) * (len(TAPES) + 1),
                                       tuple(sorted(b.items())), rule.guards,
                                       (), records=tuple(rule.prc)))
         out.append(SearchState(
             tapes=state.tapes,
-            remaining=splice + state.remaining[len(rule.err):],
+            word=state.word,
+            spliced=splice + state.spliced[len(rule.err):],
             records=state.records + (record,),
             lex_tuples=state.lex_tuples,
             surface_out=state.surface_out,
             free_vars=state.free_vars,
             obligations=tuple(pending),
             budget=1 if rule.reap else 2,
-            pos=state.pos + orig,
+            pos=state.pos + max(0, len(rule.err) - len(state.spliced)),
             lex_run=state.lex_run,
             last_nonconsuming=nonconsuming,
         ))
@@ -215,8 +201,8 @@ def iter_corrections(word: SymbolString, grammar: Grammar, lexicon: Lexicon,
         if final.budget == 0:
             continue
         partial = to_analysis(ctx, final)
-        selection = tuple(tuple((e.id, e.form) for e in partial.morphemes[t])
-                          for t in grammar.tapes)
+        selection = tuple(tuple((e.id, e.form) for e in entries)
+                          for entries in partial.morphemes.values())
         if selection not in regenerated:
             regenerated[selection] = regenerate(partial, grammar, lexicon,
                                                 skip)

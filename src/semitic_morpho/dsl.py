@@ -23,6 +23,7 @@ from .grammar import (ANY, ELLIPSIS, EPS, WILDCARD, ContextPattern, ErrorRule,
                       Grammar, Guards, RecordPattern, RuleSyntaxError, Slot,
                       TuplePattern, TwoLevelRule, UndeclaredClass,
                       context_vars, slot_vars)
+from .lexicon import TAPES
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>[ \t]+)
@@ -32,8 +33,6 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-
-TAPE_COUNT = 3
 
 
 class _Tok:
@@ -113,15 +112,15 @@ def _parse_tuple(cur: _Cursor) -> TuplePattern:
         cur.next()
         slots.append(_slot_from_token(cur.next()))
     cur.expect(")")
-    if len(slots) != TAPE_COUNT:
-        raise RuleSyntaxError(f"lexical tuples take {TAPE_COUNT} slots",
+    if len(slots) != len(TAPES):
+        raise RuleSyntaxError(f"lexical tuples take {len(TAPES)} slots",
                               cur.lineno)
     return tuple(slots)
 
 
 def _expand_shorthand(slot: Slot) -> TuplePattern:
     """A bare symbol in lexical position assumes the empty slot elsewhere."""
-    return (slot,) + (EPS,) * (TAPE_COUNT - 1)
+    return (slot,) + (EPS,) * (len(TAPES) - 1)
 
 
 def _check_tuple_not_all_eps(tup: TuplePattern, cur: _Cursor) -> None:
@@ -239,8 +238,7 @@ def _parse_partition_context(cur: _Cursor, stop: Sequence[str],
     return tuple(items) if items else WILDCARD
 
 
-def _parse_where(cur: _Cursor, classes: Dict[str, FrozenSet[str]],
-                 tapes: Tuple[str, ...]) -> Guards:
+def _parse_where(cur: _Cursor, classes: Dict[str, FrozenSet[str]]) -> Guards:
     allowed: Dict[str, FrozenSet[str]] = {}
     diseq: List[Tuple[str, str, bool]] = []
     aligned: List[Tuple[str, str]] = []
@@ -256,12 +254,12 @@ def _parse_where(cur: _Cursor, classes: Dict[str, FrozenSet[str]],
                 args.append(cur.next().text)
             cur.expect(")")
             if name == "aligned":
-                if len(args) != 2 or args[1] not in tapes:
+                if len(args) != 2 or args[1] not in TAPES:
                     raise RuleSyntaxError("aligned(Var, tape) expected",
                                           tok.line, tok.col)
                 aligned.append((args[0], args[1]))
             elif name == "feat":
-                if len(args) != 3 or args[0] not in tapes:
+                if len(args) != 3 or args[0] not in TAPES:
                     raise RuleSyntaxError("feat(tape, attr, value) expected",
                                           tok.line, tok.col)
                 feats.append((args[0], args[1], args[2]))
@@ -304,7 +302,7 @@ def _parse_name_and_aliases(cur: _Cursor) -> Tuple[str, Tuple[str, ...]]:
     return name, tuple(aliases)
 
 
-def _parse_rule(cur: _Cursor, classes, tapes) -> TwoLevelRule:
+def _parse_rule(cur: _Cursor, classes) -> TwoLevelRule:
     name, aliases = _parse_name_and_aliases(cur)
     lsc = _parse_context_field(cur, ("-",), lexical=False, allow_ellipsis=False)
     cur.expect("-")
@@ -324,7 +322,7 @@ def _parse_rule(cur: _Cursor, classes, tapes) -> TwoLevelRule:
     guards = Guards()
     if cur.peek() == "where":
         cur.next()
-        guards = _parse_where(cur, classes, tapes)
+        guards = _parse_where(cur, classes)
     if not lex:
         raise RuleSyntaxError(f"rule {name}: empty lexical form", cur.lineno)
     rule = TwoLevelRule(name=name, surf=surf, lex=lex, op=op_tok.text,
@@ -334,7 +332,7 @@ def _parse_rule(cur: _Cursor, classes, tapes) -> TwoLevelRule:
     return rule
 
 
-def _parse_erule(cur: _Cursor, classes, tapes) -> ErrorRule:
+def _parse_erule(cur: _Cursor, classes) -> ErrorRule:
     name, aliases = _parse_name_and_aliases(cur)
     err = _parse_surf_field(cur, ("=>",))
     cur.expect("=>")
@@ -351,7 +349,7 @@ def _parse_erule(cur: _Cursor, classes, tapes) -> ErrorRule:
     guards = Guards()
     if cur.peek() == "where":
         cur.next()
-        guards = _parse_where(cur, classes, tapes)
+        guards = _parse_where(cur, classes)
     rule = ErrorRule(name=name, err=err, corr=corr, plc=plc, prc=prc,
                      reap=reap_tok.text == "reap=y", guards=guards,
                      aliases=aliases)
@@ -399,7 +397,6 @@ def parse_grammar(text: str) -> Grammar:
     classes: Dict[str, FrozenSet[str]] = {}
     rules: List[TwoLevelRule] = []
     erules: List[ErrorRule] = []
-    tapes: Tuple[str, ...] = ("pattern", "root", "vocalism")
 
     logical: List[Tuple[int, str]] = []
     pending = ""
@@ -438,9 +435,9 @@ def parse_grammar(text: str) -> Grammar:
             cur.expect("}")
             classes[name] = frozenset(members)
         elif head == "rule":
-            rules.append(_parse_rule(cur, classes, tapes))
+            rules.append(_parse_rule(cur, classes))
         elif head == "erule":
-            erules.append(_parse_erule(cur, classes, tapes))
+            erules.append(_parse_erule(cur, classes))
         else:
             raise RuleSyntaxError(f"expected class, rule or erule, found {head!r}",
                                   lineno, 1)
@@ -448,7 +445,7 @@ def parse_grammar(text: str) -> Grammar:
             tok = cur.next()
             raise RuleSyntaxError(f"trailing {tok.text!r}", tok.line, tok.col)
 
-    g = Grammar(rules=rules, erules=erules, classes=classes, tapes=tapes)
+    g = Grammar(rules=rules, erules=erules, classes=classes)
     _check_partition_names(g)
     return g
 

@@ -1,4 +1,5 @@
-"""Two-level interpreter: partition search over one surface and n lexical tapes.
+"""Two-level interpreter: partition search over one surface tape and the
+three lexical tapes of lexicon.TAPES.
 
 Analysis aligns a known surface string with paths through the lexicon trees;
 generation runs the same rule relation with scripted tapes and an open
@@ -29,7 +30,10 @@ from .features import FeatureStructure, restrict, unify_all
 from .grammar import (EPS, WILDCARD, Bindings, Grammar, Guards, LexTuple,
                       RecordPattern, RulePlan, TwoLevelRule, match_context,
                       match_lex, match_record_pattern, match_slot)
-from .lexicon import Lexicon, LexiconTree, MorphemeEntry, Node
+from .lexicon import TAPES, Lexicon, LexiconTree, MorphemeEntry, Node
+
+# the indices of the stem tapes in TAPES
+PATTERN, ROOT, VOCALISM = range(len(TAPES))
 
 
 class EngineError(Exception):
@@ -47,7 +51,7 @@ class PartitionRecord:
     lex_seg: Tuple[LexTuple, ...]        # consumed lexical tuples
     error_origin: Optional[str] = None
     err_seg: Tuple[str, ...] = ()        # original error surface consumed
-    pos: int = 0                         # original-surface offset of the record
+    pos: int = 0                         # input symbols consumed before it
     corr: Tuple[object, ...] = ()        # spliced symbols or FreeRefs (error)
 
 
@@ -68,24 +72,12 @@ class FreeRef:
         return sym not in self.excluded
 
 
-# Remaining-surface items: a plain str is an original input symbol,
-# ("spl", sym) a spliced corrected symbol, ("free", ref) an ungrounded one.
-# A FreeRef is grounded in place: once a rule grounds it, every remaining
-# occurrence becomes ("spl", sym).
-def _item_symbol(item) -> Optional[str]:
-    if isinstance(item, str):
-        return item
-    if item[0] == "spl":
-        return item[1]
-    return None
-
-
-def _ground(items: Tuple[object, ...], grounded: Dict[int, str]) -> tuple:
-    """`items` with every FreeRef in `grounded` (ref id -> symbol) replaced
-    by its spliced symbol."""
-    return tuple(("spl", grounded[it[1].ref_id])
-                 if not isinstance(it, str) and it[0] == "free"
-                 and it[1].ref_id in grounded else it for it in items)
+def _ground(spliced: tuple, grounded: Dict[int, str]) -> tuple:
+    """The spliced prefix with every FreeRef in `grounded` (ref id ->
+    symbol) replaced by its symbol: once a rule grounds a FreeRef, no
+    unread occurrence of it remains."""
+    return tuple(grounded.get(it.ref_id, it) if isinstance(it, FreeRef)
+                 else it for it in spliced)
 
 
 # ---------------------------------------------------------------------------
@@ -235,15 +227,23 @@ def _feed_queues(queues, material, bindings: Bindings, guards: Guards):
 
 @dataclass(slots=True)
 class SearchState:
+    """One node of the partition search. In analysis the unread surface is
+    `spliced + word[pos:]`: `spliced` holds what error rules spliced in
+    front of the input, as symbols and ungrounded FreeRefs, and `pos`
+    counts the input symbols consumed. Rules and error rules read only from
+    the front, and error rules splice only there. `word` is None in
+    generation."""
+
     tapes: Tuple[TapeState, ...]
-    remaining: Optional[Tuple[object, ...]]          # None in generation mode
+    word: Optional[SymbolString]
+    spliced: Tuple[object, ...] = ()
     records: Tuple[PartitionRecord, ...] = ()
     lex_tuples: Tuple[LexTuple, ...] = ()            # non-empty lex history
     surface_out: Tuple[str, ...] = ()                # corrected surface so far
     free_vars: Tuple[Tuple[int, str], ...] = ()      # (ref id, symbol) log
     obligations: Tuple[Obligation, ...] = ()
     budget: int = 0                                   # 0 none, 1 reap chain, 2 spent
-    pos: int = 0                                      # original symbols consumed
+    pos: int = 0                                      # input symbols consumed
     lex_run: int = 0                                  # lexical-only progress
     last_nonconsuming: bool = False
 
@@ -324,8 +324,7 @@ class StepMemo:
     def __init__(self, grammar: Grammar, lexicon: Lexicon):
         self.revision = lexicon.revision
         self.plans = tuple(grammar.plans.values())
-        self.masks: Tuple[Dict[object, int], ...] = tuple(
-            {} for _ in grammar.tapes)
+        self.masks: Tuple[Dict[object, int], ...] = tuple({} for _ in TAPES)
         self.heads: Dict[str, int] = {}
         self.surfaced = self.mask(lambda plan: bool(plan.rule.surf))
         self.by_mask: Dict[int, Tuple[RulePlan, ...]] = {}
@@ -383,12 +382,6 @@ class _SearchContext:
         self.max_positions = max_positions
         self.deepest = 0
         self.memo = step_memo(grammar, lexicon)
-        self.n = len(grammar.tapes)
-        self.tape_index = {t: i for i, t in enumerate(grammar.tapes)}
-        # pattern, root and vocalism tape indices, when all three exist
-        stem = tuple(self.tape_index.get(t)
-                     for t in ("pattern", "root", "vocalism"))
-        self.stem_tapes = None if None in stem else stem
         # the compiled rules this search may apply
         self.allowed = self.memo.mask(
             lambda plan: plan.rule.name not in skip_rules)
@@ -472,7 +465,7 @@ def _walk(ctx: _SearchContext, plan: RulePlan, cursors: list,
         walks = taken
         if not walks:
             return
-    n = ctx.n
+    n = len(TAPES)
     for curs, syms, b in walks:
         consumed = tuple(tuple(s for s in syms[ti::n] if s is not None)
                          for ti in range(n))
@@ -491,27 +484,33 @@ def _indexes_next(cursors, tapes: Tuple[int, ...], sym: str) -> bool:
     return True
 
 
+def _unread(state: SearchState, k: int) -> Optional[tuple]:
+    """The next `k` items of the unread surface, `spliced + word[pos:]`, or
+    None if fewer remain."""
+    spliced = state.spliced
+    if k <= len(spliced):
+        return spliced[:k]
+    end = state.pos + k - len(spliced)
+    if end > len(state.word):
+        return None
+    return spliced + state.word[state.pos:end]
+
+
 def _consume_surface(state: SearchState, surf: Tuple[tuple, ...],
                      bindings: Bindings, guards: Guards):
-    """Match the rule's surface expression against the remaining surface.
+    """Match the rule's surface expression against the unread surface.
 
-    Returns (consumed_syms, orig_count, grounded, bindings) or None, where
-    `grounded` maps the id of each FreeRef grounded along the way to its
-    symbol.
+    Returns (consumed_syms, grounded, bindings) or None, where `grounded`
+    maps the id of each FreeRef grounded along the way to its symbol.
     """
-    remaining = state.remaining
+    items = _unread(state, len(surf))
+    if items is None:
+        return None
     consumed: List[str] = []
     grounded: Dict[int, str] = {}
-    orig = 0
     b = bindings
-    for i, pat in enumerate(surf):
-        if i >= len(remaining):
-            return None
-        item = remaining[i]
-        sym = _item_symbol(item)
-        if sym is None:
-            ref = item[1]
-            sym = grounded.get(ref.ref_id)
+    for pat, item in zip(surf, items):
+        sym = grounded.get(item.ref_id) if isinstance(item, FreeRef) else item
         if sym is None:                      # ungrounded FreeRef
             if pat[0] == "lit":
                 val = pat[1]
@@ -521,9 +520,9 @@ def _consume_surface(state: SearchState, surf: Tuple[tuple, ...],
                     return None
             else:
                 return None
-            if not ref.admits(val):
+            if not item.admits(val):
                 return None
-            grounded[ref.ref_id] = val
+            grounded[item.ref_id] = val
             consumed.append(val)
         else:
             res = match_slot(pat, sym, b, guards)
@@ -531,9 +530,7 @@ def _consume_surface(state: SearchState, surf: Tuple[tuple, ...],
                 return None
             b = res
             consumed.append(sym)
-        if isinstance(item, str):
-            orig += 1
-    return consumed, orig, grounded, b
+    return consumed, grounded, b
 
 
 def _emit_surface(surf: Tuple[tuple, ...], bindings: Bindings):
@@ -562,7 +559,7 @@ def _obligation(ctx: _SearchContext, state: SearchState, rule: TwoLevelRule,
                 bindings: Bindings, coerces: Optional[str] = None) -> Obligation:
     """`rule`'s right contexts and feature guards under `bindings`, for a
     record made at `state`."""
-    queues: List[List[tuple]] = [[] for _ in range(ctx.n)]
+    queues: List[List[tuple]] = [[] for _ in TAPES]
     if rule.rlc != WILDCARD:
         for item in rule.rlc:
             for ti, slot in enumerate(item):
@@ -570,8 +567,8 @@ def _obligation(ctx: _SearchContext, state: SearchState, rule: TwoLevelRule,
                     queues[ti].append(_bind_slot(slot, bindings))
     surf = () if rule.rsc == WILDCARD else \
         tuple(_bind_slot(slot, bindings) for slot in rule.rsc)
-    feats = tuple((ctx.tape_index[tape], attr, val,
-                   len(state.tapes[ctx.tape_index[tape]].morphemes))
+    feats = tuple((TAPES.index(tape), attr, val,
+                   len(state.tapes[TAPES.index(tape)].morphemes))
                   for tape, attr, val in rule.guards.feats)
     return Obligation(tuple(map(tuple, queues)) + (surf,),
                       tuple(sorted(bindings.items())), rule.guards, feats,
@@ -678,7 +675,6 @@ def _commit_morphemes(ctx: _SearchContext, tapes: List[TapeState]):
     Yields fully committed tape tuples (choice points over homographs),
     filtered by affix ordering.
     """
-    pattern_i = ctx.tape_index.get("pattern")
     options: List[List[TapeState]] = []
     for ti, tape in enumerate(tapes):
         entries = tape.cursor.terminal_entries()
@@ -687,7 +683,7 @@ def _commit_morphemes(ctx: _SearchContext, tapes: List[TapeState]):
             continue
         choices = []
         for entry in entries:
-            if ti == pattern_i and not _affix_order_ok(tape.morphemes, entry):
+            if ti == PATTERN and not _affix_order_ok(tape.morphemes, entry):
                 continue
             choices.append(TapeState(cursor=tape.cursor.reset(),
                                      morphemes=tape.morphemes + (entry,)))
@@ -702,17 +698,13 @@ def _stem_ok(ctx: _SearchContext, before: Sequence[TapeState],
              after: Sequence[TapeState]) -> bool:
     """False when the stem tapes just closed a morpheme whose hard
     features clash."""
-    if ctx.stem_tapes is None:
+    if len(after[ROOT].morphemes) == len(before[ROOT].morphemes) or \
+       len(after[VOCALISM].morphemes) == len(before[VOCALISM].morphemes) or \
+       not after[PATTERN].morphemes:
         return True
-    pi, ri, vi = ctx.stem_tapes
-    if len(after[ri].morphemes) == len(before[ri].morphemes) or \
-       len(after[vi].morphemes) == len(before[vi].morphemes):
-        return True
-    if not after[pi].morphemes:
-        return True
-    return _hard_features(ctx, after[pi].morphemes[-1],
-                          after[ri].morphemes[-1],
-                          after[vi].morphemes[-1]) is not None
+    return _hard_features(ctx, after[PATTERN].morphemes[-1],
+                          after[ROOT].morphemes[-1],
+                          after[VOCALISM].morphemes[-1]) is not None
 
 
 def _hard_features(ctx: _SearchContext, pattern: MorphemeEntry,
@@ -754,9 +746,10 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
         if start is None:
             return
     var = plan.surf_var
-    if var is not None and state.remaining:
-        head = _item_symbol(state.remaining[0])
-        if head is not None:
+    if var is not None and state.word is not None:
+        unread = _unread(state, 1)
+        head = unread[0] if unread else None
+        if isinstance(head, str):
             bound = start.get(var)
             if bound is not None:
                 if bound != head:
@@ -773,28 +766,29 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
             if b is None:
                 continue
         free_vars = state.free_vars
-        rest = None
-        if state.remaining is None:
+        spliced = ()
+        orig = 0
+        if state.word is None:
             emitted = _emit_surface(rule.surf, b)
             if emitted is None:
                 continue
             surf_syms = tuple(emitted)
-            orig = 0
         else:
             got = _consume_surface(state, rule.surf, b, rule.guards)
             if got is None:
                 continue
-            consumed_syms, orig, grounded, b = got
+            consumed_syms, grounded, b = got
             surf_syms = tuple(consumed_syms)
-            rest = state.remaining[len(rule.surf):]
+            orig = max(0, len(surf_syms) - len(state.spliced))
+            spliced = state.spliced[len(surf_syms):]
             if grounded:
-                rest = _ground(rest, grounded)
+                spliced = _ground(spliced, grounded)
                 free_vars += tuple(grounded.items())
         total_consumed = sum(len(c) for c in consumed)
-        nonconsuming = total_consumed == 0 and not surf_syms and orig == 0
+        nonconsuming = total_consumed == 0 and not surf_syms
         if nonconsuming and state.last_nonconsuming:
             continue
-        if surf_syms or orig:
+        if surf_syms:
             lex_run = 0
         else:
             lex_run = state.lex_run + total_consumed
@@ -825,7 +819,8 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
                 continue
             yield SearchState(
                 tapes=tapes_after,
-                remaining=rest,
+                word=state.word,
+                spliced=spliced,
                 records=state.records + (record,),
                 lex_tuples=state.lex_tuples + record.lex_seg,
                 surface_out=state.surface_out + surf_syms,
@@ -839,7 +834,8 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
 
 
 def _complete(state: SearchState) -> bool:
-    return (not state.remaining
+    return ((state.word is None
+             or (not state.spliced and state.pos == len(state.word)))
             and all(tape.cursor.done() for tape in state.tapes)
             and all(o.coerces is not None or o.contexts_done()
                     for o in state.obligations))
@@ -853,16 +849,16 @@ def _successors(ctx: _SearchContext, state: SearchState,
     first lexical tuple needs an edge a cursor lacks, is not tried. Both
     tests are bitmasks from the step memo.
     """
-    remaining = state.remaining
     memo = ctx.memo
     mask = ctx.allowed
     head = None
-    if remaining:
-        head = _item_symbol(remaining[0])
-        if head is not None:
+    if state.word is not None:
+        unread = _unread(state, 1)
+        if unread is None:
+            mask &= ~memo.surfaced
+        elif isinstance(unread[0], str):
+            head = unread[0]
             mask &= memo.head_mask(head)
-    elif remaining is not None:
-        mask &= ~memo.surfaced
     for ti, t in enumerate(state.tapes):
         node = t.cursor.node
         masks = memo.masks[ti]
@@ -886,29 +882,28 @@ def _table_key(state: SearchState, ids: Dict[object, int]) -> tuple:
     """Everything the subtree of a budget-spent state reads, each part
     interned to a small id in `ids` (one dict per search).
 
-    A FreeRef in `remaining` (always ungrounded) keeps its first-occurrence
-    index, domain and exclusions, so a shared ref stays shared and the
-    global ref numbering drops out. Morphemes, trie nodes and guards are
-    named by identity (they live as long as the grammar and lexicon).
+    The unread surface is keyed by its spliced prefix: the input behind it
+    follows from `pos`, and the input is one word per search. A FreeRef
+    there (always ungrounded) keeps its first-occurrence index, domain and
+    exclusions, so a shared ref stays shared and the global ref numbering
+    drops out. Morphemes, trie nodes and guards are named by identity (they
+    live as long as the grammar and lexicon).
     `records` is left out: only error rules read records, through their
     partition left contexts, and no error rule is tried once the budget is
     spent. A pending PRC reads the records to come, and it is in the key
     as the record patterns its obligation holds.
     """
-    remaining = []
+    spliced = []
     first: Dict[int, int] = {}
-    for item in state.remaining:
-        if isinstance(item, str) or item[0] == "spl":
-            remaining.append(item)
-            continue
-        ref = item[1]
-        remaining.append((first.setdefault(ref.ref_id, len(remaining)),
-                          ref.domain, ref.excluded))
+    for item in state.spliced:
+        spliced.append((first.setdefault(item.ref_id, len(spliced)),
+                        item.domain, item.excluded)
+                       if isinstance(item, FreeRef) else item)
     tapes = tuple([(id(t.cursor.node), tuple(map(id, t.morphemes)))
                    for t in state.tapes])
     deferred = tuple([(o.queues, o.bindings, id(o.guards), o.feats,
                        o.coerces, o.records) for o in state.obligations])
-    parts = (tuple(remaining), tapes, state.lex_tuples, state.surface_out,
+    parts = (tuple(spliced), tapes, state.lex_tuples, state.surface_out,
              deferred)
     return tuple([ids.setdefault(p, len(ids)) for p in parts]) + (
         state.pos, state.lex_run, state.last_nonconsuming)
@@ -954,7 +949,7 @@ def _search(ctx: _SearchContext, initial: SearchState,
                 if yielded == before:
                     failed.add(key)
             continue
-        if state.remaining is not None:
+        if state.word is not None:
             ctx.deepest = max(ctx.deepest, state.pos)
         if _complete(state):
             yielded += 1
@@ -985,15 +980,14 @@ def analysis_start(grammar: Grammar, lexicon: Lexicon,
     its lexicon tree."""
     return SearchState(
         tapes=tuple(TapeState(cursor=TrieCursor(lexicon.tree(t)))
-                    for t in grammar.tapes),
-        remaining=tuple(word),
+                    for t in TAPES),
+        word=tuple(word),
     )
 
 
 def to_analysis(ctx: _SearchContext, state: SearchState) -> Analysis:
     free = dict(state.free_vars)
-    morphemes = {t: state.tapes[i].morphemes
-                 for i, t in enumerate(ctx.grammar.tapes)}
+    morphemes = {t: state.tapes[i].morphemes for i, t in enumerate(TAPES)}
     stems = _collect_stems(ctx, state)
     errors = tuple((r.rule_name, r.pos, r.err_seg,
                     tuple(free.get(c.ref_id, "?") if isinstance(c, FreeRef)
@@ -1004,15 +998,12 @@ def to_analysis(ctx: _SearchContext, state: SearchState) -> Analysis:
 
 
 def _collect_stems(ctx: _SearchContext, state: SearchState) -> Tuple[StemInfo, ...]:
-    if ctx.stem_tapes is None:
-        return ()
-    pi, ri, vi = ctx.stem_tapes
-    roots = state.tapes[ri].morphemes
-    vocs = state.tapes[vi].morphemes
+    roots = state.tapes[ROOT].morphemes
+    vocs = state.tapes[VOCALISM].morphemes
     if not roots or len(roots) != len(vocs):
         return ()
     # pair each root/vocalism with the templatic pattern entry in order
-    patterns = [e for e in state.tapes[pi].morphemes
+    patterns = [e for e in state.tapes[PATTERN].morphemes
                 if e.kind not in ("prefix", "suffix", "word")]
     stems = []
     for i, (r, v) in enumerate(zip(roots, vocs)):
@@ -1081,8 +1072,8 @@ def scripted_surfaces(scripts: Dict[str, Sequence[MorphemeEntry]],
     initial = SearchState(
         tapes=tuple(TapeState(cursor=ScriptCursor.over(scripts.get(t, ()),
                                                        ctx.memo))
-                    for t in grammar.tapes),
-        remaining=None,
+                    for t in TAPES),
+        word=None,
     )
     for s in _search(ctx, initial):
         yield s.surface_out

@@ -18,6 +18,8 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from .lexicon import TAPES
+
 EPS = ("eps",)
 ANY = ("any",)
 ELLIPSIS = ("ellipsis",)
@@ -127,7 +129,6 @@ class Grammar:
     rules: List[TwoLevelRule]
     erules: List[ErrorRule]
     classes: Dict[str, FrozenSet[str]]
-    tapes: Tuple[str, ...] = ("pattern", "root", "vocalism")
 
     def __post_init__(self):
         self.by_name: Dict[str, str] = {}
@@ -140,7 +141,7 @@ class Grammar:
         self.obligatory_rules: List[TwoLevelRule] = [
             r for r in self.rules if r.obligatory]
         self.plans: Dict[str, RulePlan] = {
-            r.name: RulePlan(r, self.tapes, tuple(
+            r.name: RulePlan(r, tuple(
                 o for o in self.obligatory_rules
                 if not self.same_rule(o.name, r.name)))
             for r in self.rules}
@@ -153,13 +154,6 @@ class Grammar:
 
     def same_rule(self, name_a: str, name_b: str) -> bool:
         return self.canonical(name_a) == self.canonical(name_b)
-
-    def rule(self, name: str) -> TwoLevelRule:
-        canon = self.canonical(name)
-        for r in self.rules:
-            if r.name == canon:
-                return r
-        raise KeyError(name)
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +383,9 @@ class RulePlan:
                  violate, in grammar order: every one but the rule itself.
     """
 
-    def __init__(self, rule: TwoLevelRule, tapes: Sequence[str],
-                 watch: Tuple[TwoLevelRule, ...]):
+    def __init__(self, rule: TwoLevelRule, watch: Tuple[TwoLevelRule, ...]):
         guards = rule.guards
-        n = len(tapes)
+        n = len(TAPES)
         self.rule = rule
         self.width = len(rule.lex) * n
         lex_vars = {v for tup in rule.lex for s in tup for v in slot_vars(s)}
@@ -412,7 +405,7 @@ class RulePlan:
         in_context = left_vars | set(context_vars(rule.rsc, lexical=False)) \
             | set(context_vars(rule.rlc, lexical=True))
         for v, tape in guards.aligned:
-            if tape not in tapes:
+            if tape not in TAPES:
                 raise GrammarError(
                     f"rule {rule.name}: aligned({v}, {tape}) names no tape")
         named = {v for v, _, _ in guards.diseq}
@@ -429,7 +422,7 @@ class RulePlan:
                     continue
                 value = slot[1] if len(slot) > 1 else None
                 var = value if slot[0] == "var" else None
-                aligned = tuple(tapes.index(t) for v, t in guards.aligned
+                aligned = tuple(TAPES.index(t) for v, t in guards.aligned
                                 if v == var)
                 steps.append((k * n + ti, ti, slot[0], value,
                               guards.allowed.get(var), aligned, var in named))

@@ -121,7 +121,8 @@ def load_lexicon(text: str) -> Lexicon:
     One entry per line: ``tape<TAB>form<TAB>k=v;k=v<TAB>gloss``. Forms are
     written without the trailing boundary. ``#`` starts a comment; a line
     ``!soft<TAB>attr[,attr...]`` declares soft (preference) attributes.
-    Multi-valued features use ``attr=v1|v2``.
+    Multi-valued features use ``attr=v1|v2``. ``kind=prefix`` and
+    ``kind=suffix`` mark affixes, on pattern lines only.
     """
     lex = Lexicon()
     soft: List[str] = []
@@ -169,13 +170,20 @@ def load_lexicon(text: str) -> Lexicon:
                     meta[attr] = value
                 else:
                     feats[attr] = value.split("|") if "|" in value else value
+        if "kind" in meta:
+            if kind or tape != "pattern" or \
+               meta["kind"] not in ("prefix", "suffix"):
+                raise LexiconError(f"line {lineno}: bad kind {meta['kind']!r}: "
+                                   f"only pattern lines take kind=prefix or "
+                                   f"kind=suffix")
+            kind = meta["kind"]
         entry = MorphemeEntry(
             id=meta.get("id", form_text),
             tape=tape,
             form=body + (BOUNDARY,),
             features=make_fs(feats),
             gloss=gloss,
-            kind=meta.get("kind", kind),
+            kind=kind,
         )
         lex.add(entry)
     lex.soft_attrs = frozenset(soft)

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from semitic_morpho.alphabet import BOUNDARY
 from semitic_morpho.engine import _complete, _successors
+from semitic_morpho.lexicon import TAPES
 from semitic_morpho.grammar import (EPS, WILDCARD, match_context, match_lex,
                                     match_slot)
 
@@ -258,7 +259,7 @@ def _feature_verdicts(rule, grammar, morphemes, morph_idx):
     reading has the feature, or None when that morpheme never committed."""
     for tape, attr, val in rule.guards.feats:
         seq = morphemes.get(tape, ())
-        mi = morph_idx[grammar.tapes.index(tape)]
+        mi = morph_idx[TAPES.index(tape)]
         yield None if mi >= len(seq) else val in seq[mi].features.get(attr, ())
 
 
@@ -269,7 +270,7 @@ def check_obligatory(records, grammar, morphemes=None) -> List[Tuple[int, str]]:
     Feature guards are resolved against `morphemes` when given, else assumed
     satisfied.
     """
-    n = len(grammar.tapes)
+    n = len(TAPES)
     violations: List[Tuple[int, str]] = []
     for ri, rec, history, surface, rest_lex, rest_surf, morph_idx in \
             _partition_walk(records, n):
@@ -299,13 +300,13 @@ def check_licensed(records, grammar, morphemes) -> List[int]:
     own rule does not license: its lexical or surface expression, one of
     its four contexts, or a feature guard fails. A feature guard on a
     morpheme that never commits is not decided, so it does not fail."""
-    n = len(grammar.tapes)
+    n = len(TAPES)
     unlicensed: List[int] = []
     for ri, rec, history, surface, rest_lex, rest_surf, morph_idx in \
             _partition_walk(records, n):
         if rec.error_origin is not None:
             continue
-        rule = grammar.rule(rec.rule_name)
+        rule = grammar.plans[rec.rule_name].rule
         b = match_lex(rule.lex, rec.lex_seg, {}, rule.guards)
         if b is not None:
             b = _left_contexts(rule, b, history, surface)
@@ -372,7 +373,7 @@ def reference_search(ctx, initial, error_step=None):
         except StopIteration:
             stack.pop()
             continue
-        if state.remaining is not None:
+        if state.word is not None:
             ctx.deepest = max(ctx.deepest, state.pos)
         if _complete(state):
             yield state

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from semitic_morpho.engine import SearchState, _SearchContext, _successors
+from semitic_morpho.engine import (FreeRef, SearchState, _SearchContext,
+                                   _successors)
 
 
 def step(state: SearchState, grammar, lexicon,
@@ -18,14 +19,11 @@ def step(state: SearchState, grammar, lexicon,
 def ground_variable(state: SearchState, grammar,
                     lexicon) -> List[Tuple[str, SearchState]]:
     """(symbol, successor) for each way an ordinary rule grounds the free
-    variable at the head of the remaining surface: only symbols the lexicon
+    variable at the head of the unread surface: only symbols the lexicon
     tries can extend to are offered."""
-    if not state.remaining:
+    ref = state.spliced[0] if state.spliced else None
+    if not isinstance(ref, FreeRef):
         return []
-    head = state.remaining[0]
-    if isinstance(head, str) or head[0] != "free":
-        return []
-    ref = head[1]
     out = []
     for succ in step(state, grammar, lexicon):
         bound = dict(succ.free_vars).get(ref.ref_id)

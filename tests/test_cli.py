@@ -218,6 +218,16 @@ def test_malformed_grammar_exit_code(tmp_path, capsys):
     assert code == 2 and err.startswith("error: ")
 
 
+def test_bad_lexicon_kind_exit_code(tmp_path, capsys):
+    path = tmp_path / "bad.lex"
+    path.write_text("pattern\twa\tid=pre_wa;kind=prefx\n", encoding="utf-8")
+    code, out, err = _run_failing(capsys, "--lexicon", str(path), "analyze",
+                                  "katab")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "line 1" in err and "prefx" in err
+
+
 def test_data_dir_override_missing_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("SEMITIC_MORPHO_DATA", "/nonexistent")
     code, out, err = _run_failing(capsys, "verify")

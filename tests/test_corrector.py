@@ -5,8 +5,8 @@ from semitic_morpho.alphabet import LETTERS, decode, encode
 from semitic_morpho.corrector import (correct, iter_corrections, rank,
                                       rank_key, try_error_rules)
 from semitic_morpho.dsl import parse_grammar
-from semitic_morpho.engine import (_SearchContext, _search, analysis_start,
-                                   analyze, apply_rule)
+from semitic_morpho.engine import (FreeRef, _SearchContext, _search,
+                                   analysis_start, analyze, apply_rule)
 from semitic_morpho.lexicon import load_lexicon
 
 from oracles import damerau_edits, reference_search
@@ -286,20 +286,20 @@ def test_ground_variable_empty_intersection(grammar, lexicon):
 def test_grounding_splices_every_occurrence(grammar, lexicon):
     # E3's 0 => X X shares one free variable between two slots: grounding
     # the first splices the symbol into the second, and no state keeps a
-    # grounded FreeRef in its remaining surface
+    # grounded FreeRef in its spliced surface
     ctx, state = _state_after(grammar, lexicon, "tuktib",
                               [("R0", ("t", None, None)),
                                ("R2", ("v1", None, "u")),
                                ("R1", ("c1", "k", None))])
     e3 = next(s for s in try_error_rules(ctx, state)
               if s.records[-1].rule_name == "E3")
-    ref = e3.remaining[0][1]
-    assert e3.remaining[:2] == (("free", ref), ("free", ref))
+    ref = e3.spliced[0]
+    assert isinstance(ref, FreeRef) and e3.spliced[:2] == (ref, ref)
     grounded = ground_variable(e3, grammar, lexicon)
     assert grounded
     for sym, succ in grounded:
         assert sym == "u"
-        assert succ.remaining[0] == ("spl", "u")
+        assert succ.spliced[0] == "u"
     frontier = [e3]
     for _ in range(3):
         frontier = [s for st in frontier
@@ -307,8 +307,8 @@ def test_grounding_splices_every_occurrence(grammar, lexicon):
         assert frontier
         for s in frontier:
             done = dict(s.free_vars)
-            assert not [it for it in s.remaining if not isinstance(it, str)
-                        and it[0] == "free" and it[1].ref_id in done]
+            assert not [it for it in s.spliced if isinstance(it, FreeRef)
+                        and it.ref_id in done]
 
 
 def test_budget_spent_blocks_error_rules(grammar, lexicon):
@@ -401,3 +401,47 @@ def test_right_surface_context_reads_the_corrected_surface():
 
     assert found("ab") == [("ak", ["D3@1 b->k"])]
     assert found("kk") == [("ak", ["D3@0 k->a"])]
+
+
+# ---------------------------------------------------------------------------
+# the spliced surface: what error rules read of it, and where records sit
+
+# P splices the b that Q reads: a reap chain through a spliced symbol
+SPLICED = """\
+class lt = {a, b, c, k}
+rule A: * - X - *  =>  * - X - *  where lt(X)
+rule B: * - 0 - *  =>  (B1, 0, 0) - + - *  where B1 != +
+erule P: a => b  { * - * }  reap=y
+erule Q: b => c  { * - * }  reap=y
+"""
+
+
+def _error_paths(g, lex, word):
+    return [(encode(c.corrected_word), [
+        f"{r}@{p} {encode(e)}->{encode(c_)}" for r, p, e, c_ in
+        c.error_trace]) for c in correct(decode(word), g, lex)]
+
+
+def test_reap_chain_reads_a_spliced_symbol_at_input_positions():
+    # Q's record sits after the a that P consumed: positions count input
+    # symbols, not the spliced b that Q reads
+    g = parse_grammar(SPLICED)
+    ck = load_lexicon("pattern\tck\n")
+    assert _error_paths(g, ck, "ak") == [("ck", ["P@0 a->b", "Q@1 b->c"])]
+    assert _error_paths(g, ck, "bk") == [("ck", ["Q@0 b->c"])]
+    kc = load_lexicon("pattern\tkc\n")
+    assert _error_paths(g, kc, "ka") == [("kc", ["P@1 a->b", "Q@2 b->c"])]
+
+
+def test_no_error_rule_reads_an_ungrounded_free_variable():
+    # F splices a free variable; Q, which its reap budget allows, cannot
+    # read it before an ordinary rule grounds it through the lexicon
+    g = parse_grammar(SPLICED.replace(
+        "erule P: a => b  { * - * }  reap=y",
+        "erule F: a => X  { * - * }  reap=y  where lt(X)"))
+    lex = load_lexicon("pattern\tck\n")
+    ctx = _SearchContext(g, lex)
+    after = try_error_rules(ctx, analysis_start(g, lex, decode("ak")))
+    assert [s.records[-1].rule_name for s in after] == ["F"]
+    assert try_error_rules(ctx, after[0]) == []
+    assert _error_paths(g, lex, "ak") == [("ck", ["F@0 a->c"])]

@@ -10,7 +10,7 @@ from semitic_morpho.engine import (FreeRef, PartitionRecord, _table_key,
                                    is_optional_deletion,
                                    optional_deletion_rules)
 from semitic_morpho.grammar import Grammar
-from semitic_morpho.lexicon import load_lexicon
+from semitic_morpho.lexicon import TAPES, load_lexicon
 
 from oracles import (check_licensed, check_obligatory, damerau_edits,
                      oracle_micro_analyze, orthography_set, reference_surface)
@@ -146,7 +146,7 @@ def test_step_stem_boundary(grammar, lexicon):
         state = next(s for s in succ if s.records[-1] == rec)
     assert state.records[-1].rule_name == "R4"
     assert state.records[-1].lex_seg == (("+", "+", "+"),)
-    assert state.remaining == ()
+    assert state.spliced == () and state.pos == len("katab")
 
 
 def test_step_optional_deletion(grammar, lexicon):
@@ -239,7 +239,7 @@ def test_partition_soundness(grammar, lexicon, verb_table):
             joined = tuple(s for r in a.records for s in r.surf_seg)
             assert joined == tuple(surface)
             # each tape's lexical symbols spell its committed entries
-            for ti, tape in enumerate(grammar.tapes):
+            for ti, tape in enumerate(TAPES):
                 syms = tuple(t[ti] for r in a.records for t in r.lex_seg
                              if t[ti] is not None)
                 spelled = tuple(s for e in a.morphemes[tape] for s in e.form)
@@ -320,7 +320,7 @@ def test_check_obligatory_engine_output_clean(grammar, lexicon, verb_table):
 def _demoted(grammar):
     """The grammar with every <=> rule weakened to =>."""
     return Grammar([dataclasses.replace(r, op="=>") for r in grammar.rules],
-                   grammar.erules, grammar.classes, grammar.tapes)
+                   grammar.erules, grammar.classes)
 
 
 def _key(a):
@@ -494,9 +494,9 @@ def test_micro_oracle_equivalence_with_coercion():
 # failure-table keys of budget-spent states
 
 
-def _spent(grammar, lexicon, remaining, **fields):
-    return dataclasses.replace(analysis_start(grammar, lexicon, remaining),
-                               budget=2, **fields)
+def _spent(grammar, lexicon, spliced, **fields):
+    return dataclasses.replace(analysis_start(grammar, lexicon, ()),
+                               spliced=spliced, budget=2, **fields)
 
 
 CONS = frozenset("ktb")
@@ -506,9 +506,9 @@ def test_table_key_ignores_ref_numbering_records_and_error_apps(grammar,
                                                                 lexicon):
     a, b = FreeRef(CONS, ("t",)), FreeRef(CONS, ("t",))
     assert a.ref_id != b.ref_id
-    first = _spent(grammar, lexicon, (("free", a), "a", ("free", a)))
+    first = _spent(grammar, lexicon, (a, "a", a))
     second = _spent(
-        grammar, lexicon, (("free", b), "a", ("free", b)),
+        grammar, lexicon, (b, "a", b),
         records=(PartitionRecord("E2", (), (), error_origin="E2",
                                  corr=(b,)),))
     ids = {}
@@ -519,7 +519,5 @@ def test_table_key_tells_a_shared_ref_from_two_refs(grammar, lexicon):
     shared = FreeRef(CONS, ())
     one, other = FreeRef(CONS, ()), FreeRef(CONS, ())
     ids = {}
-    assert _table_key(_spent(grammar, lexicon,
-                             (("free", shared), ("free", shared))), ids) != \
-        _table_key(_spent(grammar, lexicon,
-                          (("free", one), ("free", other))), ids)
+    assert _table_key(_spent(grammar, lexicon, (shared, shared)), ids) != \
+        _table_key(_spent(grammar, lexicon, (one, other)), ids)

@@ -32,7 +32,7 @@ def test_bundled_aliases(grammar):
 
 
 def test_operators(grammar):
-    assert grammar.rule("glottal_change").obligatory
+    assert grammar.plans["glottal_change"].rule.obligatory
     assert all(not r.obligatory for r in grammar.rules
                if r.name != "glottal_change")
     assert all(not er.reap for er in grammar.erules
@@ -88,11 +88,11 @@ def test_print_parse_roundtrip(grammar):
 def test_print_rejects_undeclared_guard_domain():
     # a hand-built grammar can restrict a variable to a set no class names;
     # the printer reports it as a grammar error, which the CLI catches
-    rule = TwoLevelRule("R", surf=(("var", "X"),), lex=((("var", "X"),),),
+    rule = TwoLevelRule("R", surf=(("var", "X"),),
+                        lex=((("var", "X"), EPS, EPS),),
                         op="=>",
                         guards=Guards(allowed={"X": frozenset({"a", "k"})}))
-    g = Grammar([rule], [], {"vowel": frozenset({"a", "i", "u"})},
-                tapes=("pattern",))
+    g = Grammar([rule], [], {"vowel": frozenset({"a", "i", "u"})})
     with pytest.raises(GrammarError, match="no declared class"):
         print_grammar(g)
 

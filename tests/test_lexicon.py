@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semitic_morpho.features import conflicts, make_fs, unify, unify_all
-from semitic_morpho.lexicon import (DuplicateEntry, LexiconTree, MorphemeEntry,
-                                    load_lexicon)
+from semitic_morpho.lexicon import (DuplicateEntry, LexiconError, LexiconTree,
+                                    MorphemeEntry, load_lexicon)
 
 
 def _walk(tree, symbols):
@@ -117,6 +117,24 @@ def test_form_constraints():
         load_lexicon("root\t\t\t\n")
     entry = load_lexicon("root\tktb\t\t").entries("root")[0]
     assert entry.form[-1] == "+" and "+" not in entry.body
+
+
+def test_kind_marks_pattern_affixes():
+    lex = load_lexicon("pattern\twa\tid=pre_wa;kind=prefix\n"
+                       "pattern\tiyy\tkind=suffix\n")
+    assert [e.kind for e in lex.entries("pattern")] == ["prefix", "suffix"]
+
+
+@pytest.mark.parametrize("line", [
+    "pattern\twa\tid=pre_wa;kind=prefx",     # a misspelt kind
+    "pattern\twa\tkind=word",                # word is the word tape's kind
+    "word\tmdiintA\tkind=suffix",            # a linear word as an affix
+    "root\tktb\tkind=prefix",
+    "vocalism\ta\tkind=suffix",
+])
+def test_kind_rejected_off_pattern_affixes(line):
+    with pytest.raises(LexiconError, match="line 2: bad kind"):
+        load_lexicon("root\tdrs\n" + line + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from semitic_morpho.engine import (ScriptCursor, SearchState, TapeState,
                                    TrieCursor, _advance_tapes, _search,
                                    _SearchContext, _walk, analyze, generate,
                                    optional_deletion_rules, step_memo)
-from semitic_morpho.lexicon import load_lexicon
+from semitic_morpho.lexicon import TAPES, load_lexicon
 
 from oracles import damerau_edits
 from test_acceptance import AFFIXED_SURFACES, NOMINAL_SURFACES
@@ -199,7 +199,7 @@ def test_key_holds_the_inequality_partner_of_a_lexical_variable():
     lex = load_lexicon("pattern\ta\t\t\npattern\tb\t\t\n")
     ctx = _SearchContext(g, lex)
     state = SearchState(tapes=tuple(TapeState(cursor=TrieCursor(lex.tree(t)))
-                                    for t in g.tapes), remaining=("a",))
+                                    for t in TAPES), word=("a",))
     for y in ("a", "b", "a"):
         walked = [(c, t, b) for _, c, t, b in _walk(
             ctx, plan, [t.cursor for t in state.tapes], {"Y": y})]
@@ -232,7 +232,7 @@ def test_scripted_key_holds_the_offset_an_aligned_guard_reads():
         state = SearchState(tapes=(
             TapeState(cursor("pattern", "c1")),
             TapeState(cursor("root", *root_read)),
-            TapeState(cursor("vocalism"))), remaining=None)
+            TapeState(cursor("vocalism"))), word=None)
         walked = cursors(_walk(ctx, plan, [t.cursor for t in state.tapes],
                                {}))
         memo = cursors(_advance_tapes(ctx, plan, state, {}))
@@ -249,7 +249,7 @@ def test_homographs_share_walks_and_commit_the_scripted_root():
     assert roots[0].form == roots[1].form
     scripts = {"pattern": (lexicon.entry("pattern", "CuCCaC"),),
                "vocalism": (lexicon.entry("vocalism", "ua"),)}
-    root_i = grammar.tapes.index("root")
+    root_i = TAPES.index("root")
     walks = []
     for root in roots + roots:
         ctx = _SearchContext(grammar, lexicon,
@@ -257,7 +257,7 @@ def test_homographs_share_walks_and_commit_the_scripted_root():
         scripts["root"] = (root,)
         initial = SearchState(tapes=tuple(
             TapeState(ScriptCursor.over(scripts.get(t, ()), ctx.memo))
-            for t in grammar.tapes), remaining=None)
+            for t in TAPES), word=None)
         finals = list(_search(ctx, initial))
         assert [encode(s.surface_out) for s in finals] == ["kuffal"]
         assert [s.tapes[root_i].morphemes for s in finals] == [(root,)]
