@@ -3,7 +3,7 @@
 from .alphabet import (DecodeError, UnknownSymbol, classify, decode, encode,
                        tokenize_lexical)
 from .arabic_data import VERB_TABLE, load_builtin, verify_table
-from .corrector import CorrectionCandidate, correct, rank
+from .corrector import CorrectionCandidate, correct
 from .dsl import parse_grammar, print_grammar
 from .engine import (Analysis, PartitionRecord, SearchState, analyze,
                      generate, is_optional_deletion)
@@ -20,6 +20,6 @@ __all__ = [
     "PartitionRecord", "SearchState", "TwoLevelRule", "UnknownSymbol",
     "VERB_TABLE", "analyze", "classify", "correct", "decode", "encode",
     "generate", "is_optional_deletion", "load_builtin", "load_lexicon",
-    "parse_grammar", "parse_word", "print_grammar", "rank", "repair_clash",
+    "parse_grammar", "parse_word", "print_grammar", "repair_clash",
     "tokenize_lexical", "unify", "unify_all", "verify_table",
 ]

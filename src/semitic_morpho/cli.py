@@ -271,8 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     word_command("analyze", _analyze_word, help="morphological analysis")
     p = word_command("correct", _correct_word, help="error correction")
-    p.add_argument("--max-candidates", type=_positive_int, default=32)
-    p.add_argument("--max-positions", type=_positive_int, default=None)
+    p.add_argument("--max-candidates", type=_positive_int, default=32,
+                   metavar="N", help="print the N best-ranked candidates "
+                                     "(default: 32)")
+    p.add_argument("--max-positions", type=_positive_int, default=None,
+                   metavar="N", help="try error rules at the failure point "
+                                     "and the N-1 positions before it only "
+                                     "(default: every position)")
     word_command("repair", _repair_word,
                  help="repair morphosyntactically ill-formed words")
 

@@ -1,11 +1,12 @@
 """Error detection and correction layered on the engine.
 
-Error rules fire where ordinary rules fail (depth-first backtracking tries
-them at successively earlier points). A rule consumes its error surface from
-the input, splices the corrected surface in its place — possibly as free
-variables grounded later by normal lexical matching — and normal analysis
-resumes at the same position. At most one error per word, except the
-reapplying vowel-shift family.
+Error rules fire where ordinary rules fail: first at the failure point, the
+deepest input position the error-free search reaches, then at successively
+earlier points. A rule consumes its error surface from the input, splices
+the corrected surface in its place — possibly as free variables grounded
+later by normal lexical matching — and normal analysis resumes at the same
+position. At most one error per word, except the reapplying vowel-shift
+family, whose chain takes at most one error at each input position.
 """
 
 from __future__ import annotations
@@ -35,14 +36,6 @@ class CorrectionCandidate:
     @property
     def zero_error(self) -> bool:
         return not self.error_trace
-
-
-def _budget_allows(state: SearchState, rule: ErrorRule) -> bool:
-    if state.budget == 0:
-        return True
-    if state.budget == 1:
-        return rule.reap
-    return False
 
 
 def _splice_corr(rule: ErrorRule, bindings) -> Tuple[object, ...]:
@@ -76,15 +69,16 @@ def _splice_corr(rule: ErrorRule, bindings) -> Tuple[object, ...]:
 
 def try_error_rules(ctx: _SearchContext, state: SearchState) -> List[SearchState]:
     """Successor states obtained by applying one error rule at this state."""
-    if state.word is None:
+    # budget 1 is a reap chain: it takes one error per input position, so
+    # insertions cannot feed each other without bound
+    if state.budget == 1 and any(r.error_origin is not None and
+                                 r.pos == state.pos for r in state.records):
         return []
     grammar = ctx.grammar
-    if ctx.max_positions is not None and \
-       ctx.deepest - state.pos >= ctx.max_positions:
-        return []
     out: List[SearchState] = []
     for rule in grammar.erules:
-        if not _budget_allows(state, rule):
+        # budget 0 takes any error rule, 1 only reap rules, 2 none
+        if state.budget and not (state.budget == 1 and rule.reap):
             continue
         b = match_partition_context(rule.plc, state.records, {}, rule.guards,
                                     names_equal=grammar.same_rule)
@@ -138,24 +132,17 @@ def try_error_rules(ctx: _SearchContext, state: SearchState) -> List[SearchState
 
 def rank_key(grammar: Grammar, errors: Sequence, corrected: SymbolString) -> tuple:
     """Total order: fewest error events (a reap chain is one), deepest
-    first-error position (backtracking reaches the failure frontier first
-    and retreats to successively earlier points), grammar order of the
+    first-error position (error rules are tried at the failure point
+    first, then at successively earlier points), grammar order of the
     first error rule, then the word."""
     if not errors:
         return (0, 1, -1, corrected)
     reap_names = {r.name for r in grammar.erules if r.reap}
-    events = 0
-    if any(e[0] in reap_names for e in errors):
-        events += 1
-    events += sum(1 for e in errors if e[0] not in reap_names)
+    events = (any(e[0] in reap_names for e in errors)
+              + sum(e[0] not in reap_names for e in errors))
     first = errors[0]
     return (events, -first[1],
             grammar.erule_index[grammar.canonical(first[0])], corrected)
-
-
-def rank(grammar: Grammar,
-         cands: Sequence[CorrectionCandidate]) -> List[CorrectionCandidate]:
-    return sorted(cands, key=lambda c: c.rank_key)
 
 
 def regenerate(analysis: Analysis, grammar: Grammar, lexicon: Lexicon,
@@ -171,16 +158,32 @@ def _check_bound(name: str, bound: Optional[int]) -> None:
         raise ValueError(f"{name} must be at least 1 or None, not {bound!r}")
 
 
+def _error_roots(ctx: _SearchContext, frontier: Dict[int, List[SearchState]],
+                 max_positions: Optional[int]) -> Iterator[SearchState]:
+    """Error successors of the recorded states, from the failure point down
+    to 0 or through max_positions positions; at each, by error rule."""
+    point = max(frontier, default=0)
+    stop = -1 if max_positions is None else max(-1, point - max_positions)
+    for pos in range(point, stop, -1):
+        yield from sorted((succ for state in frontier.get(pos, ())
+                           for succ in try_error_rules(ctx, state)),
+                          key=lambda s: ctx.grammar.erule_index[
+                              s.records[-1].rule_name])
+
+
 def iter_corrections(word: SymbolString, grammar: Grammar, lexicon: Lexicon,
                      max_positions: Optional[int] = None
                      ) -> Iterator[CorrectionCandidate]:
-    """Yield correction candidates lazily in search order.
+    """Yield correction candidates lazily, each corrected word once, by
+    nondecreasing `rank_key[:3]`.
 
-    A corrected word is yielded when first reached and again whenever a
-    better-ranked error path to it turns up; correct() is the ranked,
-    deduplicated front end. If the word already analyzes, only the
-    zero-error candidate is yielded. max_positions is None (unbounded) or
-    at least 1; ValueError otherwise.
+    If the word already analyzes, only the zero-error candidate is yielded.
+    Otherwise phase 1 reruns the error-free search, recording its states by
+    input position; the deepest is the failure point. Phase 2 searches from
+    their error successors (`_error_roots`). A path is one error event
+    whose first record is its root, so the first path to a word carries its
+    final rank key. max_positions (None, or at least 1; ValueError
+    otherwise) keeps the positions p with failure point - p < max_positions.
     """
     _check_bound("max_positions", max_positions)
     base = analyze(word, grammar, lexicon)
@@ -190,58 +193,57 @@ def iter_corrections(word: SymbolString, grammar: Grammar, lexicon: Lexicon,
                                   rank_key=rank_key(grammar, (), tuple(word)))
         return
     skip = optional_deletion_rules(grammar)
-    ctx = _SearchContext(grammar, lexicon, max_positions=max_positions)
-    seen: Dict[SymbolString, tuple] = {}
-    analysis_cache: Dict[SymbolString, tuple] = {}
-    # regenerated surfaces by morpheme selection, each entry named by id and
-    # form (an id alone may repeat on a tape)
-    regenerated: Dict[tuple, Optional[SymbolString]] = {}
-    for final in _search(ctx, analysis_start(grammar, lexicon, word),
+    ctx = _SearchContext(grammar, lexicon)
+    frontier: Dict[int, List[SearchState]] = {}
+
+    def record(ctx: _SearchContext, state: SearchState) -> Tuple[()]:
+        frontier.setdefault(state.pos, []).append(state)
+        return ()
+
+    for _ in _search(ctx, [analysis_start(grammar, lexicon, word)],
+                     error_step=record):
+        pass
+    # morpheme selections (by id and form: an id may repeat on a tape) and
+    # corrected words seen: a later path to either ranks no better
+    selections, checked = set(), set()
+    for final in _search(ctx, _error_roots(ctx, frontier, max_positions),
                          error_step=try_error_rules):
-        if final.budget == 0:
-            continue
         partial = to_analysis(ctx, final)
         selection = tuple(tuple((e.id, e.form) for e in entries)
                           for entries in partial.morphemes.values())
-        if selection not in regenerated:
-            regenerated[selection] = regenerate(partial, grammar, lexicon,
-                                                skip)
-        corrected = regenerated[selection]
-        if corrected is None:
+        if selection in selections:
             continue
-        if corrected in analysis_cache:
-            verified = analysis_cache[corrected]
-        else:
-            verified = tuple(analyze(corrected, grammar, lexicon))
-            analysis_cache[corrected] = verified
-        if not verified:
+        selections.add(selection)
+        corrected = regenerate(partial, grammar, lexicon, skip)
+        if corrected is None or corrected in checked:
             continue
-        key = rank_key(grammar, partial.errors, corrected)
-        held = seen.get(corrected)
-        if held is not None and held <= key:
-            continue
-        seen[corrected] = key
-        yield CorrectionCandidate(corrected_word=corrected, analyses=verified,
-                                  error_trace=partial.errors, rank_key=key)
+        checked.add(corrected)
+        verified = tuple(analyze(corrected, grammar, lexicon))
+        if verified:
+            yield CorrectionCandidate(
+                corrected_word=corrected, analyses=verified,
+                error_trace=partial.errors,
+                rank_key=rank_key(grammar, partial.errors, corrected))
 
 
 def correct(word: SymbolString, grammar: Grammar, lexicon: Lexicon,
             max_candidates: Optional[int] = 32,
             max_positions: Optional[int] = None) -> List[CorrectionCandidate]:
-    """Ordered correction candidates for a word.
+    """The max_candidates best correction candidates for a word, ranked.
 
     If the word already analyzes, it is returned unchanged as the sole
-    zero-error candidate. Otherwise the search is rerun with error rules
-    enabled; each complete partition is regenerated to its fully vocalised
-    surface, deduplicated by corrected word (best error trace kept), and
-    ranked. Each bound is None (unbounded) or at least 1; ValueError
+    zero-error candidate. Otherwise iter_corrections is read until
+    max_candidates are held and the next ranks worse up to the word, which
+    is exact. Each bound is None (unbounded) or at least 1; ValueError
     otherwise.
     """
     _check_bound("max_candidates", max_candidates)
-    best: Dict[SymbolString, CorrectionCandidate] = {}
+    taken: List[CorrectionCandidate] = []
     for cand in iter_corrections(word, grammar, lexicon,
                                  max_positions=max_positions):
-        best[cand.corrected_word] = cand
-        if max_candidates is not None and len(best) >= max_candidates:
+        if max_candidates is not None and len(taken) >= max_candidates \
+           and cand.rank_key[:3] != taken[-1].rank_key[:3]:
             break
-    return rank(grammar, best.values())
+        taken.append(cand)
+    taken.sort(key=lambda c: c.rank_key)
+    return taken[:max_candidates]

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from .alphabet import BOUNDARY, SymbolString, slot_index
 from .features import FeatureStructure, restrict, unify_all
@@ -371,16 +372,14 @@ def step_memo(grammar: Grammar, lexicon: Lexicon) -> StepMemo:
 
 
 class _SearchContext:
-    """Shared knobs and mutable frontier info for one search."""
+    """What one search reads: the grammar, the lexicon and its step memo,
+    and the rules it may apply."""
 
     def __init__(self, grammar: Grammar, lexicon: Lexicon,
-                 skip_rules: FrozenSet[str] = frozenset(),
-                 max_positions: Optional[int] = None):
+                 skip_rules: FrozenSet[str] = frozenset()):
         self.grammar = grammar
         self.lexicon = lexicon
         self.skip_rules = skip_rules
-        self.max_positions = max_positions
-        self.deepest = 0
         self.memo = step_memo(grammar, lexicon)
         # the compiled rules this search may apply
         self.allowed = self.memo.mask(
@@ -834,11 +833,15 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
 
 
 def _complete(state: SearchState) -> bool:
+    """The input is read, every tape is done, every obligation is met, and
+    some morpheme is not an affix: a word is more than its affixes."""
     return ((state.word is None
              or (not state.spliced and state.pos == len(state.word)))
             and all(tape.cursor.done() for tape in state.tapes)
             and all(o.coerces is not None or o.contexts_done()
-                    for o in state.obligations))
+                    for o in state.obligations)
+            and any(e.kind not in ("prefix", "suffix")
+                    for tape in state.tapes for e in tape.morphemes))
 
 
 def _successors(ctx: _SearchContext, state: SearchState,
@@ -909,29 +912,25 @@ def _table_key(state: SearchState, ids: Dict[object, int]) -> tuple:
         state.pos, state.lex_run, state.last_nonconsuming)
 
 
-def _search(ctx: _SearchContext, initial: SearchState,
+def _search(ctx: _SearchContext, roots: Iterable[SearchState],
             error_step=None) -> Iterator[SearchState]:
-    """Depth-first search; yields complete states in deterministic order.
+    """Depth-first search from each root in turn; yields complete states in
+    deterministic order.
 
-    Ordinary successors are explored before error successors of the same
-    state, which realizes "error rules are considered when ordinary rules
-    fail ... at successively earlier points" under chronological backtracking.
-    Successor streams are lazy, so early-exiting consumers skip unexplored
-    siblings.
+    Ordinary successors are explored before the error successors of the
+    same state, which `error_step(ctx, state)` returns at every state whose
+    budget is not spent. Successor streams, and `roots`, are read lazily,
+    so early-exiting consumers skip unexplored siblings.
 
     With an error step, the search tables failed budget-spent states: a
     state whose budget is spent and whose subtree yielded no complete state
     has its key (`_table_key`) recorded, and a later state with the same
     key is not expanded. This is exact. Skipping a subtree that yields
     nothing leaves the sequence of yielded states, hence candidates, ranks
-    and analysis order, unchanged. Below a spent budget no error successor
-    exists, so the subtree does not depend on `ctx.deepest` (which only
-    grows, and under `max_positions` only removes error successors); and
-    since `pos` is in the key, the positions the skipped subtree would reach
-    are already folded into `deepest`. Searches without an error step do no
+    and analysis order, unchanged. Searches without an error step do no
     work for the table.
     """
-    stack: List[Iterator[SearchState]] = [iter([initial])]
+    stack: List[Iterator[SearchState]] = [iter(roots)]
     # budget-spent frames on the stack as (depth, key, yields before the
     # push), innermost last; the keys of those that yielded nothing; and
     # the interned key parts
@@ -949,8 +948,6 @@ def _search(ctx: _SearchContext, initial: SearchState,
                 if yielded == before:
                     failed.add(key)
             continue
-        if state.word is not None:
-            ctx.deepest = max(ctx.deepest, state.pos)
         if _complete(state):
             yielded += 1
             yield state
@@ -971,7 +968,7 @@ def analyze(word: SymbolString, grammar: Grammar,
         return []
     ctx = _SearchContext(grammar, lexicon)
     return [to_analysis(ctx, s)
-            for s in _search(ctx, analysis_start(grammar, lexicon, word))]
+            for s in _search(ctx, [analysis_start(grammar, lexicon, word)])]
 
 
 def analysis_start(grammar: Grammar, lexicon: Lexicon,
@@ -1075,5 +1072,5 @@ def scripted_surfaces(scripts: Dict[str, Sequence[MorphemeEntry]],
                     for t in TAPES),
         word=None,
     )
-    for s in _search(ctx, initial):
+    for s in _search(ctx, [initial]):
         yield s.surface_out

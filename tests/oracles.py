@@ -363,18 +363,16 @@ def _emit_surface(surf, bindings) -> Optional[List[str]]:
 # reference search (no failure table)
 
 
-def reference_search(ctx, initial, error_step=None):
+def reference_search(ctx, roots, error_step=None):
     """The engine's depth-first search without the failure table: every
     state is expanded. A drop-in for `engine._search`."""
-    stack = [iter([initial])]
+    stack = [iter(roots)]
     while stack:
         try:
             state = next(stack[-1])
         except StopIteration:
             stack.pop()
             continue
-        if state.word is not None:
-            ctx.deepest = max(ctx.deepest, state.pos)
         if _complete(state):
             yield state
             continue

@@ -9,7 +9,7 @@ PUBLIC = [
     "PartitionRecord", "SearchState", "TwoLevelRule", "UnknownSymbol",
     "VERB_TABLE", "analyze", "classify", "correct", "decode", "encode",
     "generate", "is_optional_deletion", "load_builtin", "load_lexicon",
-    "parse_grammar", "parse_word", "print_grammar", "rank", "repair_clash",
+    "parse_grammar", "parse_word", "print_grammar", "repair_clash",
     "tokenize_lexical", "unify", "unify_all", "verify_table",
 ]
 

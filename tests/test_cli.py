@@ -171,6 +171,28 @@ def test_grammar_lexicon_overrides(tmp_path, capsys):
     assert code == 0 and "trace=A,A,B" in out
 
 
+def test_reap_insertion_chain_ends(tmp_path, capsys):
+    # F inserts a symbol that A then reads, which leaves F where it fired:
+    # a reap chain takes one error per input position, so the search ends
+    gpath, lpath = tmp_path / "g.tlr", tmp_path / "l.lex"
+    gpath.write_text(
+        "class lt = {a, b, k}\n"
+        "rule A: * - X - * => * - X - * where lt(X)\n"
+        "rule B: * - 0 - * => (B1, 0, 0) - + - * where B1 != +\n"
+        "erule F: 0 => X { * - * } reap=y where lt(X)\n", encoding="utf-8")
+    lpath.write_text("pattern\tk\n", encoding="utf-8")
+    code, out, err = _run(capsys, "--grammar", str(gpath),
+                          "--lexicon", str(lpath), "correct", "ab")
+    assert (code, out, err) == (1, "ab: no correction found\n", "")
+
+
+@pytest.mark.parametrize("word", ["wa", "wawa"])
+def test_bare_affix_word_no_analysis(capsys, word):
+    # a word needs a morpheme that is not an affix
+    code, out, err = _run(capsys, "analyze", word)
+    assert (code, out) == (1, f"{word}: no analysis\n")
+
+
 def test_generate_rule_with_right_surface_context(tmp_path, capsys):
     gpath, lpath = tmp_path / "g.tlr", tmp_path / "l.lex"
     gpath.write_text(RSC_OWN, encoding="utf-8")

@@ -2,8 +2,8 @@ import pytest
 
 from semitic_morpho import corrector, engine
 from semitic_morpho.alphabet import LETTERS, decode, encode
-from semitic_morpho.corrector import (correct, iter_corrections, rank,
-                                      rank_key, try_error_rules)
+from semitic_morpho.corrector import (correct, iter_corrections, rank_key,
+                                      try_error_rules)
 from semitic_morpho.dsl import parse_grammar
 from semitic_morpho.engine import (FreeRef, _SearchContext, _search,
                                    analysis_start, analyze, apply_rule)
@@ -122,12 +122,21 @@ def test_rank_zero_error_first(grammar, lexicon):
 
 def test_rank_is_total_and_stable(grammar, lexicon):
     cands = _correct(grammar, lexicon, "tuktib")
-    assert rank(grammar, list(reversed(cands))) == cands
+    assert sorted(reversed(cands), key=lambda c: c.rank_key) == cands
 
 
 def test_max_candidates_cap(grammar, lexicon):
     cands = _correct(grammar, lexicon, "tuktib", max_candidates=1)
     assert len(cands) == 1
+
+
+@pytest.mark.parametrize("word", ERROR_EXAMPLES + ("shamaawiyy", "washum"))
+def test_bounded_correct_is_the_ranked_prefix(grammar, lexicon, word):
+    # correct(k) holds the k best candidates, not the first k reached
+    full = _full(_correct(grammar, lexicon, word, max_candidates=None))
+    for k in range(1, 6):
+        got = _full(_correct(grammar, lexicon, word, max_candidates=k))
+        assert got == full[:k], (word, k)
 
 
 def test_max_positions_window(grammar, lexicon):
@@ -202,6 +211,7 @@ def test_failure_table_matches_reference_search(grammar, lexicon,
         words += [edit for _, _, edit in damerau_edits(source,
                                                        sorted(LETTERS))]
     calls = {}
+    outputs = {}
     for max_positions in (None, 1, 2):
         for word in words:
             tabled, n_tabled = _traced_correct(monkeypatch, _search, grammar,
@@ -211,6 +221,10 @@ def test_failure_table_matches_reference_search(grammar, lexicon,
                                              max_positions)
             assert tabled == plain, (word, max_positions)
             calls[word, max_positions] = n_tabled, n_plain
+            outputs[word, max_positions] = tabled
+    # a position window keeps a prefix of the ranked candidates
+    for (word, max_positions), got in outputs.items():
+        assert got == outputs[word, None][:len(got)], (word, max_positions)
     # the table skips failed subtrees, so fewer rules are tried
     for word in ("katbb", "samaaAiyy"):
         n_tabled, n_plain = calls[word, None]
@@ -236,7 +250,7 @@ def _viable(ctx, grammar, grounded):
     """Grounded symbols whose continuation completes an analysis."""
     out = set()
     for sym, succ in grounded:
-        if any(True for _ in _search(ctx, succ)):
+        if any(True for _ in _search(ctx, [succ])):
             out.add(sym)
     return out
 

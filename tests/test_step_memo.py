@@ -258,7 +258,7 @@ def test_homographs_share_walks_and_commit_the_scripted_root():
         initial = SearchState(tapes=tuple(
             TapeState(ScriptCursor.over(scripts.get(t, ()), ctx.memo))
             for t in TAPES), word=None)
-        finals = list(_search(ctx, initial))
+        finals = list(_search(ctx, [initial]))
         assert [encode(s.surface_out) for s in finals] == ["kuffal"]
         assert [s.tapes[root_i].morphemes for s in finals] == [(root,)]
         walks.append(len(ctx.memo.walks))
