@@ -20,7 +20,7 @@ from .engine import (Analysis, FreeRef, Obligation, PartitionRecord,
                      _unread, analysis_start, analyze,
                      optional_deletion_rules, scripted_surfaces, to_analysis)
 from .grammar import (WILDCARD, ErrorRule, Grammar, match_partition_context,
-                      match_slot)
+                      match_tuple)
 # unused here: perfbench/tracing.py wraps this name (PRCs feed in engine)
 from .grammar import match_record_pattern  # noqa: F401
 from .lexicon import TAPES, Lexicon
@@ -51,18 +51,8 @@ def _splice_corr(rule: ErrorRule, bindings) -> Tuple[object, ...]:
         name = pat[1]
         ref = refs.get(name)
         if ref is None:
-            excluded: List[str] = []
-            for v, other, other_is_var in rule.guards.diseq:
-                if v == name:
-                    tgt = bindings.get(other) if other_is_var else other
-                    if tgt is not None:
-                        excluded.append(tgt)
-                elif other_is_var and other == name:
-                    tgt = bindings.get(v)
-                    if tgt is not None:
-                        excluded.append(tgt)
-            ref = FreeRef(rule.guards.domain(name), tuple(excluded))
-            refs[name] = ref
+            ref = refs[name] = FreeRef(rule.guards.allowed.get(name),
+                                       rule.guards.excluded(name, bindings))
         items.append(ref)
     return tuple(items)
 
@@ -81,7 +71,7 @@ def try_error_rules(ctx: _SearchContext, state: SearchState) -> List[SearchState
         if state.budget and not (state.budget == 1 and rule.reap):
             continue
         b = match_partition_context(rule.plc, state.records, {}, rule.guards,
-                                    names_equal=grammar.same_rule)
+                                    grammar.same_rule)
         if b is None:
             continue
         # match the error surface against the unread surface; an
@@ -90,10 +80,7 @@ def try_error_rules(ctx: _SearchContext, state: SearchState) -> List[SearchState
         if consumed is None or any(isinstance(sym, FreeRef)
                                    for sym in consumed):
             continue
-        for pat, sym in zip(rule.err, consumed):
-            b = match_slot(pat, sym, b, rule.guards)
-            if b is None:
-                break
+        b = match_tuple(rule.err, consumed, b, rule.guards)
         if b is None:
             continue
         nonconsuming = not consumed
@@ -203,17 +190,17 @@ def iter_corrections(word: SymbolString, grammar: Grammar, lexicon: Lexicon,
     for _ in _search(ctx, [analysis_start(grammar, lexicon, word)],
                      error_step=record):
         pass
-    # morpheme selections (by id and form: an id may repeat on a tape) and
+    # morpheme selections (by id: an id names one entry on a tape) and
     # corrected words seen: a later path to either ranks no better
     selections, checked = set(), set()
     for final in _search(ctx, _error_roots(ctx, frontier, max_positions),
                          error_step=try_error_rules):
-        partial = to_analysis(ctx, final)
-        selection = tuple(tuple((e.id, e.form) for e in entries)
-                          for entries in partial.morphemes.values())
+        selection = tuple(tuple(e.id for e in tape.morphemes)
+                          for tape in final.tapes)
         if selection in selections:
             continue
         selections.add(selection)
+        partial = to_analysis(ctx, final)
         corrected = regenerate(partial, grammar, lexicon, skip)
         if corrected is None or corrected in checked:
             continue

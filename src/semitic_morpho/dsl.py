@@ -22,7 +22,7 @@ from .alphabet import ALL_SYMBOLS
 from .grammar import (ANY, ELLIPSIS, EPS, WILDCARD, ContextPattern, ErrorRule,
                       Grammar, Guards, RecordPattern, RuleSyntaxError, Slot,
                       TuplePattern, TwoLevelRule, UndeclaredClass,
-                      context_vars, slot_vars)
+                      rule_vars)
 from .lexicon import TAPES
 
 _TOKEN_RE = re.compile(
@@ -123,24 +123,25 @@ def _expand_shorthand(slot: Slot) -> TuplePattern:
     return (slot,) + (EPS,) * (len(TAPES) - 1)
 
 
-def _check_tuple_not_all_eps(tup: TuplePattern, cur: _Cursor) -> None:
+def _parse_lex_item(cur: _Cursor) -> TuplePattern:
+    """A lexical tuple, written out or as a bare symbol (_expand_shorthand)."""
+    if cur.peek() == "(":
+        tup = _parse_tuple(cur)
+    else:
+        tup = _expand_shorthand(_slot_from_token(cur.next()))
     if all(s == EPS for s in tup):
         raise RuleSyntaxError("a lexical tuple cannot be empty on every tape",
                               cur.lineno)
+    return tup
 
 
 def _parse_lex_field(cur: _Cursor, stop: Sequence[str]) -> Tuple[TuplePattern, ...]:
     items: List[TuplePattern] = []
     while not cur.done() and cur.peek() not in stop:
-        if cur.peek() == "(":
-            tup = _parse_tuple(cur)
-        else:
-            slot = _slot_from_token(cur.next())
-            if slot == EPS:
-                continue  # "0" core: consumes nothing anywhere
-            tup = _expand_shorthand(slot)
-        _check_tuple_not_all_eps(tup, cur)
-        items.append(tup)
+        if cur.peek() == "0":
+            cur.next()
+            continue  # "0" core: consumes nothing anywhere
+        items.append(_parse_lex_item(cur))
     return tuple(items)
 
 
@@ -157,8 +158,11 @@ def _parse_surf_field(cur: _Cursor, stop: Sequence[str]) -> Tuple[Slot, ...]:
     return tuple(items)
 
 
-def _parse_context_field(cur: _Cursor, stop: Sequence[str], lexical: bool,
-                         allow_ellipsis: bool) -> ContextPattern:
+def _parse_context(cur: _Cursor, stop: Sequence[str], item,
+                   allow_ellipsis: bool) -> ContextPattern:
+    """A context: items read by `item(cur)` (a surface slot, a lexical tuple
+    or a record pattern), with ellipses where allowed, or a lone `*`. An
+    empty context is a wildcard too."""
     items: List = []
     while not cur.done() and cur.peek() not in stop:
         if cur.peek() == "...":
@@ -168,10 +172,6 @@ def _parse_context_field(cur: _Cursor, stop: Sequence[str], lexical: bool,
                                       "and partition-left contexts",
                                       tok.line, tok.col)
             items.append(ELLIPSIS)
-        elif cur.peek() == "(" and lexical:
-            tup = _parse_tuple(cur)
-            _check_tuple_not_all_eps(tup, cur)
-            items.append(tup)
         elif cur.peek() == "*":
             tok = cur.next()
             if items or (not cur.done() and cur.peek() not in stop):
@@ -179,14 +179,12 @@ def _parse_context_field(cur: _Cursor, stop: Sequence[str], lexical: bool,
                                       tok.line, tok.col)
             return WILDCARD
         else:
-            slot = _slot_from_token(cur.next())
-            if lexical:
-                tup = _expand_shorthand(slot)
-                _check_tuple_not_all_eps(tup, cur)
-                items.append(tup)
-            else:
-                items.append(slot)
+            items.append(item(cur))
     return tuple(items) if items else WILDCARD
+
+
+def _parse_surf_item(cur: _Cursor) -> Slot:
+    return _slot_from_token(cur.next())
 
 
 def _parse_record_pattern(cur: _Cursor) -> RecordPattern:
@@ -211,31 +209,6 @@ def _parse_record_pattern(cur: _Cursor) -> RecordPattern:
         lex = _expand_shorthand(_slot_from_token(cur.next()))
     cur.expect("]")
     return RecordPattern(rule_name=name, surf=surf, lex=lex)
-
-
-def _parse_partition_context(cur: _Cursor, stop: Sequence[str],
-                             allow_ellipsis: bool) -> ContextPattern:
-    items: List = []
-    while not cur.done() and cur.peek() not in stop:
-        if cur.peek() == "...":
-            tok = cur.next()
-            if not allow_ellipsis:
-                raise RuleSyntaxError("ellipsis is only legal in the partition "
-                                      "left context", tok.line, tok.col)
-            items.append(ELLIPSIS)
-        elif cur.peek() == "[":
-            items.append(_parse_record_pattern(cur))
-        elif cur.peek() == "*":
-            cur.next()
-            if items:
-                raise RuleSyntaxError("'*' must stand alone in a context",
-                                      cur.lineno)
-            return WILDCARD
-        else:
-            tok = cur.next()
-            raise RuleSyntaxError(f"unexpected {tok.text!r} in partition context",
-                                  tok.line, tok.col)
-    return tuple(items) if items else WILDCARD
 
 
 def _parse_where(cur: _Cursor, classes: Dict[str, FrozenSet[str]]) -> Guards:
@@ -274,11 +247,16 @@ def _parse_where(cur: _Cursor, classes: Dict[str, FrozenSet[str]]) -> Guards:
                 allowed[var] = allowed.get(var, dom) & dom
         elif cur.peek() == "!=":
             cur.next()
-            other = cur.next()
+            other_tok = cur.next()
+            other = _slot_from_token(other_tok)
             if not _is_var(name):
                 raise RuleSyntaxError("inequality needs a variable on the left",
                                       tok.line, tok.col)
-            diseq.append((name, other.text, _is_var(other.text)))
+            if other[0] not in ("var", "lit"):
+                raise RuleSyntaxError(f"!= needs a variable or a symbol on the "
+                                      f"right, not {other_tok.text!r}",
+                                      other_tok.line, other_tok.col)
+            diseq.append((name, other[1], other[0] == "var"))
         else:
             raise RuleSyntaxError(f"bad where-clause near {name!r}",
                                   tok.line, tok.col)
@@ -304,21 +282,21 @@ def _parse_name_and_aliases(cur: _Cursor) -> Tuple[str, Tuple[str, ...]]:
 
 def _parse_rule(cur: _Cursor, classes) -> TwoLevelRule:
     name, aliases = _parse_name_and_aliases(cur)
-    lsc = _parse_context_field(cur, ("-",), lexical=False, allow_ellipsis=False)
+    lsc = _parse_context(cur, ("-",), _parse_surf_item, allow_ellipsis=False)
     cur.expect("-")
     surf = _parse_surf_field(cur, ("-",))
     cur.expect("-")
-    rsc = _parse_context_field(cur, ("=>", "<=>"), lexical=False,
-                               allow_ellipsis=False)
+    rsc = _parse_context(cur, ("=>", "<=>"), _parse_surf_item,
+                         allow_ellipsis=False)
     op_tok = cur.next()
     if op_tok.text not in ("=>", "<=>"):
         raise RuleSyntaxError("expected => or <=>", op_tok.line, op_tok.col)
-    llc = _parse_context_field(cur, ("-",), lexical=True, allow_ellipsis=True)
+    llc = _parse_context(cur, ("-",), _parse_lex_item, allow_ellipsis=True)
     cur.expect("-")
     lex = _parse_lex_field(cur, ("-",))
     cur.expect("-")
-    rlc = _parse_context_field(cur, ("where",), lexical=True,
-                               allow_ellipsis=False)
+    rlc = _parse_context(cur, ("where",), _parse_lex_item,
+                         allow_ellipsis=False)
     guards = Guards()
     if cur.peek() == "where":
         cur.next()
@@ -328,7 +306,7 @@ def _parse_rule(cur: _Cursor, classes) -> TwoLevelRule:
     rule = TwoLevelRule(name=name, surf=surf, lex=lex, op=op_tok.text,
                         lsc=lsc, rsc=rsc, llc=llc, rlc=rlc, guards=guards,
                         aliases=aliases)
-    _check_variables(rule.name, _rule_vars(rule), guards, cur.lineno)
+    _check_variables(rule, cur.lineno)
     return rule
 
 
@@ -338,9 +316,11 @@ def _parse_erule(cur: _Cursor, classes) -> ErrorRule:
     cur.expect("=>")
     corr = _parse_surf_field(cur, ("{",))
     cur.expect("{")
-    plc = _parse_partition_context(cur, ("-",), allow_ellipsis=True)
+    plc = _parse_context(cur, ("-",), _parse_record_pattern,
+                         allow_ellipsis=True)
     cur.expect("-")
-    prc = _parse_partition_context(cur, ("}",), allow_ellipsis=False)
+    prc = _parse_context(cur, ("}",), _parse_record_pattern,
+                         allow_ellipsis=False)
     cur.expect("}")
     reap_tok = cur.next()
     if reap_tok.text not in ("reap=y", "reap=n"):
@@ -353,43 +333,19 @@ def _parse_erule(cur: _Cursor, classes) -> ErrorRule:
     rule = ErrorRule(name=name, err=err, corr=corr, plc=plc, prc=prc,
                      reap=reap_tok.text == "reap=y", guards=guards,
                      aliases=aliases)
-    _check_variables(rule.name, _erule_vars(rule), guards, cur.lineno)
+    _check_variables(rule, cur.lineno)
     return rule
 
 
-def _rule_vars(rule: TwoLevelRule):
-    out = set()
-    for s in rule.surf:
-        out.update(slot_vars(s))
-    for tup in rule.lex:
-        for s in tup:
-            out.update(slot_vars(s))
-    out.update(context_vars(rule.lsc, lexical=False))
-    out.update(context_vars(rule.rsc, lexical=False))
-    out.update(context_vars(rule.llc, lexical=True))
-    out.update(context_vars(rule.rlc, lexical=True))
-    return out
-
-
-def _erule_vars(rule: ErrorRule):
-    out = set()
-    for s in rule.err + rule.corr:
-        out.update(slot_vars(s))
-    out.update(context_vars(rule.plc, lexical=True))
-    out.update(context_vars(rule.prc, lexical=True))
-    return out
-
-
-def _check_variables(name: str, used, guards: Guards, lineno: int) -> None:
-    mentioned = set(guards.allowed)
-    mentioned.update(v for v, _, _ in guards.diseq)
-    mentioned.update(o for _, o, is_var in guards.diseq if is_var)
+def _check_variables(rule, lineno: int) -> None:
+    guards = rule.guards
+    mentioned = set(guards.allowed) | guards.named()
     mentioned.update(v for v, _ in guards.aligned)
-    stray = mentioned - set(used)
+    stray = mentioned - rule_vars(rule)
     if stray:
         raise RuleSyntaxError(
-            f"rule {name}: where-clause names unused variables {sorted(stray)}",
-            lineno)
+            f"rule {rule.name}: where-clause names unused variables "
+            f"{sorted(stray)}", lineno)
 
 
 def parse_grammar(text: str) -> Grammar:

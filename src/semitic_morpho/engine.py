@@ -754,8 +754,8 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
                 if bound != head:
                     return
             elif var == plan.prebind:
-                if not rule.guards.permits(var, head, start):
-                    return
+                # _successors admitted the head (RulePlan.admits_head), and
+                # no != guard names a pre-bound variable
                 start = dict(start)
                 start[var] = head
     for cursors, consumed, lex_tuples, b in _advance_tapes(ctx, plan, state,

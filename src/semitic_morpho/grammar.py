@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .lexicon import TAPES
 
@@ -54,7 +54,10 @@ class DuplicateRuleName(GrammarError):
 
 @dataclass(frozen=True)
 class Guards:
-    """Variable constraints collected from a rule's where-clause."""
+    """Variable constraints collected from a rule's where-clause: class
+    domains, `aligned` and `feat` guards, and `!=` guards, whose other
+    operand is a variable or an alphabet symbol. A `!=` guard is symmetric,
+    and forbids a value once its operand is known (`excluded`)."""
 
     allowed: Dict[str, FrozenSet[str]] = field(default_factory=dict)
     diseq: Tuple[Tuple[str, str, bool], ...] = ()   # (var, other, other_is_var)
@@ -62,22 +65,33 @@ class Guards:
     feats: Tuple[Tuple[str, str, str], ...] = ()    # (tape, attr, value)
 
     def permits(self, var: str, sym: str, bindings: Bindings) -> bool:
+        """May `var` take `sym` under `bindings`? Allocates nothing when
+        the rule has no != guard."""
         dom = self.allowed.get(var)
         if dom is not None and sym not in dom:
             return False
+        return not self.diseq or sym not in self.excluded(var, bindings)
+
+    def excluded(self, var: str, bindings: Bindings) -> Tuple[str, ...]:
+        """The symbols the != guards forbid `var` under `bindings`, in
+        guard order: each literal operand, and each variable operand that
+        is bound."""
+        out = []
         for v, other, other_is_var in self.diseq:
             if v == var:
                 target = bindings.get(other) if other_is_var else other
-                if target is not None and sym == target:
-                    return False
             elif other_is_var and other == var:
                 target = bindings.get(v)
-                if target is not None and sym == target:
-                    return False
-        return True
+            else:
+                continue
+            if target is not None:
+                out.append(target)
+        return tuple(out)
 
-    def domain(self, var: str) -> Optional[FrozenSet[str]]:
-        return self.allowed.get(var)
+    def named(self) -> FrozenSet[str]:
+        """The variables a != guard names, on either side."""
+        return frozenset([v for v, _, _ in self.diseq]
+                         + [o for _, o, is_var in self.diseq if is_var])
 
 
 # A context pattern is either WILDCARD or a sequence of items
@@ -184,8 +198,10 @@ def match_slot(pat: Slot, sym: Optional[str], bindings: Bindings,
     return out
 
 
-def match_tuple(pat: TuplePattern, tup: LexTuple, bindings: Bindings,
-                guards: Guards) -> Optional[Bindings]:
+def match_tuple(pat: Sequence[Slot], tup: Sequence[Optional[str]],
+                bindings: Bindings, guards: Guards) -> Optional[Bindings]:
+    """Match a slot-pattern sequence against a symbol sequence of the same
+    length, slot by slot: a lexical tuple, or a surface segment."""
     if len(pat) != len(tup):
         return None
     b = bindings
@@ -284,23 +300,21 @@ def match_context(pat: ContextPattern, segment: Sequence, bindings: Bindings,
 
 
 def match_record_pattern(pat: RecordPattern, record, bindings: Bindings,
-                         guards: Guards, names_equal=None) -> Optional[Bindings]:
+                         guards: Guards, same_rule) -> Optional[Bindings]:
     """Match one PLC/PRC record pattern against a PartitionRecord-like object
-    (anything exposing .rule_name, .surf_seg and .lex_seg)."""
-    if pat.rule_name != WILDCARD:
-        if names_equal is None:
-            if pat.rule_name != record.rule_name:
-                return None
-        elif not names_equal(pat.rule_name, record.rule_name):
-            return None
+    (anything exposing .rule_name, .surf_seg and .lex_seg). A named pattern
+    takes a record of that rule under any of its names (`same_rule`, the
+    grammar's Grammar.same_rule). Its surface matches the record's whole
+    surface segment and its lexical tuple the record's one lexical tuple;
+    `*` in either place matches anything."""
+    if pat.rule_name != WILDCARD and not same_rule(pat.rule_name,
+                                                   record.rule_name):
+        return None
     b = bindings
     if pat.surf != (ANY,):
-        if len(record.surf_seg) != len(pat.surf):
+        b = match_tuple(pat.surf, record.surf_seg, b, guards)
+        if b is None:
             return None
-        for p, s in zip(pat.surf, record.surf_seg):
-            b = match_slot(p, s, b, guards)
-            if b is None:
-                return None
     if pat.lex == (ANY,):
         return b
     if len(record.lex_seg) != 1:
@@ -309,16 +323,19 @@ def match_record_pattern(pat: RecordPattern, record, bindings: Bindings,
 
 
 def match_partition_context(pat: ContextPattern, records: Sequence,
-                            bindings: Bindings, guards: Guards = Guards(),
-                            names_equal=None) -> Optional[Bindings]:
+                            bindings: Bindings, guards: Guards,
+                            same_rule) -> Optional[Bindings]:
     """Match a partition left context (PLC) against the PartitionRecords
-    made so far. A PRC is matched record by record as the records are made,
-    as the record patterns of a deferred obligation (engine.Obligation)."""
+    made so far: each record pattern against one record
+    (match_record_pattern, with the grammar's `same_rule`), ellipsis groups
+    anchored as in any left context. A PRC is matched record by record as
+    the records are made, as the record patterns of a deferred obligation
+    (engine.Obligation)."""
     if pat == WILDCARD:
         return bindings
 
     def item(p, rec, b, g):
-        return match_record_pattern(p, rec, b, g, names_equal)
+        return match_record_pattern(p, rec, b, g, same_rule)
 
     return _match_left(pat, records, bindings, guards, item)
 
@@ -332,20 +349,32 @@ def slot_vars(slot: Slot):
         yield slot[1]
 
 
-def context_vars(pat, lexical: bool):
+def context_vars(pat):
+    """The variables of a context's items: surface slots, lexical tuples or
+    record patterns."""
     if pat == WILDCARD:
         return
     for item in pat:
-        if item == ELLIPSIS:
-            continue
         if isinstance(item, RecordPattern):
-            for s in item.surf + item.lex:
-                yield from slot_vars(s)
-        elif lexical:
-            for s in item:
-                yield from slot_vars(s)
-        else:
-            yield from slot_vars(item)
+            slots = item.surf + item.lex
+        elif isinstance(item[0], tuple):          # a lexical tuple
+            slots = item
+        else:                                     # a surface slot, ELLIPSIS
+            slots = (item,)
+        for s in slots:
+            yield from slot_vars(s)
+
+
+def rule_vars(rule) -> Set[str]:
+    """Every variable a two-level or error rule uses in its expressions
+    and contexts."""
+    if isinstance(rule, ErrorRule):
+        slots, contexts = rule.err + rule.corr, (rule.plc, rule.prc)
+    else:
+        slots = rule.surf + tuple(s for tup in rule.lex for s in tup)
+        contexts = (rule.lsc, rule.rsc, rule.llc, rule.rlc)
+    return {v for s in slots for v in slot_vars(s)} | {
+        v for pat in contexts for v in context_vars(pat)}
 
 
 class RulePlan:
@@ -389,8 +418,7 @@ class RulePlan:
         self.rule = rule
         self.width = len(rule.lex) * n
         lex_vars = {v for tup in rule.lex for s in tup for v in slot_vars(s)}
-        left_vars = set(context_vars(rule.llc, lexical=True))
-        left_vars.update(context_vars(rule.lsc, lexical=False))
+        left_vars = set(context_vars(rule.llc)) | set(context_vars(rule.lsc))
         linked = any(
             is_var and ({v, other} & lex_vars) and ({v, other} & left_vars)
             for v, other, is_var in guards.diseq)
@@ -402,14 +430,13 @@ class RulePlan:
         self.surf_lit = head[1] if head[0] == "lit" else None
         self.surf_var = head[1] if head[0] == "var" else None
         self.surf_domain = guards.allowed.get(self.surf_var)
-        in_context = left_vars | set(context_vars(rule.rsc, lexical=False)) \
-            | set(context_vars(rule.rlc, lexical=True))
+        in_context = left_vars | set(context_vars(rule.rsc)) \
+            | set(context_vars(rule.rlc))
         for v, tape in guards.aligned:
             if tape not in TAPES:
                 raise GrammarError(
                     f"rule {rule.name}: aligned({v}, {tape}) names no tape")
-        named = {v for v, _, _ in guards.diseq}
-        named.update(o for _, o, is_var in guards.diseq if is_var)
+        named = guards.named()
         guarded = named | {v for v, _ in guards.aligned}
         self.prebind = self.surf_var if (
             self.surf_var is not None

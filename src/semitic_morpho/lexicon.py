@@ -67,14 +67,6 @@ class LexiconTree:
                 if not in_order:
                     node.edges = dict(sorted(node.edges.items()))
             node = child
-        for other in node.entries:
-            if other.id == entry.id:
-                if other.features != entry.features:
-                    raise DuplicateEntry(
-                        f"entry {entry.id!r} on tape {entry.tape!r} redefined "
-                        f"with conflicting features"
-                    )
-                raise DuplicateEntry(f"duplicate entry {entry.id!r} on tape {entry.tape!r}")
         node.entries.append(entry)
         self.entries.append(entry)
 
@@ -94,9 +86,13 @@ class Lexicon:
         return self.trees[tape]
 
     def add(self, entry: MorphemeEntry) -> None:
+        """Add an entry; an id names one entry per tape (DuplicateEntry)."""
         key = (entry.tape, entry.id)
+        if key in self.by_id:
+            raise DuplicateEntry(
+                f"duplicate entry {entry.id!r} on tape {entry.tape!r}")
         self.trees[entry.tape].insert(entry)
-        self.by_id.setdefault(key, entry)
+        self.by_id[key] = entry
         self.revision += 1
 
     def entry(self, tape: str, entry_id: str) -> Optional[MorphemeEntry]:

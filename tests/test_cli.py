@@ -250,6 +250,18 @@ def test_bad_lexicon_kind_exit_code(tmp_path, capsys):
     assert "line 1" in err and "prefx" in err
 
 
+def test_duplicate_lexicon_id_exit_code(tmp_path, capsys):
+    path = tmp_path / "dup.lex"
+    path.write_text("root\tktb\tid=x\nroot\tdrs\tid=x\n"
+                    "pattern\tc1v1c2v2c3\tid=M1\nvocalism\ta\n",
+                    encoding="utf-8")
+    code, out, err = _run_failing(capsys, "--lexicon", str(path), "analyze",
+                                  "daras")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "duplicate entry 'x'" in err
+
+
 def test_data_dir_override_missing_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("SEMITIC_MORPHO_DATA", "/nonexistent")
     code, out, err = _run_failing(capsys, "verify")

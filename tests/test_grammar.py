@@ -10,7 +10,7 @@ from semitic_morpho.grammar import (ANY, ELLIPSIS, EPS, WILDCARD,
                                     UndeclaredClass,
                                     match_context, match_lex,
                                     match_partition_context,
-                                    match_record_pattern)
+                                    match_record_pattern, rule_vars)
 from semitic_morpho.lexicon import load_lexicon
 
 MICRO_HEADER = "class vowel = {a, i, u}\nclass cons = {b, d, k, t}\n"
@@ -52,6 +52,42 @@ def test_ellipsis_in_rlc_rejected():
         "rule R1: * - X - * => * - X - (b, 0, 0) ...\n"
     with pytest.raises(RuleSyntaxError):
         parse_grammar(text)
+
+
+@pytest.mark.parametrize("operand", ["zz", "0", "*"])
+def test_inequality_operand_is_a_variable_or_symbol(operand):
+    text = MICRO_HEADER + \
+        f"rule R1: * - X - * => * - X - * where X != {operand}\n"
+    with pytest.raises(RuleSyntaxError) as exc:
+        parse_grammar(text)
+    assert (exc.value.line, exc.value.column) == (3, 44)
+
+
+def test_inequality_operands_parsed():
+    g = parse_grammar(MICRO_HEADER + "rule R1: * - X Y - * => * - X Y - * "
+                      "where X != Y, X != +, Y != a\n")
+    assert g.rules[0].guards.diseq == (("X", "Y", True), ("X", "+", False),
+                                       ("Y", "a", False))
+
+
+@pytest.mark.parametrize("contexts, column", [
+    ("{ * - [*, *, *] ... }", 34),     # an ellipsis in a PRC
+    ("{ [*, *, *] * - * }", 30),       # a '*' not alone in a PLC
+])
+def test_partition_context_errors_have_position(contexts, column):
+    text = MICRO_HEADER + f"erule E: X => 0  {contexts}  reap=n\n"
+    with pytest.raises(RuleSyntaxError) as exc:
+        parse_grammar(text)
+    assert (exc.value.line, exc.value.column) == (3, column)
+
+
+def test_rule_vars_of_both_rule_kinds():
+    g = parse_grammar(MICRO_HEADER + (
+        "rule R1: L - X - *  =>  (P, 0, 0) ... - (Q, X, 0) - (R, 0, 0)  "
+        "where cons(X)\n"
+        "erule E: X Y => Z  { [*, U, *] ... - [*, *, (V, 0, 0)] }  reap=n\n"))
+    assert rule_vars(g.rules[0]) == {"L", "X", "P", "Q", "R"}
+    assert rule_vars(g.erules[0]) == {"X", "Y", "Z", "U", "V"}
 
 
 def test_undeclared_class():
@@ -197,6 +233,17 @@ def test_match_lex_eps_mismatch():
     assert got is None
 
 
+def test_guards_excluded_by_inequality():
+    guards = Guards(diseq=(("X", "Y", True), ("X", "+", False)))
+    assert guards.excluded("X", {"Y": "a"}) == ("a", "+")
+    assert guards.excluded("Y", {"X": "b"}) == ("b",)
+    assert guards.excluded("X", {}) == ("+",)
+    assert guards.excluded("Y", {}) == ()
+    assert guards.named() == {"X", "Y"}
+    assert not guards.permits("X", "+", {})
+    assert guards.permits("Y", "+", {"X": "b"})
+
+
 def test_match_context_wildcard():
     assert match_context(WILDCARD, [("a", None, None)], {}) == {}
 
@@ -245,12 +292,13 @@ def test_match_partition_context_e0(grammar):
         _Rec("R1", ("H",), (("c2", "H", None),)),
     ]
     got = match_partition_context(e0.plc, records, {}, e0.guards,
-                                  names_equal=grammar.same_rule)
+                                  grammar.same_rule)
     assert got == {"X": "u"}
 
 
-def test_match_partition_context_wildcard_empty():
-    assert match_partition_context(WILDCARD, [], {}) == {}
+def test_match_partition_context_wildcard_empty(grammar):
+    assert match_partition_context(WILDCARD, [], {}, Guards(),
+                                   grammar.same_rule) == {}
 
 
 def test_match_record_pattern_e4_prc_named(grammar):

@@ -112,6 +112,15 @@ def test_duplicate_entry_conflicting_features():
         load_lexicon(text)
 
 
+def test_duplicate_id_with_another_form():
+    # an id names one entry per tape, whatever the entries' forms
+    with pytest.raises(DuplicateEntry, match="'x' on tape 'root'"):
+        load_lexicon("root\tktb\tid=x\nroot\tdrs\tid=x\n")
+    lex = load_lexicon("root\tktb\tid=x\nvocalism\ta\tid=x\n")
+    assert lex.entry("root", "x").body == ("k", "t", "b")
+    assert lex.entry("vocalism", "x").body == ("a",)
+
+
 def test_form_constraints():
     with pytest.raises(Exception):
         load_lexicon("root\t\t\t\n")
