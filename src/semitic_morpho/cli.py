@@ -90,8 +90,9 @@ def _candidate_json(c: CorrectionCandidate) -> dict:
 
 
 def _print_json(payload) -> None:
-    json.dump(payload, sys.stdout, indent=2, sort_keys=False)
-    sys.stdout.write("\n")
+    """One write per document: with `indent`, json.dump writes token by
+    token, and each write is a system call on unbuffered output."""
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _decode_or_fail(word: str):

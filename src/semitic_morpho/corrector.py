@@ -105,8 +105,7 @@ def try_error_rules(ctx: _SearchContext, state: SearchState) -> List[SearchState
             word=state.word,
             spliced=splice + state.spliced[len(rule.err):],
             records=state.records + (record,),
-            lex_tuples=state.lex_tuples,
-            surface_out=state.surface_out,
+            history=state.history,
             free_vars=state.free_vars,
             obligations=tuple(pending),
             budget=1 if rule.reap else 2,

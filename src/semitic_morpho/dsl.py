@@ -200,13 +200,11 @@ def _parse_record_pattern(cur: _Cursor) -> RecordPattern:
     else:
         surf = (_slot_from_token(surf_tok),)
     cur.expect(",")
-    if cur.peek() == "(":
-        lex = _parse_tuple(cur)
-    elif cur.peek() == "*":
+    if cur.peek() == "*":
         cur.next()
         lex = (ANY,)
     else:
-        lex = _expand_shorthand(_slot_from_token(cur.next()))
+        lex = _parse_lex_item(cur)
     cur.expect("]")
     return RecordPattern(rule_name=name, surf=surf, lex=lex)
 

@@ -16,15 +16,20 @@ the record keeps what it consumed and spliced, and Analysis.errors is read
 from the records. Searches in both modes take rule dispatch and trie
 walks from a step memo per (grammar, lexicon) pair, keyed by all they read. A
 scripted tape reads its current morpheme's form along a one-path trie, so
-what it offers a walk is that form and the offset into it.
+what it offers a walk is that form and the offset into it. The lexical
+tuples and surface a partition has consumed are one history node per
+partition prefix, interned per search, so equal histories are one object:
+each node caches the verdicts of the left contexts matched before the
+tries are walked, dispatch drops the rules whose verdict fails, and the
+failure table names a history by its node.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from dataclasses import dataclass, field
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from .alphabet import BOUNDARY, SymbolString, slot_index
 from .features import FeatureStructure, restrict, unify_all
@@ -45,8 +50,7 @@ class UnknownMorpheme(EngineError):
     pass
 
 
-@dataclass(frozen=True)
-class PartitionRecord:
+class PartitionRecord(NamedTuple):
     rule_name: str
     surf_seg: Tuple[str, ...]            # corrected-surface content
     lex_seg: Tuple[LexTuple, ...]        # consumed lexical tuples
@@ -178,8 +182,7 @@ class TapeState:
 # ---------------------------------------------------------------------------
 # deferred obligations
 
-@dataclass(frozen=True)
-class Obligation:
+class Obligation(NamedTuple):
     """Right contexts and feature guards of a rule applied (or, for a
     watch, applicable) at one record, pending the material that decides
     them.
@@ -226,6 +229,53 @@ def _feed_queues(queues, material, bindings: Bindings, guards: Guards):
 # search state
 
 
+class History:
+    """The lexical tuples and surface a partition prefix has consumed: its
+    parent's, then the segments of its last record that consumed any.
+
+    A search interns its nodes by (parent, segments)
+    (_SearchContext.history), so equal histories made the same way are one
+    object. `verdicts` caches, per plan, the left-context bindings matched
+    at this history with no bindings given, or None when they fail
+    (_verdict); it is made on first use, as are the flattened histories.
+    """
+
+    __slots__ = ("parent", "lex_seg", "surf_seg", "verdicts", "flat")
+
+    def __init__(self, parent: Optional["History"] = None,
+                 lex_seg: Tuple[LexTuple, ...] = (),
+                 surf_seg: Tuple[str, ...] = ()):
+        self.parent = parent
+        self.lex_seg = lex_seg
+        self.surf_seg = surf_seg
+        self.verdicts: Optional[Dict[RulePlan, Optional[Bindings]]] = None
+        self.flat: Optional[Tuple[tuple, tuple]] = None
+
+    def lexical(self) -> Tuple[LexTuple, ...]:
+        """Every lexical tuple consumed, in order."""
+        return self._flatten()[0]
+
+    def surface(self) -> Tuple[str, ...]:
+        """The corrected (or generated) surface consumed, in order."""
+        return self._flatten()[1]
+
+    def _flatten(self) -> Tuple[tuple, tuple]:
+        """(lexical(), surface()), kept on this node and on each ancestor
+        flattened on the way."""
+        if self.flat is None:
+            unflat = []
+            node = self
+            while node is not None and node.flat is None:
+                unflat.append(node)
+                node = node.parent
+            lex, surf = ((), ()) if node is None else node.flat
+            for node in reversed(unflat):
+                lex += node.lex_seg
+                surf += node.surf_seg
+                node.flat = (lex, surf)
+        return self.flat
+
+
 @dataclass(slots=True)
 class SearchState:
     """One node of the partition search. In analysis the unread surface is
@@ -233,14 +283,13 @@ class SearchState:
     front of the input, as symbols and ungrounded FreeRefs, and `pos`
     counts the input symbols consumed. Rules and error rules read only from
     the front, and error rules splice only there. `word` is None in
-    generation."""
+    generation. `history` holds the lexical tuples and surface consumed."""
 
     tapes: Tuple[TapeState, ...]
     word: Optional[SymbolString]
     spliced: Tuple[object, ...] = ()
     records: Tuple[PartitionRecord, ...] = ()
-    lex_tuples: Tuple[LexTuple, ...] = ()            # non-empty lex history
-    surface_out: Tuple[str, ...] = ()                # corrected surface so far
+    history: History = field(default_factory=History)
     free_vars: Tuple[Tuple[int, str], ...] = ()      # (ref id, symbol) log
     obligations: Tuple[Obligation, ...] = ()
     budget: int = 0                                   # 0 none, 1 reap chain, 2 spent
@@ -319,6 +368,10 @@ class StepMemo:
              reached per read tape, symbols consumed per tape, lexical
              tuples, bindings added); see _advance_tapes
     paths    form -> the root of the one-path trie that spells it
+    watches  (plan, lexical segment of a record it made) -> the watch rules
+             whose lexical expression matches the segment, each with the
+             bindings of that match, in plan.watch order; see
+             _scan_coercions
     lex_cap  the longest lexical-only run a partition may make
     """
 
@@ -331,6 +384,7 @@ class StepMemo:
         self.by_mask: Dict[int, Tuple[RulePlan, ...]] = {}
         self.walks: Dict[tuple, tuple] = {}
         self.paths: Dict[SymbolString, Node] = {}
+        self.watches: Dict[tuple, tuple] = {}
         self.lex_cap = lexicon.max_entry_length() + 4
 
     def mask(self, admits) -> int:
@@ -373,7 +427,8 @@ def step_memo(grammar: Grammar, lexicon: Lexicon) -> StepMemo:
 
 class _SearchContext:
     """What one search reads: the grammar, the lexicon and its step memo,
-    and the rules it may apply."""
+    and the rules it may apply; and the tables that intern the search's
+    histories and morpheme tuples, which live as long as it does."""
 
     def __init__(self, grammar: Grammar, lexicon: Lexicon,
                  skip_rules: FrozenSet[str] = frozenset()):
@@ -384,6 +439,27 @@ class _SearchContext:
         # the compiled rules this search may apply
         self.allowed = self.memo.mask(
             lambda plan: plan.rule.name not in skip_rules)
+        self.histories: Dict[tuple, History] = {}
+        self.morpheme_tuples: Dict[tuple, Tuple[MorphemeEntry, ...]] = {}
+
+    def history(self, parent: History, lex_seg: Tuple[LexTuple, ...],
+                surf_seg: Tuple[str, ...]) -> History:
+        """`parent` extended by a record's segments: the one node of this
+        search for them, or `parent` itself when they are empty."""
+        if not lex_seg and not surf_seg:
+            return parent
+        key = (parent, lex_seg, surf_seg)
+        node = self.histories.get(key)
+        if node is None:
+            node = self.histories[key] = History(parent, lex_seg, surf_seg)
+        return node
+
+    def morphemes(self, entries: Tuple[MorphemeEntry, ...]
+                  ) -> Tuple[MorphemeEntry, ...]:
+        """The one tuple of this search that holds `entries`, by entry
+        identity."""
+        return self.morpheme_tuples.setdefault(tuple(map(id, entries)),
+                                               entries)
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +657,8 @@ def _feed_obligations(ctx: _SearchContext, obligations: Sequence[Obligation],
     record's material, then match its first pending record pattern against
     the record. A mismatch drops a watch, and kills the branch (None) for
     an own obligation."""
+    if not obligations:
+        return []
     material = consumed + (surf_syms,)
     fed_obls = []
     for o in obligations:
@@ -620,6 +698,8 @@ def _settle(obligations: Sequence[Obligation],
     the branch dies. A failed requirement kills an own obligation and voids
     a watch; complete contexts with holding requirements meet an own
     obligation and let a watch kill the branch."""
+    if not obligations:
+        return ()
     pending = []
     for o in obligations:
         holds = _requirements_hold(o, tapes)
@@ -639,15 +719,23 @@ def _scan_coercions(ctx: _SearchContext, state: SearchState,
                     plan: RulePlan) -> List[Obligation]:
     """Watches for every obligatory rule the record, freshly made by
     `plan`'s rule, could violate: its lexical side and left contexts match,
-    its surface differs."""
+    its surface differs.
+
+    The lexical matches come from the step memo."""
     if not record.lex_seg:
         return []
+    key = (plan, record.lex_seg)
+    matches = ctx.memo.watches.get(key)
+    if matches is None:
+        found = []
+        for rule in plan.watch:
+            b = match_lex(rule.lex, record.lex_seg, {}, rule.guards)
+            if b is not None:
+                found.append((rule, b))
+        matches = ctx.memo.watches[key] = tuple(found)
     watches = []
-    for rule in plan.watch:
+    for rule, b in matches:
         if rule.name in ctx.skip_rules:
-            continue
-        b = match_lex(rule.lex, record.lex_seg, {}, rule.guards)
-        if b is None:
             continue
         b = _match_left_contexts(ctx.grammar.plans[rule.name], state, b)
         if b is None:
@@ -668,29 +756,40 @@ def _affix_order_ok(prior: Tuple[MorphemeEntry, ...], entry: MorphemeEntry) -> b
     return all(e.kind != "suffix" for e in prior)
 
 
-def _commit_morphemes(ctx: _SearchContext, tapes: List[TapeState]):
-    """Resolve tapes sitting on entry terminals into entry choices.
+def _commit_morphemes(ctx: _SearchContext, tapes: List[TapeState],
+                      read: Tuple[int, ...]) -> List[Tuple[TapeState, ...]]:
+    """Resolve the tapes in `read` that sit on entry terminals into entry
+    choices.
 
-    Yields fully committed tape tuples (choice points over homographs),
-    filtered by affix ordering.
+    Returns the fully committed tape tuples (choice points over homographs,
+    in tape order), filtered by affix ordering. Only a tape a step read can
+    sit on a terminal: the step that reaches one commits it.
     """
-    options: List[List[TapeState]] = []
-    for ti, tape in enumerate(tapes):
+    options: List[Tuple[int, List[TapeState]]] = []
+    for ti in read:
+        tape = tapes[ti]
         entries = tape.cursor.terminal_entries()
         if not entries:
-            options.append([tape])
             continue
         choices = []
         for entry in entries:
             if ti == PATTERN and not _affix_order_ok(tape.morphemes, entry):
                 continue
-            choices.append(TapeState(cursor=tape.cursor.reset(),
-                                     morphemes=tape.morphemes + (entry,)))
+            choices.append(TapeState(
+                cursor=tape.cursor.reset(),
+                morphemes=ctx.morphemes(tape.morphemes + (entry,))))
         if not choices:
-            return
-        options.append(choices)
-    for combo in itertools.product(*options):
-        yield tuple(combo)
+            return []
+        options.append((ti, choices))
+    if not options:
+        return [tuple(tapes)]
+    out = []
+    for combo in itertools.product(*[choices for _, choices in options]):
+        committed = list(tapes)
+        for (ti, _), tape in zip(options, combo):
+            committed[ti] = tape
+        out.append(tuple(committed))
+    return out
 
 
 def _stem_ok(ctx: _SearchContext, before: Sequence[TapeState],
@@ -721,13 +820,36 @@ def _match_left_contexts(plan: RulePlan, state: SearchState,
                          bindings: Bindings) -> Optional[Bindings]:
     guards = plan.rule.guards
     if plan.llc != WILDCARD:
-        bindings = match_context(plan.llc, state.lex_tuples, bindings, guards)
+        bindings = match_context(plan.llc, state.history.lexical(), bindings,
+                                 guards)
         if bindings is None:
             return None
     if plan.lsc != WILDCARD:
-        bindings = match_context(plan.lsc, state.surface_out, bindings,
+        bindings = match_context(plan.lsc, state.history.surface(), bindings,
                                  guards, lexical=False)
     return bindings
+
+
+_UNSEEN = object()
+
+
+def _verdict(plan: RulePlan, state: SearchState) -> Optional[Bindings]:
+    """The bindings of a hoisted plan's left contexts at `state`, matched
+    with none given, or None when they fail. They read the history alone,
+    so the verdict is cached on its node; callers copy it before they bind.
+    A plan without left contexts binds nothing."""
+    if not plan.left:
+        return {}
+    history = state.history
+    verdicts = history.verdicts
+    if verdicts is None:
+        verdicts = history.verdicts = {}
+    else:
+        verdict = verdicts.get(plan, _UNSEEN)
+        if verdict is not _UNSEEN:
+            return verdict
+    verdict = verdicts[plan] = _match_left_contexts(plan, state, {})
+    return verdict
 
 
 def apply_rule(ctx: _SearchContext, state: SearchState,
@@ -741,7 +863,7 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
     plan = ctx.grammar.plans[rule.name]
     start: Bindings = {}
     if plan.hoisted:
-        start = _match_left_contexts(plan, state, start)
+        start = _verdict(plan, state)
         if start is None:
             return
     var = plan.surf_var
@@ -758,6 +880,7 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
                 # no != guard names a pre-bound variable
                 start = dict(start)
                 start[var] = head
+    read = plan.read_tapes
     for cursors, consumed, lex_tuples, b in _advance_tapes(ctx, plan, state,
                                                            start):
         if not plan.hoisted:
@@ -783,7 +906,7 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
             if grounded:
                 spliced = _ground(spliced, grounded)
                 free_vars += tuple(grounded.items())
-        total_consumed = sum(len(c) for c in consumed)
+        total_consumed = sum(map(len, consumed))
         nonconsuming = total_consumed == 0 and not surf_syms
         if nonconsuming and state.last_nonconsuming:
             continue
@@ -794,14 +917,8 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
             if lex_run > ctx.memo.lex_cap:
                 continue
 
-        record = PartitionRecord(
-            rule_name=rule.name,
-            surf_seg=surf_syms,
-            lex_seg=lex_tuples,
-            pos=state.pos,
-        )
-        tapes_mid = [TapeState(cursor=c, morphemes=t.morphemes)
-                     for c, t in zip(cursors, state.tapes)]
+        record = PartitionRecord(rule.name, surf_syms, lex_tuples,
+                                 pos=state.pos)
         pending = _feed_obligations(ctx, state.obligations, consumed,
                                     surf_syms, record)
         if pending is None:
@@ -809,8 +926,12 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
         pending += _scan_coercions(ctx, state, record, plan)
         if rule.rlc != WILDCARD or rule.rsc != WILDCARD or rule.guards.feats:
             pending.append(_obligation(ctx, state, rule, b))
+        tapes_mid = list(state.tapes)
+        for ti in read:
+            tapes_mid[ti] = TapeState(cursors[ti], tapes_mid[ti].morphemes)
+        history = ctx.history(state.history, lex_tuples, surf_syms)
 
-        for tapes_after in _commit_morphemes(ctx, tapes_mid):
+        for tapes_after in _commit_morphemes(ctx, tapes_mid, read):
             obligations = _settle(pending, tapes_after)
             if obligations is None:
                 continue
@@ -821,8 +942,7 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
                 word=state.word,
                 spliced=spliced,
                 records=state.records + (record,),
-                lex_tuples=state.lex_tuples + record.lex_seg,
-                surface_out=state.surface_out + surf_syms,
+                history=history,
                 free_vars=free_vars,
                 obligations=obligations,
                 budget=state.budget,
@@ -844,13 +964,12 @@ def _complete(state: SearchState) -> bool:
                     for tape in state.tapes for e in tape.morphemes))
 
 
-def _successors(ctx: _SearchContext, state: SearchState,
-                error_step) -> Iterator[SearchState]:
-    """Rule successors in grammar order, then error successors.
-
-    A rule whose first surface slot cannot take the surface head, or whose
-    first lexical tuple needs an edge a cursor lacks, is not tried. Both
-    tests are bitmasks from the step memo.
+def _dispatch(ctx: _SearchContext, state: SearchState
+              ) -> Tuple[Optional[str], Tuple[RulePlan, ...]]:
+    """The grounded surface head (None in generation, at the end of the
+    input or on a FreeRef), and the plans in grammar order whose first
+    surface slot can take it and whose first lexical tuple finds the edges
+    it needs on every cursor. Both tests are bitmasks from the step memo.
     """
     memo = ctx.memo
     mask = ctx.allowed
@@ -870,11 +989,32 @@ def _successors(ctx: _SearchContext, state: SearchState,
             m = masks[node] = memo.mask(
                 lambda plan: plan.admits_edges(ti, node.edges))
         mask &= m
-    for plan in memo.plans_in(mask):
+    return head, memo.plans_in(mask)
+
+
+def _successors(ctx: _SearchContext, state: SearchState,
+                error_step) -> Iterator[SearchState]:
+    """Rule successors in grammar order, then error successors.
+
+    Of the plans _dispatch admits, a rule is not tried when a tape it reads
+    the pre-bound head from lacks the head's edge, when its hoisted left
+    contexts fail at this history, or when they bind its first surface
+    variable to a symbol other than the head: apply_rule would yield
+    nothing for it.
+    """
+    head, plans = _dispatch(ctx, state)
+    for plan in plans:
         if head is not None and plan.prebind_tapes and any(
                 head not in state.tapes[ti].cursor.node.edges
                 for ti in plan.prebind_tapes):
             continue
+        if plan.left and plan.hoisted:
+            start = _verdict(plan, state)
+            if start is None:
+                continue
+            if head is not None and plan.surf_var is not None and \
+                    start.get(plan.surf_var, head) != head:
+                continue
         yield from apply_rule(ctx, state, plan.rule)
     # no error rule applies once the budget is spent
     if error_step is not None and state.budget != 2:
@@ -889,8 +1029,13 @@ def _table_key(state: SearchState, ids: Dict[object, int]) -> tuple:
     follows from `pos`, and the input is one word per search. A FreeRef
     there (always ungrounded) keeps its first-occurrence index, domain and
     exclusions, so a shared ref stays shared and the global ref numbering
-    drops out. Morphemes, trie nodes and guards are named by identity (they
-    live as long as the grammar and lexicon).
+    drops out. Trie nodes and guards are named by identity (they live as
+    long as the grammar and lexicon). The history is named by its node and
+    each tape's morphemes by their tuple, both interned per search
+    (_SearchContext) and alive as long as it. Identity implies equal
+    content, so a hit is a hit of the content key; interning makes one
+    object of equal content split into the same records, so the identity
+    key misses a content hit only across different splits.
     `records` is left out: only error rules read records, through their
     partition left contexts, and no error rule is tried once the budget is
     spent. A pending PRC reads the records to come, and it is in the key
@@ -902,14 +1047,13 @@ def _table_key(state: SearchState, ids: Dict[object, int]) -> tuple:
         spliced.append((first.setdefault(item.ref_id, len(spliced)),
                         item.domain, item.excluded)
                        if isinstance(item, FreeRef) else item)
-    tapes = tuple([(id(t.cursor.node), tuple(map(id, t.morphemes)))
+    tapes = tuple([(id(t.cursor.node), id(t.morphemes))
                    for t in state.tapes])
     deferred = tuple([(o.queues, o.bindings, id(o.guards), o.feats,
                        o.coerces, o.records) for o in state.obligations])
-    parts = (tuple(spliced), tapes, state.lex_tuples, state.surface_out,
-             deferred)
+    parts = (tuple(spliced), tapes, deferred)
     return tuple([ids.setdefault(p, len(ids)) for p in parts]) + (
-        state.pos, state.lex_run, state.last_nonconsuming)
+        state.history, state.pos, state.lex_run, state.last_nonconsuming)
 
 
 def _search(ctx: _SearchContext, roots: Iterable[SearchState],
@@ -925,10 +1069,12 @@ def _search(ctx: _SearchContext, roots: Iterable[SearchState],
     With an error step, the search tables failed budget-spent states: a
     state whose budget is spent and whose subtree yielded no complete state
     has its key (`_table_key`) recorded, and a later state with the same
-    key is not expanded. This is exact. Skipping a subtree that yields
-    nothing leaves the sequence of yielded states, hence candidates, ranks
-    and analysis order, unchanged. Searches without an error step do no
-    work for the table.
+    key is not expanded. This is exact. Two states with one key read the
+    same history node, morpheme tuples and everything else their subtrees
+    read, so the later subtree yields nothing either; and skipping a
+    subtree that yields nothing leaves the sequence of yielded states,
+    hence candidates, ranks and analysis order, unchanged. Searches without
+    an error step do no work for the table.
     """
     stack: List[Iterator[SearchState]] = [iter(roots)]
     # budget-spent frames on the stack as (depth, key, yields before the
@@ -990,7 +1136,7 @@ def to_analysis(ctx: _SearchContext, state: SearchState) -> Analysis:
                     tuple(free.get(c.ref_id, "?") if isinstance(c, FreeRef)
                           else c for c in r.corr))
                    for r in state.records if r.error_origin is not None)
-    return Analysis(surface=state.surface_out, records=state.records,
+    return Analysis(surface=state.history.surface(), records=state.records,
                     morphemes=morphemes, stems=stems, errors=errors)
 
 
@@ -1073,4 +1219,4 @@ def scripted_surfaces(scripts: Dict[str, Sequence[MorphemeEntry]],
         word=None,
     )
     for s in _search(ctx, [initial]):
-        yield s.surface_out
+        yield s.history.surface()

@@ -390,6 +390,7 @@ class RulePlan:
                  matched after each lexical advance: an ellipsis group
                  commits to its nearest match, and bindings can move it.
     llc, lsc     the left contexts, split at their ellipses, or WILDCARD.
+    left         whether either left context is not WILDCARD.
     surf_lit     the first surface slot's literal, or None.
     surf_var     the first surface slot's variable, or None, and its
     surf_domain  class (None when unrestricted).
@@ -425,6 +426,7 @@ class RulePlan:
         self.hoisted = not (lex_vars & left_vars) and not linked
         self.llc = rule.llc if rule.llc == WILDCARD else split_left(rule.llc)
         self.lsc = rule.lsc if rule.lsc == WILDCARD else split_left(rule.lsc)
+        self.left = rule.llc != WILDCARD or rule.lsc != WILDCARD
 
         head = rule.surf[0] if rule.surf else ANY
         self.surf_lit = head[1] if head[0] == "lit" else None

@@ -181,6 +181,9 @@ def load_lexicon(text: str) -> Lexicon:
             gloss=gloss,
             kind=kind,
         )
-        lex.add(entry)
+        try:
+            lex.add(entry)
+        except DuplicateEntry as exc:
+            raise DuplicateEntry(f"line {lineno}: {exc}") from None
     lex.soft_attrs = frozenset(soft)
     return lex

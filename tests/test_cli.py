@@ -156,6 +156,32 @@ def test_stdin_batch(capsys, monkeypatch):
     assert lines[-1].startswith("kuttib:")
 
 
+class _CountingOut(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_json_is_one_write_per_document(monkeypatch):
+    # each write is a system call when standard output is unbuffered
+    out = _CountingOut()
+    monkeypatch.setattr("sys.stdout", out)
+    monkeypatch.setattr("sys.stdin", io.StringIO("ktb\nkatab\n"))
+    assert run(["--format", "json", "analyze", "--stdin"]) == 0
+    assert out.writes == 2
+    docs = out.getvalue().split("\n}\n")
+    assert len(docs) == 3 and docs[-1] == ""
+    expected = io.StringIO()
+    for doc in docs[:-1]:
+        json.dump(json.loads(doc + "\n}"), expected, indent=2)
+        expected.write("\n")
+    assert out.getvalue().encode() == expected.getvalue().encode()
+
+
 def test_grammar_lexicon_overrides(tmp_path, capsys):
     grammar_text = (
         "class lt = {a, b, k}\n"
@@ -258,8 +284,7 @@ def test_duplicate_lexicon_id_exit_code(tmp_path, capsys):
     code, out, err = _run_failing(capsys, "--lexicon", str(path), "analyze",
                                   "daras")
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "duplicate entry 'x'" in err
+    assert err == "error: line 2: duplicate entry 'x' on tape 'root'\n"
 
 
 def test_data_dir_override_missing_exit_code(capsys, monkeypatch):

@@ -5,9 +5,9 @@ import pytest
 
 from semitic_morpho.alphabet import LETTERS, decode, encode
 from semitic_morpho.dsl import parse_grammar
-from semitic_morpho.engine import (FreeRef, PartitionRecord, _table_key,
-                                   analysis_start, analyze, generate,
-                                   is_optional_deletion,
+from semitic_morpho.engine import (FreeRef, History, PartitionRecord,
+                                   _table_key, analysis_start, analyze,
+                                   generate, is_optional_deletion,
                                    optional_deletion_rules)
 from semitic_morpho.grammar import Grammar
 from semitic_morpho.lexicon import TAPES, load_lexicon
@@ -494,7 +494,12 @@ def test_micro_oracle_equivalence_with_coercion():
 # failure-table keys of budget-spent states
 
 
+# the history the states of one search start from
+ROOT_HISTORY = History()
+
+
 def _spent(grammar, lexicon, spliced, **fields):
+    fields.setdefault("history", ROOT_HISTORY)
     return dataclasses.replace(analysis_start(grammar, lexicon, ()),
                                spliced=spliced, budget=2, **fields)
 
@@ -513,6 +518,13 @@ def test_table_key_ignores_ref_numbering_records_and_error_apps(grammar,
                                  corr=(b,)),))
     ids = {}
     assert _table_key(first, ids) == _table_key(second, ids)
+
+
+def test_table_key_names_the_history_by_its_node(grammar, lexicon):
+    # equal content made apart is two nodes; a search interns its nodes
+    ids = {}
+    assert _table_key(_spent(grammar, lexicon, ()), ids) != \
+        _table_key(_spent(grammar, lexicon, (), history=History()), ids)
 
 
 def test_table_key_tells_a_shared_ref_from_two_refs(grammar, lexicon):

@@ -81,6 +81,17 @@ def test_partition_context_errors_have_position(contexts, column):
     assert (exc.value.line, exc.value.column) == (3, column)
 
 
+@pytest.mark.parametrize("item", ["0", "(0, 0, 0)"])
+def test_record_pattern_lexical_item_cannot_be_empty(item):
+    # no record's lexical tuple is empty on every tape, so such an item
+    # could match nothing
+    text = MICRO_HEADER + f"erule E: X => 0  {{ [*, *, {item}] ... - * }}  " \
+        "reap=n\n"
+    with pytest.raises(RuleSyntaxError, match="empty on every tape") as exc:
+        parse_grammar(text)
+    assert exc.value.line == 3
+
+
 def test_rule_vars_of_both_rule_kinds():
     g = parse_grammar(MICRO_HEADER + (
         "rule R1: L - X - *  =>  (P, 0, 0) ... - (Q, X, 0) - (R, 0, 0)  "

@@ -112,6 +112,12 @@ def test_duplicate_entry_conflicting_features():
         load_lexicon(text)
 
 
+def test_duplicate_id_error_names_its_line():
+    with pytest.raises(DuplicateEntry, match="^line 3: duplicate entry 'x' "
+                       "on tape 'root'$"):
+        load_lexicon("root\tktb\tid=x\n# drs\nroot\tdrs\tid=x\n")
+
+
 def test_duplicate_id_with_another_form():
     # an id names one entry per tape, whatever the entries' forms
     with pytest.raises(DuplicateEntry, match="'x' on tape 'root'"):

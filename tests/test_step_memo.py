@@ -259,7 +259,7 @@ def test_homographs_share_walks_and_commit_the_scripted_root():
             TapeState(ScriptCursor.over(scripts.get(t, ()), ctx.memo))
             for t in TAPES), word=None)
         finals = list(_search(ctx, [initial]))
-        assert [encode(s.surface_out) for s in finals] == ["kuffal"]
+        assert [encode(s.history.surface()) for s in finals] == ["kuffal"]
         assert [s.tapes[root_i].morphemes for s in finals] == [(root,)]
         walks.append(len(ctx.memo.walks))
     assert walks[0] > 0 and len(set(walks)) == 1
