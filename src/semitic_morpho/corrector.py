@@ -70,8 +70,8 @@ def try_error_rules(ctx: _SearchContext, state: SearchState) -> List[SearchState
         # budget 0 takes any error rule, 1 only reap rules, 2 none
         if state.budget and not (state.budget == 1 and rule.reap):
             continue
-        b = match_partition_context(rule.plc, state.records, {}, rule.guards,
-                                    grammar.same_rule)
+        b = match_partition_context(grammar.plcs[rule.name], state.records,
+                                    {}, rule.guards, grammar.same_rule)
         if b is None:
             continue
         # match the error surface against the unread surface; an
@@ -165,11 +165,13 @@ def iter_corrections(word: SymbolString, grammar: Grammar, lexicon: Lexicon,
 
     If the word already analyzes, only the zero-error candidate is yielded.
     Otherwise phase 1 reruns the error-free search, recording its states by
-    input position; the deepest is the failure point. Phase 2 searches from
-    their error successors (`_error_roots`). A path is one error event
-    whose first record is its root, so the first path to a word carries its
-    final rank key. max_positions (None, or at least 1; ValueError
-    otherwise) keeps the positions p with failure point - p < max_positions.
+    input position; the deepest is the failure point. It runs without the
+    stem lookahead, which would leave some states out (engine._search).
+    Phase 2 searches from their error successors (`_error_roots`). A path
+    is one error event whose first record is its root, so the first path to
+    a word carries its final rank key. max_positions (None, or at least 1;
+    ValueError otherwise) keeps the positions p with failure point - p <
+    max_positions.
     """
     _check_bound("max_positions", max_positions)
     base = analyze(word, grammar, lexicon)
@@ -189,6 +191,8 @@ def iter_corrections(word: SymbolString, grammar: Grammar, lexicon: Lexicon,
     for _ in _search(ctx, [analysis_start(grammar, lexicon, word)],
                      error_step=record):
         pass
+    # the lookahead could have moved the failure point; now it may prune
+    ctx.stems = ctx.memo.stems
     # morpheme selections (by id: an id names one entry on a tape) and
     # corrected words seen: a later path to either ranks no better
     selections, checked = set(), set()

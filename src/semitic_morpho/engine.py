@@ -21,7 +21,10 @@ tuples and surface a partition has consumed are one history node per
 partition prefix, interned per search, so equal histories are one object:
 each node caches the verdicts of the left contexts matched before the
 tries are walked, dispatch drops the rules whose verdict fails, and the
-failure table names a history by its node.
+failure table names a history by its node. An analysis search does not
+expand a state whose root and vocalism cursors sit inside morphemes of
+which no pair unifies, since the stem check would reject every stem they
+could close (_stems_meet).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple)
 
 from .alphabet import BOUNDARY, SymbolString, slot_index
-from .features import FeatureStructure, restrict, unify_all
+from .features import FeatureStructure, restrict, unify, unify_all
 from .grammar import (EPS, WILDCARD, Bindings, Grammar, Guards, LexTuple,
                       RecordPattern, RulePlan, TwoLevelRule, match_context,
                       match_lex, match_record_pattern, match_slot)
@@ -372,6 +375,16 @@ class StepMemo:
              whose lexical expression matches the segment, each with the
              bindings of that match, in plan.watch order; see
              _scan_coercions
+    stems    (root trie node, vocalism trie node) -> whether some root entry
+             at or below the one unifies in hard features with some
+             vocalism entry at or below the other: the stem lookahead's
+             verdicts (_stems_meet). A root/vocalism clash fails the stem
+             check with every pattern, and where the grammar closes a root
+             and a vocalism only together with a pattern
+             (_closes_stems_together) that check reads all three, so a
+             state whose cursors reach no pair that meets has no complete
+             successor (_stem_ok). None for any other grammar, which gets
+             no lookahead.
     lex_cap  the longest lexical-only run a partition may make
     """
 
@@ -385,6 +398,8 @@ class StepMemo:
         self.walks: Dict[tuple, tuple] = {}
         self.paths: Dict[SymbolString, Node] = {}
         self.watches: Dict[tuple, tuple] = {}
+        self.stems: Optional[Dict[Tuple[Node, Node], bool]] = \
+            {} if _closes_stems_together(grammar) else None
         self.lex_cap = lexicon.max_entry_length() + 4
 
     def mask(self, admits) -> int:
@@ -428,14 +443,23 @@ def step_memo(grammar: Grammar, lexicon: Lexicon) -> StepMemo:
 class _SearchContext:
     """What one search reads: the grammar, the lexicon and its step memo,
     and the rules it may apply; and the tables that intern the search's
-    histories and morpheme tuples, which live as long as it does."""
+    histories and morpheme tuples, which live as long as it does.
+
+    `stems` holds the step memo's stem lookahead verdicts (StepMemo.stems)
+    when the search prunes by them, and None when it must see every state
+    or has no tries to look ahead in: analyses prune (`lookahead`), while
+    generation and the error-free pass of correction that records the
+    failure point do not.
+    """
 
     def __init__(self, grammar: Grammar, lexicon: Lexicon,
-                 skip_rules: FrozenSet[str] = frozenset()):
+                 skip_rules: FrozenSet[str] = frozenset(),
+                 lookahead: bool = False):
         self.grammar = grammar
         self.lexicon = lexicon
         self.skip_rules = skip_rules
         self.memo = step_memo(grammar, lexicon)
+        self.stems = self.memo.stems if lookahead else None
         # the compiled rules this search may apply
         self.allowed = self.memo.mask(
             lambda plan: plan.rule.name not in skip_rules)
@@ -795,7 +819,18 @@ def _commit_morphemes(ctx: _SearchContext, tapes: List[TapeState],
 def _stem_ok(ctx: _SearchContext, before: Sequence[TapeState],
              after: Sequence[TapeState]) -> bool:
     """False when the stem tapes just closed a morpheme whose hard
-    features clash."""
+    features clash.
+
+    Analyses look ahead to this check (_stems_meet), and the lookahead is
+    exact. Where the grammar closes stems together
+    (_closes_stems_together), a root and a vocalism morpheme close only
+    together, at a step that commits a pattern morpheme as well, and this
+    check then unifies that pattern with the root and vocalism read. Since
+    unification only narrows values, a root and a vocalism that clash fail
+    with every pattern, so a state whose cursors can reach no root and
+    vocalism that unify closes no stem that passes here, and yields no
+    complete state.
+    """
     if len(after[ROOT].morphemes) == len(before[ROOT].morphemes) or \
        len(after[VOCALISM].morphemes) == len(before[VOCALISM].morphemes) or \
        not after[PATTERN].morphemes:
@@ -814,6 +849,61 @@ def _hard_features(ctx: _SearchContext, pattern: MorphemeEntry,
     return unify_all(restrict(pattern.features, soft),
                      restrict(root.features, soft),
                      restrict(vocalism.features, soft))
+
+
+def _reads_boundary(slot: tuple, guards: Guards) -> bool:
+    """Can a lexical slot read a morpheme boundary?"""
+    if slot[0] == "lit":
+        return slot[1] == BOUNDARY
+    if slot[0] == "var":
+        domain = guards.allowed.get(slot[1])
+        return domain is None or BOUNDARY in domain
+    return slot != EPS
+
+
+def _closes_stems_together(grammar: Grammar) -> bool:
+    """Does every lexical tuple of the grammar's rules that can read a
+    boundary on the root or vocalism tape read one on all three tapes, as
+    R4's (+, +, +) does? A form ends at its only boundary, so then a root
+    and a vocalism morpheme close only together, with a pattern morpheme:
+    the premise of the stem lookahead (_stem_ok)."""
+    plus = ("lit", BOUNDARY)
+    for rule in grammar.rules:
+        for tup in rule.lex:
+            if (_reads_boundary(tup[ROOT], rule.guards)
+                    or _reads_boundary(tup[VOCALISM], rule.guards)) \
+                    and any(slot != plus for slot in tup):
+                return False
+    return True
+
+
+def _entries_below(node: Node) -> Iterator[MorphemeEntry]:
+    """The entries at `node` and at every node under it."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield from node.entries
+        stack.extend(node.edges.values())
+
+
+def _stems_meet(ctx: _SearchContext, tapes: Sequence[TapeState]) -> bool:
+    """False when the root and vocalism cursors both sit inside a morpheme
+    (neither at its trie root) and no root entry still reachable from the
+    one unifies in hard features with any vocalism entry still reachable
+    from the other: then no stem they close passes _stem_ok. The verdict
+    per node pair is filled on first use (StepMemo.stems)."""
+    root, voc = tapes[ROOT].cursor.node, tapes[VOCALISM].cursor.node
+    if not root.depth or not voc.depth:
+        return True
+    key = (root, voc)
+    meet = ctx.stems.get(key)
+    if meet is None:
+        soft = ctx.lexicon.soft_attrs
+        vocs = [restrict(v.features, soft) for v in _entries_below(voc)]
+        meet = ctx.stems[key] = any(
+            unify(restrict(r.features, soft), v) is not None
+            for r in _entries_below(root) for v in vocs)
+    return meet
 
 
 def _match_left_contexts(plan: RulePlan, state: SearchState,
@@ -1075,6 +1165,13 @@ def _search(ctx: _SearchContext, roots: Iterable[SearchState],
     subtree that yields nothing leaves the sequence of yielded states,
     hence candidates, ranks and analysis order, unchanged. Searches without
     an error step do no work for the table.
+
+    The stem lookahead (with ctx.stems, _stems_meet) is exact by the same
+    token: it skips only incomplete states whose subtrees yield no complete
+    state (_stem_ok), so the yielded sequence is unchanged. It does change
+    which states are expanded, so a search that records those, as
+    correction's error-free pass does to find the failure point, runs
+    without it.
     """
     stack: List[Iterator[SearchState]] = [iter(roots)]
     # budget-spent frames on the stack as (depth, key, yields before the
@@ -1084,6 +1181,7 @@ def _search(ctx: _SearchContext, roots: Iterable[SearchState],
     failed = set()
     ids: Dict[object, int] = {}
     yielded = 0
+    stems = ctx.stems
     while stack:
         try:
             state = next(stack[-1])
@@ -1097,6 +1195,8 @@ def _search(ctx: _SearchContext, roots: Iterable[SearchState],
         if _complete(state):
             yielded += 1
             yield state
+            continue
+        if stems is not None and not _stems_meet(ctx, state.tapes):
             continue
         if error_step is not None and state.budget == 2:
             key = _table_key(state, ids)
@@ -1112,7 +1212,7 @@ def analyze(word: SymbolString, grammar: Grammar,
     The empty word has none."""
     if not word:
         return []
-    ctx = _SearchContext(grammar, lexicon)
+    ctx = _SearchContext(grammar, lexicon, lookahead=True)
     return [to_analysis(ctx, s)
             for s in _search(ctx, [analysis_start(grammar, lexicon, word)])]
 

@@ -159,6 +159,11 @@ class Grammar:
                 o for o in self.obligatory_rules
                 if not self.same_rule(o.name, r.name)))
             for r in self.rules}
+        # each error rule's partition left context, split at its ellipses
+        # once, as RulePlan splits a rule's left contexts
+        self.plcs: Dict[str, ContextPattern] = {
+            r.name: r.plc if r.plc == WILDCARD else split_left(r.plc)
+            for r in self.erules}
         # the engine's step memo per lexicon (engine.StepMemo), released
         # with the lexicon
         self.step_memos = weakref.WeakKeyDictionary()
@@ -328,8 +333,9 @@ def match_partition_context(pat: ContextPattern, records: Sequence,
     """Match a partition left context (PLC) against the PartitionRecords
     made so far: each record pattern against one record
     (match_record_pattern, with the grammar's `same_rule`), ellipsis groups
-    anchored as in any left context. A PRC is matched record by record as
-    the records are made, as the record patterns of a deferred obligation
+    anchored as in any left context; `pat` may come split already
+    (Grammar.plcs). A PRC is matched record by record as the records are
+    made, as the record patterns of a deferred obligation
     (engine.Obligation)."""
     if pat == WILDCARD:
         return bindings
