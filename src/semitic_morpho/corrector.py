@@ -17,7 +17,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .alphabet import SymbolString
 from .engine import (Analysis, FreeRef, Obligation, PartitionRecord,
                      SearchState, _feed_obligations, _SearchContext, _search,
-                     _unread, analysis_start, analyze,
+                     _stems_meet, _unread, analysis_start, analyze,
                      optional_deletion_rules, scripted_surfaces, to_analysis)
 from .grammar import (WILDCARD, ErrorRule, Grammar, match_partition_context,
                       match_tuple)
@@ -147,11 +147,17 @@ def _check_bound(name: str, bound: Optional[int]) -> None:
 def _error_roots(ctx: _SearchContext, frontier: Dict[int, List[SearchState]],
                  max_positions: Optional[int]) -> Iterator[SearchState]:
     """Error successors of the recorded states, from the failure point down
-    to 0 or through max_positions positions; at each, by error rule."""
+    to 0 or through max_positions positions; at each, by error rule.
+
+    A state the stem lookahead rules out gets no error rule: an error
+    successor keeps its tapes, so the search would drop it at once. It
+    still counts for the failure point, which `frontier` fixes."""
     point = max(frontier, default=0)
     stop = -1 if max_positions is None else max(-1, point - max_positions)
     for pos in range(point, stop, -1):
         yield from sorted((succ for state in frontier.get(pos, ())
+                           if ctx.stems is None
+                           or _stems_meet(ctx, state.tapes)
                            for succ in try_error_rules(ctx, state)),
                           key=lambda s: ctx.grammar.erule_index[
                               s.records[-1].rule_name])
@@ -166,7 +172,7 @@ def iter_corrections(word: SymbolString, grammar: Grammar, lexicon: Lexicon,
     If the word already analyzes, only the zero-error candidate is yielded.
     Otherwise phase 1 reruns the error-free search, recording its states by
     input position; the deepest is the failure point. It runs without the
-    stem lookahead, which would leave some states out (engine._search).
+    lookaheads, which would leave some states out (engine._search).
     Phase 2 searches from their error successors (`_error_roots`). A path
     is one error event whose first record is its root, so the first path to
     a word carries its final rank key. max_positions (None, or at least 1;
@@ -191,8 +197,8 @@ def iter_corrections(word: SymbolString, grammar: Grammar, lexicon: Lexicon,
     for _ in _search(ctx, [analysis_start(grammar, lexicon, word)],
                      error_step=record):
         pass
-    # the lookahead could have moved the failure point; now it may prune
-    ctx.stems = ctx.memo.stems
+    # the lookaheads could have moved the failure point; now they may prune
+    ctx.look_ahead()
     # morpheme selections (by id: an id names one entry on a tape) and
     # corrected words seen: a later path to either ranks no better
     selections, checked = set(), set()

@@ -24,7 +24,9 @@ tries are walked, dispatch drops the rules whose verdict fails, and the
 failure table names a history by its node. An analysis search does not
 expand a state whose root and vocalism cursors sit inside morphemes of
 which no pair unifies, since the stem check would reject every stem they
-could close (_stems_meet).
+could close (_stems_meet), nor one with a cursor inside a morpheme whose
+unread symbols no longer fit, in order, into the unread surface
+(_surface_fits).
 """
 
 from __future__ import annotations
@@ -385,6 +387,16 @@ class StepMemo:
              state whose cursors reach no pair that meets has no complete
              successor (_stem_ok). None for any other grammar, which gets
              no lookahead.
+    surfaces (tape index, symbol) -> the surface symbols one record that
+             reads the symbol on that tape emits, None for any symbol, or
+             the empty set when the symbol need not surface as one symbol:
+             the surface-fit lookahead's symbol sets (_surface_set), at
+             most one per symbol of each tape's alphabet
+    fit_steps  trie node -> whether an entry ends at or below it after
+             symbols with an empty set only, and each (set, node reached)
+             of the next symbol with a non-empty set after any such
+             symbols: the trie as the surface-fit lookahead walks it
+             (_fit_steps), one entry per node
     lex_cap  the longest lexical-only run a partition may make
     """
 
@@ -400,6 +412,8 @@ class StepMemo:
         self.watches: Dict[tuple, tuple] = {}
         self.stems: Optional[Dict[Tuple[Node, Node], bool]] = \
             {} if _closes_stems_together(grammar) else None
+        self.surfaces: Dict[Tuple[int, str], Optional[FrozenSet[str]]] = {}
+        self.fit_steps: Dict[Node, tuple] = {}
         self.lex_cap = lexicon.max_entry_length() + 4
 
     def mask(self, admits) -> int:
@@ -446,10 +460,14 @@ class _SearchContext:
     histories and morpheme tuples, which live as long as it does.
 
     `stems` holds the step memo's stem lookahead verdicts (StepMemo.stems)
-    when the search prunes by them, and None when it must see every state
-    or has no tries to look ahead in: analyses prune (`lookahead`), while
-    generation and the error-free pass of correction that records the
-    failure point do not.
+    and `fits` the surface-fit lookahead's verdicts when the search prunes
+    by them, and both are None when it must see every state or has no
+    tries to look ahead in: analyses prune (`lookahead`), while generation
+    and the error-free pass of correction that records the failure point
+    do not. `fits` maps (trie node, pos, spliced prefix) to whether some
+    entry at or below the node can still surface its unread symbols inside
+    `spliced + word[pos:]` (_fits). A verdict reads the search's word, so
+    the table lives as long as the search.
     """
 
     def __init__(self, grammar: Grammar, lexicon: Lexicon,
@@ -459,12 +477,20 @@ class _SearchContext:
         self.lexicon = lexicon
         self.skip_rules = skip_rules
         self.memo = step_memo(grammar, lexicon)
-        self.stems = self.memo.stems if lookahead else None
+        self.stems: Optional[Dict[Tuple[Node, Node], bool]] = None
+        self.fits: Optional[Dict[tuple, bool]] = None
+        if lookahead:
+            self.look_ahead()
         # the compiled rules this search may apply
         self.allowed = self.memo.mask(
             lambda plan: plan.rule.name not in skip_rules)
         self.histories: Dict[tuple, History] = {}
         self.morpheme_tuples: Dict[tuple, Tuple[MorphemeEntry, ...]] = {}
+
+    def look_ahead(self) -> None:
+        """Prune by the stem and surface-fit lookaheads from now on."""
+        self.stems = self.memo.stems
+        self.fits = {}
 
     def history(self, parent: History, lex_seg: Tuple[LexTuple, ...],
                 surf_seg: Tuple[str, ...]) -> History:
@@ -851,13 +877,13 @@ def _hard_features(ctx: _SearchContext, pattern: MorphemeEntry,
                      restrict(vocalism.features, soft))
 
 
-def _reads_boundary(slot: tuple, guards: Guards) -> bool:
-    """Can a lexical slot read a morpheme boundary?"""
+def _reads(slot: tuple, sym: str, guards: Guards) -> bool:
+    """Can a lexical slot read `sym`? Only its class domain is read."""
     if slot[0] == "lit":
-        return slot[1] == BOUNDARY
+        return slot[1] == sym
     if slot[0] == "var":
         domain = guards.allowed.get(slot[1])
-        return domain is None or BOUNDARY in domain
+        return domain is None or sym in domain
     return slot != EPS
 
 
@@ -870,8 +896,8 @@ def _closes_stems_together(grammar: Grammar) -> bool:
     plus = ("lit", BOUNDARY)
     for rule in grammar.rules:
         for tup in rule.lex:
-            if (_reads_boundary(tup[ROOT], rule.guards)
-                    or _reads_boundary(tup[VOCALISM], rule.guards)) \
+            if (_reads(tup[ROOT], BOUNDARY, rule.guards)
+                    or _reads(tup[VOCALISM], BOUNDARY, rule.guards)) \
                     and any(slot != plus for slot in tup):
                 return False
     return True
@@ -904,6 +930,135 @@ def _stems_meet(ctx: _SearchContext, tapes: Sequence[TapeState]) -> bool:
             unify(restrict(r.features, soft), v) is not None
             for r in _entries_below(root) for v in vocs)
     return meet
+
+
+def _surface_set(ctx: _SearchContext, ti: int,
+                 sym: str) -> Optional[FrozenSet[str]]:
+    """The surface symbols a record that reads `sym` on tape `ti` can emit,
+    None for any symbol (StepMemo.surfaces, filled on first use).
+
+    Empty when `sym` need not surface as one symbol of its own: it is the
+    boundary, no rule reads it, or some rule that can read it reads more
+    than one symbol of the tape or has other than one surface slot (as the
+    rules that let it vanish do). Otherwise each rule that can read it
+    emits one surface symbol at its one surface slot: a literal, `sym`
+    itself when the slot is the variable that reads it, or else any value
+    of the slot's variable. Guards only narrow these sets, so only class
+    domains are read.
+    """
+    key = (ti, sym)
+    symbols = ctx.memo.surfaces.get(key, _UNSEEN)
+    if symbols is _UNSEEN:
+        symbols = ctx.memo.surfaces[key] = \
+            frozenset() if sym == BOUNDARY else _emitted(ctx.grammar, ti, sym)
+    return symbols
+
+
+def _emitted(grammar: Grammar, ti: int, sym: str) -> Optional[FrozenSet[str]]:
+    """_surface_set for a symbol other than the boundary."""
+    out, anything = set(), False
+    for rule in grammar.rules:
+        slots = [tup[ti] for tup in rule.lex if tup[ti] != EPS]
+        if not any(_reads(slot, sym, rule.guards) for slot in slots):
+            continue
+        if len(slots) != 1 or len(rule.surf) != 1:
+            return frozenset()
+        surf = rule.surf[0]
+        if surf[0] == "lit":
+            out.add(surf[1])
+        elif surf == slots[0]:
+            out.add(sym)
+        else:
+            domain = rule.guards.allowed.get(surf[1]) \
+                if surf[0] == "var" else None
+            if domain is None:
+                anything = True
+            else:
+                out |= domain
+    return None if anything else frozenset(out)
+
+
+def _surface_fits(ctx: _SearchContext, state: SearchState) -> bool:
+    """False when a cursor sits inside a morpheme (not at its trie root) and
+    no entry at or below it can still surface its unread symbols, in
+    order, inside the unread surface (_fits). A cursor below which an entry
+    ends with no symbol left that must surface fits any surface, as every
+    vocalism cursor does in the bundled grammar, and needs no verdict."""
+    fits, steps, pos, spliced = ctx.fits, ctx.memo.fit_steps, state.pos, \
+        state.spliced
+    for ti, tape in enumerate(state.tapes):
+        node = tape.cursor.node
+        if not node.depth or (steps.get(node) or
+                              _fit_steps(ctx, ti, node))[0]:
+            continue
+        fit = fits.get((node, pos, spliced))
+        if fit is None:
+            fit = _fits(ctx, ti, node, state.word, pos, spliced)
+        if not fit:
+            return False
+    return True
+
+
+def _fits(ctx: _SearchContext, ti: int, node: Node, word: SymbolString,
+          pos: int, spliced: tuple) -> bool:
+    """Is the required sequence of some entry at or below `node` on tape
+    `ti` an ordered subsequence of the unread surface `spliced +
+    word[pos:]`? An entry's required sequence is its unread symbols, each
+    as its surface set (_surface_set), leaving out those with an empty set.
+    A FreeRef matches a set when it admits one of its symbols.
+
+    Walked down the trie by required symbols (_fit_steps), never listing
+    entries: each is matched at its first match, which leaves the longest
+    rest to the node it leads to. The verdicts are kept per (node, pos,
+    spliced prefix) in ctx.fits.
+    """
+    key = (node, pos, spliced)
+    fit = ctx.fits.get(key)
+    if fit is not None:
+        return fit
+    fit, steps = ctx.memo.fit_steps.get(node) or _fit_steps(ctx, ti, node)
+    for want, child in steps:
+        if fit:
+            break
+        fit = _step_fits(ctx, ti, want, child, word, pos, spliced)
+    ctx.fits[key] = fit
+    return fit
+
+
+def _step_fits(ctx: _SearchContext, ti: int, want: Optional[FrozenSet[str]],
+               child: Node, word: SymbolString, pos: int,
+               spliced: tuple) -> bool:
+    """_fits at `child`, after a required symbol of surface set `want` is
+    matched at its first match in `spliced + word[pos:]`."""
+    for k, item in enumerate(spliced):
+        if want is None or (item in want if isinstance(item, str)
+                            else any(map(item.admits, want))):
+            return _fits(ctx, ti, child, word, pos, spliced[k + 1:])
+    for j in range(pos, len(word)):
+        if want is None or word[j] in want:
+            return _fits(ctx, ti, child, word, j + 1, ())
+    return False
+
+
+def _fit_steps(ctx: _SearchContext, ti: int, node: Node
+               ) -> Tuple[bool, Tuple[Tuple[Optional[FrozenSet[str]], Node],
+                                      ...]]:
+    """Whether an entry ends at or below `node` after symbols with an empty
+    surface set only, and each (surface set, node reached) of the next
+    required symbol after any such symbols (StepMemo.fit_steps)."""
+    steps = ctx.memo.fit_steps.get(node)
+    if steps is None:
+        ends, out = bool(node.entries), []
+        for sym, child in node.edges.items():
+            want = _surface_set(ctx, ti, sym)
+            if want is None or want:
+                out.append((want, child))
+            else:
+                child_ends, child_steps = _fit_steps(ctx, ti, child)
+                ends = ends or child_ends
+                out += child_steps
+        steps = ctx.memo.fit_steps[node] = (ends, tuple(out))
+    return steps
 
 
 def _match_left_contexts(plan: RulePlan, state: SearchState,
@@ -1111,9 +1266,16 @@ def _successors(ctx: _SearchContext, state: SearchState,
         yield from error_step(ctx, state)
 
 
+# the id of an empty spliced prefix or obligation part in _table_key, which
+# every search's `ids` starts with
+_EMPTY_PART = 0
+
+
 def _table_key(state: SearchState, ids: Dict[object, int]) -> tuple:
     """Everything the subtree of a budget-spent state reads, each part
-    interned to a small id in `ids` (one dict per search).
+    interned to a small id in `ids` (one dict per search). The spliced
+    prefix and the obligations are nearly always empty, and then take the
+    id of the empty part without building or hashing anything.
 
     The unread surface is keyed by its spliced prefix: the input behind it
     follows from `pos`, and the input is one word per search. A FreeRef
@@ -1131,19 +1293,26 @@ def _table_key(state: SearchState, ids: Dict[object, int]) -> tuple:
     spent. A pending PRC reads the records to come, and it is in the key
     as the record patterns its obligation holds.
     """
-    spliced = []
-    first: Dict[int, int] = {}
-    for item in state.spliced:
-        spliced.append((first.setdefault(item.ref_id, len(spliced)),
-                        item.domain, item.excluded)
-                       if isinstance(item, FreeRef) else item)
-    tapes = tuple([(id(t.cursor.node), id(t.morphemes))
-                   for t in state.tapes])
-    deferred = tuple([(o.queues, o.bindings, id(o.guards), o.feats,
-                       o.coerces, o.records) for o in state.obligations])
-    parts = (tuple(spliced), tapes, deferred)
-    return tuple([ids.setdefault(p, len(ids)) for p in parts]) + (
-        state.history, state.pos, state.lex_run, state.last_nonconsuming)
+    spliced = deferred = _EMPTY_PART
+    if state.spliced:
+        items = []
+        first: Dict[int, int] = {}
+        for item in state.spliced:
+            items.append((first.setdefault(item.ref_id, len(items)),
+                          item.domain, item.excluded)
+                         if isinstance(item, FreeRef) else item)
+        spliced = ids.setdefault(tuple(items), len(ids))
+    if state.obligations:
+        deferred = ids.setdefault(
+            tuple([(o.queues, o.bindings, id(o.guards), o.feats, o.coerces,
+                    o.records) for o in state.obligations]), len(ids))
+    pattern, root, vocalism = state.tapes
+    tapes = ids.setdefault(
+        (id(pattern.cursor.node), id(pattern.morphemes), id(root.cursor.node),
+         id(root.morphemes), id(vocalism.cursor.node), id(vocalism.morphemes)),
+        len(ids))
+    return (spliced, tapes, deferred, state.history, state.pos,
+            state.lex_run, state.last_nonconsuming)
 
 
 def _search(ctx: _SearchContext, roots: Iterable[SearchState],
@@ -1168,10 +1337,25 @@ def _search(ctx: _SearchContext, roots: Iterable[SearchState],
 
     The stem lookahead (with ctx.stems, _stems_meet) is exact by the same
     token: it skips only incomplete states whose subtrees yield no complete
-    state (_stem_ok), so the yielded sequence is unchanged. It does change
-    which states are expanded, so a search that records those, as
-    correction's error-free pass does to find the failure point, runs
-    without it.
+    state (_stem_ok), so the yielded sequence is unchanged.
+
+    So is the surface-fit lookahead (with ctx.fits, _surface_fits), at a
+    state below which no error rule applies: in a search without an error
+    step, or once the budget is spent. A complete state below it must
+    finish the morpheme each cursor is inside, since _complete needs every
+    cursor done, so it reads the unread symbols of some entry below the
+    cursor. A symbol with a non-empty surface set (_surface_set) is read by
+    a record of its own that emits one surface symbol of that set, and
+    records consume the unread surface in order. With no error rule to
+    come, the surface they consume is exactly `spliced + word[pos:]`, so
+    the entry's required sequence is an ordered subsequence of it (_fits).
+    A state where no entry below some cursor fits has no complete
+    descendant. A reap chain (budget 1) can still take an error, which
+    changes the input, so its states are not checked.
+
+    Both lookaheads change which states are expanded, so a search that
+    records those, as correction's error-free pass does to find the
+    failure point, runs without them.
     """
     stack: List[Iterator[SearchState]] = [iter(roots)]
     # budget-spent frames on the stack as (depth, key, yields before the
@@ -1179,9 +1363,9 @@ def _search(ctx: _SearchContext, roots: Iterable[SearchState],
     # the interned key parts
     tabled: List[Tuple[int, tuple, int]] = []
     failed = set()
-    ids: Dict[object, int] = {}
+    ids: Dict[object, int] = {(): _EMPTY_PART}
     yielded = 0
-    stems = ctx.stems
+    stems, fits = ctx.stems, ctx.fits
     while stack:
         try:
             state = next(stack[-1])
@@ -1197,6 +1381,9 @@ def _search(ctx: _SearchContext, roots: Iterable[SearchState],
             yield state
             continue
         if stems is not None and not _stems_meet(ctx, state.tapes):
+            continue
+        if fits is not None and (error_step is None or state.budget == 2) \
+                and not _surface_fits(ctx, state):
             continue
         if error_step is not None and state.budget == 2:
             key = _table_key(state, ids)

@@ -140,6 +140,7 @@ def oracle_micro_analyze(rules: Dict[str, dict], entries: Sequence[str],
 
     rules: name -> {kind: "identity"|"boundary"|"coerce", ...attrs}:
       identity: {"letters": set}                lex X -> surf X
+      deletion: {"letters": set}                lex X -> nothing
       boundary: {}                              lex + -> nothing, prev != +
       coerce:   {"lsc": ch, "lex": ch, "surf": ch, "obligatory": bool}
     entries: morpheme bodies (no boundary); the tape string is a
@@ -171,6 +172,9 @@ def _micro_partitions(rules, tape: str, word: str):
                 if ti < len(tape) and wi < len(word) and \
                    tape[ti] == word[wi] and tape[ti] in spec["letters"]:
                     walk(ti + 1, wi + 1, trace + ((name, ti, wi),))
+            elif kind == "deletion":
+                if ti < len(tape) and tape[ti] in spec["letters"]:
+                    walk(ti + 1, wi, trace + ((name, ti, wi),))
             elif kind == "boundary":
                 if ti < len(tape) and tape[ti] == "+" and ti > 0 and \
                    tape[ti - 1] != "+":

@@ -1,0 +1,292 @@
+"""The surface-fit lookahead: a search state below which no error rule
+applies is not expanded once some cursor sits inside a morpheme whose
+unread symbols no entry below it can still surface, in order, inside the
+unread surface (engine._surface_fits, _fits, _surface_set).
+
+The lookahead must change no output, must read each symbol's surface set
+off the grammar's rules, must not check a state a reap chain can still
+correct, and must not reach the error-free pass of correction that finds
+the failure point.
+"""
+
+import itertools
+import sys
+from pathlib import Path
+
+import pytest
+
+from semitic_morpho import corrector, engine
+from semitic_morpho.alphabet import BOUNDARY, decode, encode
+from semitic_morpho.dsl import parse_grammar
+from semitic_morpho.engine import (PATTERN, ROOT, VOCALISM, FreeRef, _fits,
+                                   _search, _SearchContext, _surface_fits,
+                                   _surface_set, analysis_start, analyze)
+from semitic_morpho.lexicon import TAPES, load_lexicon
+
+from oracles import oracle_micro_analyze
+from test_order_contract import ERROR_EXAMPLES
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import unanalyzable_edits, well_formed_words  # noqa: E402
+
+def _no_lookahead(monkeypatch):
+    monkeypatch.setattr(engine, "_surface_fits", lambda ctx, state: True)
+
+
+def _candidates(cands):
+    # error records hold FreeRefs, which compare by identity: compare what
+    # a candidate reports instead
+    return [(c.corrected_word, c.error_trace, c.rank_key, c.analyses)
+            for c in cands]
+
+
+def _edits(source=None):
+    return list(dict.fromkeys(edited for word, _, _, edited
+                              in unanalyzable_edits()
+                              if source in (None, word)))
+
+
+def test_analyses_equal_those_without_the_lookahead(grammar, lexicon,
+                                                    monkeypatch):
+    words = list(well_formed_words()) + _edits()
+    pruned = [analyze(decode(w), grammar, lexicon) for w in words]
+    _no_lookahead(monkeypatch)
+    assert [analyze(decode(w), grammar, lexicon) for w in words] == pruned
+    assert sum(map(bool, pruned)) == len(well_formed_words())
+
+
+@pytest.mark.parametrize("max_positions", (1, 2, None))
+def test_corrections_equal_those_without_the_lookahead(grammar, lexicon,
+                                                       monkeypatch,
+                                                       max_positions):
+    def run():
+        return [_candidates(corrector.correct(decode(w), grammar, lexicon,
+                                              max_positions=max_positions))
+                for w in ERROR_EXAMPLES]
+
+    pruned = run()
+    _no_lookahead(monkeypatch)
+    assert run() == pruned
+
+
+def test_unbounded_corrections_of_a_sweep_word(grammar, lexicon,
+                                               monkeypatch):
+    def run():
+        return [_candidates(corrector.correct(decode(w), grammar, lexicon,
+                                              max_candidates=None))
+                for w in edits]
+
+    edits = _edits("mdiintA")
+    pruned = run()
+    _no_lookahead(monkeypatch)
+    assert run() == pruned
+    assert all(pruned)
+
+
+def test_symbol_sets_of_the_bundled_grammar(grammar, lexicon):
+    ctx = _SearchContext(grammar, lexicon, lookahead=True)
+    cons = grammar.classes["cons"]
+    for sym in "ktbdHrJ":
+        assert _surface_set(ctx, ROOT, sym) == {sym}
+    # glottal_change surfaces a root glottal stop as w
+    assert _surface_set(ctx, ROOT, "A") == {"A", "w"}
+    # R1 and R5 surface a consonant slot as the root consonant it reads
+    # or copies, glottal_change as w
+    for slot in ("c1", "c2", "c3", "c4"):
+        assert _surface_set(ctx, PATTERN, slot) == cons
+    for letter in "tnwA":
+        assert _surface_set(ctx, PATTERN, letter) == {letter}
+    # R7-R9 let vowels and vowel slots vanish, and the boundary never shows
+    for sym in ("a", "i", "u", "v1", "v2", BOUNDARY):
+        assert _surface_set(ctx, PATTERN, sym) == frozenset()
+    for sym in ("a", "i", "u", BOUNDARY):
+        assert _surface_set(ctx, VOCALISM, sym) == frozenset()
+    # one set per symbol of a tape, filled on first use and kept
+    assert ctx.memo.surfaces[(ROOT, "A")] == {"A", "w"}
+    assert _SearchContext(grammar, lexicon).memo is ctx.memo
+
+
+def _nodes(node):
+    yield node
+    for child in node.edges.values():
+        yield from _nodes(child)
+
+
+def _required_below(ctx, ti, node):
+    """The required sequence of every entry at or below `node`, as sets."""
+    out = []
+    for n in _nodes(node):
+        for entry in n.entries:
+            sets = [_surface_set(ctx, ti, s) for s in entry.form[node.depth:]]
+            out.append([s for s in sets if s is None or s])
+    return out
+
+
+def _matches(want, item):
+    if want is None:
+        return True
+    if isinstance(item, FreeRef):
+        return any(item.admits(s) for s in want)
+    return item in want
+
+
+def _subsequence(required, surface):
+    rest = iter(surface)
+    return all(any(_matches(want, item) for item in rest)
+               for want in required)
+
+
+def test_verdicts_equal_a_scan_of_the_entries(grammar, lexicon):
+    ctx = _SearchContext(grammar, lexicon, lookahead=True)
+    nodes = [(ti, n) for ti, tape in enumerate(TAPES)
+             for n in _nodes(lexicon.tree(tape).root) if n.depth]
+    below = {id(n): _required_below(ctx, ti, n) for ti, n in nodes}
+    suffixes = {tuple(decode(w))[i:] for w in well_formed_words()
+                for i in range(len(decode(w)) + 1)}
+    vowel = FreeRef(grammar.classes["vowel"], ())
+    not_k = FreeRef(None, ("k",))
+    verdicts = set()
+    for suffix in sorted(suffixes):
+        for spliced in ((), (vowel,), (not_k, "t")):
+            ctx.fits = {}
+            for ti, n in nodes:
+                want = any(_subsequence(req, spliced + suffix)
+                           for req in below[id(n)])
+                assert _fits(ctx, ti, n, suffix, 0, spliced) == want, (
+                    TAPES[ti], n.depth, suffix, spliced)
+                verdicts.add(want)
+    assert verdicts == {True, False}
+    # the trie as the lookahead walks it: one entry per node
+    assert len(ctx.memo.fit_steps) <= len(nodes) + len(TAPES)
+
+
+# the micro grammar of criterion 9c on the root tape, with a rule that
+# reads k and surfaces nothing
+DELETION = """\
+class lt = {a, b, k}
+class dl = {k}
+rule A: * - X - *  =>  * - (0, X, 0) - *  where lt(X)
+rule B: * - 0 - *  =>  (0, B1, 0) - (0, +, 0) - *  where B1 != +
+rule D: * - 0 - *  =>  * - (0, X, 0) - *  where dl(X)
+"""
+
+
+def test_a_symbol_a_rule_deletes_is_optional():
+    g = parse_grammar(DELETION)
+    entries = ("a", "ab", "b", "ka")
+    lex = load_lexicon("".join(f"root\t{e}\tcat=noun\t\n" for e in entries))
+    ctx = _SearchContext(g, lex, lookahead=True)
+    assert _surface_set(ctx, ROOT, "k") == frozenset()
+    assert _surface_set(ctx, ROOT, "a") == {"a"}
+    rules = {"A": {"kind": "identity", "letters": set("abk")},
+             "B": {"kind": "boundary"},
+             "D": {"kind": "deletion", "letters": {"k"}}}
+    deleted = 0
+    for n in range(1, 5):
+        for word in map("".join, itertools.product("abk", repeat=n)):
+            got = {(a.rule_trace,
+                    "".join(t[ROOT] for r in a.records for t in r.lex_seg))
+                   for a in analyze(decode(word), g, lex)}
+            want = {(tuple(name for name, _, _ in trace), tape)
+                    for trace, tape in oracle_micro_analyze(rules, entries,
+                                                            word)}
+            assert got == want, word
+            deleted += sum("D" in trace for trace, _ in got)
+    assert deleted
+
+
+# a reap chain inserts one symbol at each input position
+REAP = """\
+class lt = {a, b, k}
+rule A: * - X - *  =>  * - (0, X, 0) - *  where lt(X)
+rule B: * - 0 - *  =>  (0, B1, 0) - (0, +, 0) - *  where B1 != +
+erule F: 0 => X  { * - * }  reap=y  where lt(X)
+erule G: X => 0  { * - * }  reap=n  where lt(X)
+"""
+
+
+def test_a_reap_chain_is_not_checked(monkeypatch):
+    g = parse_grammar(REAP)
+    lex = load_lexicon("root\tabab\tcat=noun\t\n")
+    checked = []
+
+    def spy(ctx, state):
+        checked.append(state.budget)
+        return _surface_fits(ctx, state)
+
+    monkeypatch.setattr(engine, "_surface_fits", spy)
+    words = [encode(c.corrected_word)
+             for c in corrector.correct(decode("bb"), g, lex)]
+    # two insertions, at positions 0 and 1, make the word
+    assert "abab" in words
+    assert 2 in checked and 1 not in checked
+    # on the way, with "ab" read and "b" unread, the entry cannot fit
+    ctx = _SearchContext(g, lex, lookahead=True)
+    node = lex.tree("root").root.edges["a"].edges["b"]
+    assert not _fits(ctx, ROOT, node, decode("bb"), 1, ())
+
+
+def _frontier(ctx, grammar, lexicon, word):
+    frontier = {}
+
+    def record(ctx, state):
+        frontier.setdefault(state.pos, []).append(state)
+        return ()
+
+    for _ in _search(ctx, [analysis_start(grammar, lexicon, word)],
+                     error_step=record):
+        pass
+    return frontier
+
+
+def test_failure_point_search_sees_every_state(grammar, lexicon,
+                                               monkeypatch):
+    seen = []
+    error_roots = corrector._error_roots
+
+    def recording(ctx, frontier, max_positions):
+        assert ctx.fits is not None
+        seen.append({pos: len(states) for pos, states in frontier.items()})
+        return error_roots(ctx, frontier, max_positions)
+
+    monkeypatch.setattr(corrector, "_error_roots", recording)
+    unfit = 0
+    for word in map(decode, ERROR_EXAMPLES):
+        seen.clear()
+        corrector.correct(word, grammar, lexicon)
+        ctx = _SearchContext(grammar, lexicon)
+        assert ctx.fits is None
+        frontier = _frontier(ctx, grammar, lexicon, word)
+        assert seen == [{pos: len(states)
+                         for pos, states in frontier.items()}], word
+        # the lookahead would cut some of the states the pass records
+        ctx.look_ahead()
+        unfit += sum(not _surface_fits(ctx, state)
+                     for states in frontier.values() for state in states)
+    assert unfit > 0
+
+
+def test_error_rules_skip_states_the_stem_lookahead_rules_out(
+        grammar, lexicon, monkeypatch):
+    tried = []
+    try_error_rules = corrector.try_error_rules
+
+    def recording(ctx, state):
+        tried.append(ctx.stems is None or engine._stems_meet(ctx,
+                                                             state.tapes))
+        return try_error_rules(ctx, state)
+
+    monkeypatch.setattr(corrector, "try_error_rules", recording)
+    for word in map(decode, ERROR_EXAMPLES):
+        corrector.correct(word, grammar, lexicon)
+    assert tried and all(tried)
+
+
+def test_generation_does_not_look_ahead(grammar, lexicon, monkeypatch):
+    def fail(ctx, state):
+        raise AssertionError("generation has no input to fit")
+
+    monkeypatch.setattr(engine, "_surface_fits", fail)
+    surfaces = engine.generate({"pattern": "M1", "root": "ktb",
+                                "vocalism": "a"}, grammar, lexicon)
+    assert decode("katab") in surfaces
