@@ -156,8 +156,7 @@ def _error_roots(ctx: _SearchContext, frontier: Dict[int, List[SearchState]],
     stop = -1 if max_positions is None else max(-1, point - max_positions)
     for pos in range(point, stop, -1):
         yield from sorted((succ for state in frontier.get(pos, ())
-                           if ctx.stems is None
-                           or _stems_meet(ctx, state.tapes)
+                           if _stems_meet(ctx, state.tapes)
                            for succ in try_error_rules(ctx, state)),
                           key=lambda s: ctx.grammar.erule_index[
                               s.records[-1].rule_name])
@@ -171,8 +170,9 @@ def iter_corrections(word: SymbolString, grammar: Grammar, lexicon: Lexicon,
 
     If the word already analyzes, only the zero-error candidate is yielded.
     Otherwise phase 1 reruns the error-free search, recording its states by
-    input position; the deepest is the failure point. It runs without the
-    lookaheads, which would leave some states out (engine._search).
+    input position; the deepest is the failure point. Its states have
+    budget 0 in a search with an error step, which engine._search never
+    prunes by the lookaheads, since they would leave some states out.
     Phase 2 searches from their error successors (`_error_roots`). A path
     is one error event whose first record is its root, so the first path to
     a word carries its final rank key. max_positions (None, or at least 1;
@@ -197,8 +197,6 @@ def iter_corrections(word: SymbolString, grammar: Grammar, lexicon: Lexicon,
     for _ in _search(ctx, [analysis_start(grammar, lexicon, word)],
                      error_step=record):
         pass
-    # the lookaheads could have moved the failure point; now they may prune
-    ctx.look_ahead()
     # morpheme selections (by id: an id names one entry on a tape) and
     # corrected words seen: a later path to either ranks no better
     selections, checked = set(), set()

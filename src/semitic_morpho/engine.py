@@ -21,12 +21,13 @@ tuples and surface a partition has consumed are one history node per
 partition prefix, interned per search, so equal histories are one object:
 each node caches the verdicts of the left contexts matched before the
 tries are walked, dispatch drops the rules whose verdict fails, and the
-failure table names a history by its node. An analysis search does not
+failure table names a history by its node. A search over a word does not
 expand a state whose root and vocalism cursors sit inside morphemes of
 which no pair unifies, since the stem check would reject every stem they
 could close (_stems_meet), nor one with a cursor inside a morpheme whose
 unread symbols no longer fit, in order, into the unread surface
-(_surface_fits).
+(_surface_fits), except where it must see every state: _search works out
+from each state whether these lookaheads apply.
 """
 
 from __future__ import annotations
@@ -456,41 +457,26 @@ def step_memo(grammar: Grammar, lexicon: Lexicon) -> StepMemo:
 
 class _SearchContext:
     """What one search reads: the grammar, the lexicon and its step memo,
-    and the rules it may apply; and the tables that intern the search's
-    histories and morpheme tuples, which live as long as it does.
-
-    `stems` holds the step memo's stem lookahead verdicts (StepMemo.stems)
-    and `fits` the surface-fit lookahead's verdicts when the search prunes
-    by them, and both are None when it must see every state or has no
-    tries to look ahead in: analyses prune (`lookahead`), while generation
-    and the error-free pass of correction that records the failure point
-    do not. `fits` maps (trie node, pos, spliced prefix) to whether some
-    entry at or below the node can still surface its unread symbols inside
-    `spliced + word[pos:]` (_fits). A verdict reads the search's word, so
-    the table lives as long as the search.
+    and the rules it may apply; and the tables that live as long as the
+    search: the one that interns its histories, and `fits`, the
+    surface-fit lookahead's verdicts. `fits` maps (trie node, pos, spliced
+    prefix) to whether some entry at or below the node can still surface
+    its unread symbols inside `spliced + word[pos:]` (_fits); a verdict
+    reads the search's word. Where the lookaheads apply is a fact of each
+    state, which _search works out.
     """
 
     def __init__(self, grammar: Grammar, lexicon: Lexicon,
-                 skip_rules: FrozenSet[str] = frozenset(),
-                 lookahead: bool = False):
+                 skip_rules: FrozenSet[str] = frozenset()):
         self.grammar = grammar
         self.lexicon = lexicon
         self.skip_rules = skip_rules
         self.memo = step_memo(grammar, lexicon)
-        self.stems: Optional[Dict[Tuple[Node, Node], bool]] = None
-        self.fits: Optional[Dict[tuple, bool]] = None
-        if lookahead:
-            self.look_ahead()
         # the compiled rules this search may apply
         self.allowed = self.memo.mask(
             lambda plan: plan.rule.name not in skip_rules)
         self.histories: Dict[tuple, History] = {}
-        self.morpheme_tuples: Dict[tuple, Tuple[MorphemeEntry, ...]] = {}
-
-    def look_ahead(self) -> None:
-        """Prune by the stem and surface-fit lookaheads from now on."""
-        self.stems = self.memo.stems
-        self.fits = {}
+        self.fits: Dict[tuple, bool] = {}
 
     def history(self, parent: History, lex_seg: Tuple[LexTuple, ...],
                 surf_seg: Tuple[str, ...]) -> History:
@@ -503,13 +489,6 @@ class _SearchContext:
         if node is None:
             node = self.histories[key] = History(parent, lex_seg, surf_seg)
         return node
-
-    def morphemes(self, entries: Tuple[MorphemeEntry, ...]
-                  ) -> Tuple[MorphemeEntry, ...]:
-        """The one tuple of this search that holds `entries`, by entry
-        identity."""
-        return self.morpheme_tuples.setdefault(tuple(map(id, entries)),
-                                               entries)
 
 
 # ---------------------------------------------------------------------------
@@ -806,7 +785,7 @@ def _affix_order_ok(prior: Tuple[MorphemeEntry, ...], entry: MorphemeEntry) -> b
     return all(e.kind != "suffix" for e in prior)
 
 
-def _commit_morphemes(ctx: _SearchContext, tapes: List[TapeState],
+def _commit_morphemes(tapes: List[TapeState],
                       read: Tuple[int, ...]) -> List[Tuple[TapeState, ...]]:
     """Resolve the tapes in `read` that sit on entry terminals into entry
     choices.
@@ -825,9 +804,8 @@ def _commit_morphemes(ctx: _SearchContext, tapes: List[TapeState],
         for entry in entries:
             if ti == PATTERN and not _affix_order_ok(tape.morphemes, entry):
                 continue
-            choices.append(TapeState(
-                cursor=tape.cursor.reset(),
-                morphemes=ctx.morphemes(tape.morphemes + (entry,))))
+            choices.append(TapeState(cursor=tape.cursor.reset(),
+                                     morphemes=tape.morphemes + (entry,)))
         if not choices:
             return []
         options.append((ti, choices))
@@ -917,16 +895,19 @@ def _stems_meet(ctx: _SearchContext, tapes: Sequence[TapeState]) -> bool:
     (neither at its trie root) and no root entry still reachable from the
     one unifies in hard features with any vocalism entry still reachable
     from the other: then no stem they close passes _stem_ok. The verdict
-    per node pair is filled on first use (StepMemo.stems)."""
+    per node pair is filled on first use (StepMemo.stems). True for a
+    grammar that has no such verdicts, for which the lookahead is not
+    exact."""
+    stems = ctx.memo.stems
     root, voc = tapes[ROOT].cursor.node, tapes[VOCALISM].cursor.node
-    if not root.depth or not voc.depth:
+    if stems is None or not root.depth or not voc.depth:
         return True
     key = (root, voc)
-    meet = ctx.stems.get(key)
+    meet = stems.get(key)
     if meet is None:
         soft = ctx.lexicon.soft_attrs
         vocs = [restrict(v.features, soft) for v in _entries_below(voc)]
-        meet = ctx.stems[key] = any(
+        meet = stems[key] = any(
             unify(restrict(r.features, soft), v) is not None
             for r in _entries_below(root) for v in vocs)
     return meet
@@ -984,17 +965,13 @@ def _surface_fits(ctx: _SearchContext, state: SearchState) -> bool:
     order, inside the unread surface (_fits). A cursor below which an entry
     ends with no symbol left that must surface fits any surface, as every
     vocalism cursor does in the bundled grammar, and needs no verdict."""
-    fits, steps, pos, spliced = ctx.fits, ctx.memo.fit_steps, state.pos, \
-        state.spliced
+    steps = ctx.memo.fit_steps
     for ti, tape in enumerate(state.tapes):
         node = tape.cursor.node
         if not node.depth or (steps.get(node) or
                               _fit_steps(ctx, ti, node))[0]:
             continue
-        fit = fits.get((node, pos, spliced))
-        if fit is None:
-            fit = _fits(ctx, ti, node, state.word, pos, spliced)
-        if not fit:
+        if not _fits(ctx, ti, node, state.word, state.pos, state.spliced):
             return False
     return True
 
@@ -1014,30 +991,23 @@ def _fits(ctx: _SearchContext, ti: int, node: Node, word: SymbolString,
     """
     key = (node, pos, spliced)
     fit = ctx.fits.get(key)
-    if fit is not None:
-        return fit
-    fit, steps = ctx.memo.fit_steps.get(node) or _fit_steps(ctx, ti, node)
-    for want, child in steps:
-        if fit:
-            break
-        fit = _step_fits(ctx, ti, want, child, word, pos, spliced)
-    ctx.fits[key] = fit
+    if fit is None:
+        fit, steps = ctx.memo.fit_steps.get(node) or _fit_steps(ctx, ti, node)
+        for want, child in steps:
+            if fit:
+                break
+            for k, item in enumerate(spliced):
+                if want is None or (item in want if isinstance(item, str)
+                                    else any(map(item.admits, want))):
+                    fit = _fits(ctx, ti, child, word, pos, spliced[k + 1:])
+                    break
+            else:
+                for j in range(pos, len(word)):
+                    if want is None or word[j] in want:
+                        fit = _fits(ctx, ti, child, word, j + 1, ())
+                        break
+        ctx.fits[key] = fit
     return fit
-
-
-def _step_fits(ctx: _SearchContext, ti: int, want: Optional[FrozenSet[str]],
-               child: Node, word: SymbolString, pos: int,
-               spliced: tuple) -> bool:
-    """_fits at `child`, after a required symbol of surface set `want` is
-    matched at its first match in `spliced + word[pos:]`."""
-    for k, item in enumerate(spliced):
-        if want is None or (item in want if isinstance(item, str)
-                            else any(map(item.admits, want))):
-            return _fits(ctx, ti, child, word, pos, spliced[k + 1:])
-    for j in range(pos, len(word)):
-        if want is None or word[j] in want:
-            return _fits(ctx, ti, child, word, j + 1, ())
-    return False
 
 
 def _fit_steps(ctx: _SearchContext, ti: int, node: Node
@@ -1176,7 +1146,7 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
             tapes_mid[ti] = TapeState(cursors[ti], tapes_mid[ti].morphemes)
         history = ctx.history(state.history, lex_tuples, surf_syms)
 
-        for tapes_after in _commit_morphemes(ctx, tapes_mid, read):
+        for tapes_after in _commit_morphemes(tapes_mid, read):
             obligations = _settle(pending, tapes_after)
             if obligations is None:
                 continue
@@ -1266,34 +1236,26 @@ def _successors(ctx: _SearchContext, state: SearchState,
         yield from error_step(ctx, state)
 
 
-# the id of an empty spliced prefix or obligation part in _table_key, which
-# every search's `ids` starts with
-_EMPTY_PART = 0
-
-
-def _table_key(state: SearchState, ids: Dict[object, int]) -> tuple:
-    """Everything the subtree of a budget-spent state reads, each part
-    interned to a small id in `ids` (one dict per search). The spliced
-    prefix and the obligations are nearly always empty, and then take the
-    id of the empty part without building or hashing anything.
+def _table_key(state: SearchState) -> tuple:
+    """Everything the subtree of a budget-spent state reads, by content.
 
     The unread surface is keyed by its spliced prefix: the input behind it
     follows from `pos`, and the input is one word per search. A FreeRef
     there (always ungrounded) keeps its first-occurrence index, domain and
     exclusions, so a shared ref stays shared and the global ref numbering
-    drops out. Trie nodes and guards are named by identity (they live as
-    long as the grammar and lexicon). The history is named by its node and
-    each tape's morphemes by their tuple, both interned per search
-    (_SearchContext) and alive as long as it. Identity implies equal
-    content, so a hit is a hit of the content key; interning makes one
-    object of equal content split into the same records, so the identity
-    key misses a content hit only across different splits.
+    drops out. Each tape is keyed by its cursor's trie node and the
+    identities of its morpheme entries; trie nodes, entries and guards live
+    as long as the grammar and lexicon. The history is named by its node,
+    which the search interns (_SearchContext.history): equal content split
+    into the same records is one node, so the key misses a content hit
+    only across different splits, and the node carries the cached verdicts
+    its subtree reads.
     `records` is left out: only error rules read records, through their
     partition left contexts, and no error rule is tried once the budget is
     spent. A pending PRC reads the records to come, and it is in the key
     as the record patterns its obligation holds.
     """
-    spliced = deferred = _EMPTY_PART
+    spliced = ()
     if state.spliced:
         items = []
         first: Dict[int, int] = {}
@@ -1301,17 +1263,14 @@ def _table_key(state: SearchState, ids: Dict[object, int]) -> tuple:
             items.append((first.setdefault(item.ref_id, len(items)),
                           item.domain, item.excluded)
                          if isinstance(item, FreeRef) else item)
-        spliced = ids.setdefault(tuple(items), len(ids))
-    if state.obligations:
-        deferred = ids.setdefault(
-            tuple([(o.queues, o.bindings, id(o.guards), o.feats, o.coerces,
-                    o.records) for o in state.obligations]), len(ids))
+        spliced = tuple(items)
+    deferred = tuple([(o.queues, o.bindings, id(o.guards), o.feats, o.coerces,
+                       o.records) for o in state.obligations])
     pattern, root, vocalism = state.tapes
-    tapes = ids.setdefault(
-        (id(pattern.cursor.node), id(pattern.morphemes), id(root.cursor.node),
-         id(root.morphemes), id(vocalism.cursor.node), id(vocalism.morphemes)),
-        len(ids))
-    return (spliced, tapes, deferred, state.history, state.pos,
+    return (spliced, deferred, pattern.cursor.node,
+            tuple(map(id, pattern.morphemes)), root.cursor.node,
+            tuple(map(id, root.morphemes)), vocalism.cursor.node,
+            tuple(map(id, vocalism.morphemes)), state.history, state.pos,
             state.lex_run, state.last_nonconsuming)
 
 
@@ -1329,68 +1288,67 @@ def _search(ctx: _SearchContext, roots: Iterable[SearchState],
     state whose budget is spent and whose subtree yielded no complete state
     has its key (`_table_key`) recorded, and a later state with the same
     key is not expanded. This is exact. Two states with one key read the
-    same history node, morpheme tuples and everything else their subtrees
-    read, so the later subtree yields nothing either; and skipping a
-    subtree that yields nothing leaves the sequence of yielded states,
-    hence candidates, ranks and analysis order, unchanged. Searches without
-    an error step do no work for the table.
+    same history node, trie nodes, morpheme entries and everything else
+    their subtrees read, so the later subtree yields nothing either; and
+    skipping a subtree that yields nothing leaves the sequence of yielded
+    states, hence candidates, ranks and analysis order, unchanged. Each
+    frame of the stack holds its successors, its state's key (None when
+    the state is not tabled) and the number of states yielded before it
+    was pushed. Searches without an error step do no work for the table.
 
-    The stem lookahead (with ctx.stems, _stems_meet) is exact by the same
-    token: it skips only incomplete states whose subtrees yield no complete
-    state (_stem_ok), so the yielded sequence is unchanged.
+    The lookaheads are exact by the same token, and a state is checked by
+    them when it has a word and is not a budget-0 state of a search with
+    an error step. Generation has no word, and its cursors walk the paths
+    of scripted forms, with no lexicon entries below them. A budget-0
+    state of a search with an error step belongs to correction's
+    error-free pass, which records every state it expands to fix the
+    failure point; a lookahead would leave some out and could move it.
+    The roots of correction's second pass are error successors, whose
+    budget is 1 or 2.
 
-    So is the surface-fit lookahead (with ctx.fits, _surface_fits), at a
-    state below which no error rule applies: in a search without an error
-    step, or once the budget is spent. A complete state below it must
-    finish the morpheme each cursor is inside, since _complete needs every
-    cursor done, so it reads the unread symbols of some entry below the
-    cursor. A symbol with a non-empty surface set (_surface_set) is read by
-    a record of its own that emits one surface symbol of that set, and
-    records consume the unread surface in order. With no error rule to
-    come, the surface they consume is exactly `spliced + word[pos:]`, so
-    the entry's required sequence is an ordered subsequence of it (_fits).
-    A state where no entry below some cursor fits has no complete
-    descendant. A reap chain (budget 1) can still take an error, which
-    changes the input, so its states are not checked.
+    The stem lookahead (_stems_meet) skips only incomplete states whose
+    subtrees yield no complete state (_stem_ok).
 
-    Both lookaheads change which states are expanded, so a search that
-    records those, as correction's error-free pass does to find the
-    failure point, runs without them.
+    The surface-fit lookahead (_surface_fits) is exact at a state below
+    which no error rule applies: in a search without an error step, or
+    once the budget is spent. A complete state below it must finish the
+    morpheme each cursor is inside, since _complete needs every cursor
+    done, so it reads the unread symbols of some entry below the cursor. A
+    symbol with a non-empty surface set (_surface_set) is read by a record
+    of its own that emits one surface symbol of that set, and records
+    consume the unread surface in order. With no error rule to come, the
+    surface they consume is exactly `spliced + word[pos:]`, so the entry's
+    required sequence is an ordered subsequence of it (_fits). A state
+    where no entry below some cursor fits has no complete descendant. A
+    reap chain (budget 1) can still take an error, which changes the
+    input, so its states are not checked.
     """
-    stack: List[Iterator[SearchState]] = [iter(roots)]
-    # budget-spent frames on the stack as (depth, key, yields before the
-    # push), innermost last; the keys of those that yielded nothing; and
-    # the interned key parts
-    tabled: List[Tuple[int, tuple, int]] = []
-    failed = set()
-    ids: Dict[object, int] = {(): _EMPTY_PART}
+    stack: List[Tuple[Iterator[SearchState], Optional[tuple], int]] = [
+        (iter(roots), None, 0)]
+    failed = set()       # the keys of tabled states that yielded nothing
     yielded = 0
-    stems, fits = ctx.stems, ctx.fits
     while stack:
         try:
-            state = next(stack[-1])
+            state = next(stack[-1][0])
         except StopIteration:
-            stack.pop()
-            if tabled and tabled[-1][0] == len(stack):
-                _, key, before = tabled.pop()
-                if yielded == before:
-                    failed.add(key)
+            _, key, before = stack.pop()
+            if key is not None and yielded == before:
+                failed.add(key)
             continue
         if _complete(state):
             yielded += 1
             yield state
             continue
-        if stems is not None and not _stems_meet(ctx, state.tapes):
-            continue
-        if fits is not None and (error_step is None or state.budget == 2) \
-                and not _surface_fits(ctx, state):
-            continue
-        if error_step is not None and state.budget == 2:
-            key = _table_key(state, ids)
-            if key in failed:
+        if state.word is not None and (error_step is None or state.budget):
+            if not _stems_meet(ctx, state.tapes):
                 continue
-            tabled.append((len(stack), key, yielded))
-        stack.append(_successors(ctx, state, error_step))
+            if (error_step is None or state.budget == 2) \
+                    and not _surface_fits(ctx, state):
+                continue
+        key = _table_key(state) if error_step and state.budget == 2 else None
+        if key in failed:
+            continue
+        stack.append((_successors(ctx, state, error_step), key, yielded))
 
 
 def analyze(word: SymbolString, grammar: Grammar,
@@ -1399,7 +1357,7 @@ def analyze(word: SymbolString, grammar: Grammar,
     The empty word has none."""
     if not word:
         return []
-    ctx = _SearchContext(grammar, lexicon, lookahead=True)
+    ctx = _SearchContext(grammar, lexicon)
     return [to_analysis(ctx, s)
             for s in _search(ctx, [analysis_start(grammar, lexicon, word)])]
 

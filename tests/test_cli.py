@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import semitic_morpho
 from semitic_morpho import arabic_data
 from semitic_morpho.cli import run
 
@@ -357,3 +362,25 @@ def test_empty_word_no_analysis(capsys):
     code, out, err = _run(capsys, "analyze", "")
     assert code == 1
     assert out.strip() == ": no analysis"
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+def test_closed_stdout_exits_2_without_traceback(tmp_path, fmt):
+    # the reader takes one line and closes the pipe; the CLI has more to
+    # print than the pipe holds, so it cannot finish before the close
+    words = tmp_path / "words"
+    words.write_text("katab\n" * 3000)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(semitic_morpho.__file__).parents[1]))
+    with words.open() as stdin:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "semitic_morpho.cli", "--format", fmt,
+             "analyze", "--stdin"],
+            stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=env)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 2
+    assert "Traceback" not in err

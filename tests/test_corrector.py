@@ -225,10 +225,26 @@ def test_failure_table_matches_reference_search(grammar, lexicon,
     # a position window keeps a prefix of the ranked candidates
     for (word, max_positions), got in outputs.items():
         assert got == outputs[word, None][:len(got)], (word, max_positions)
-    # the table skips failed subtrees, so fewer rules are tried
+    # the table and the lookaheads skip subtrees that yield nothing, so
+    # fewer rules are tried
     for word in ("katbb", "samaaAiyy"):
         n_tabled, n_plain = calls[word, None]
         assert n_tabled < n_plain, word
+
+
+def test_failure_table_alone_tries_fewer_rules(grammar, lexicon, monkeypatch):
+    # a key that never repeats turns the table off and leaves the lookaheads
+    # on, so the difference in rules tried is the table's alone
+    for word in ("katbb", "samaaAiyy"):
+        tabled, n_tabled = _traced_correct(monkeypatch, _search, grammar,
+                                           lexicon, word, None)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_table_key", lambda state: object())
+            untabled, n_untabled = _traced_correct(monkeypatch, _search,
+                                                   grammar, lexicon, word,
+                                                   None)
+        assert tabled == untabled, word
+        assert n_tabled < n_untabled, word
 
 
 # ---------------------------------------------------------------------------

@@ -516,20 +516,17 @@ def test_table_key_ignores_ref_numbering_records_and_error_apps(grammar,
         grammar, lexicon, (b, "a", b),
         records=(PartitionRecord("E2", (), (), error_origin="E2",
                                  corr=(b,)),))
-    ids = {}
-    assert _table_key(first, ids) == _table_key(second, ids)
+    assert _table_key(first) == _table_key(second)
 
 
 def test_table_key_names_the_history_by_its_node(grammar, lexicon):
     # equal content made apart is two nodes; a search interns its nodes
-    ids = {}
-    assert _table_key(_spent(grammar, lexicon, ()), ids) != \
-        _table_key(_spent(grammar, lexicon, (), history=History()), ids)
+    assert _table_key(_spent(grammar, lexicon, ())) != \
+        _table_key(_spent(grammar, lexicon, (), history=History()))
 
 
 def test_table_key_tells_a_shared_ref_from_two_refs(grammar, lexicon):
     shared = FreeRef(CONS, ())
     one, other = FreeRef(CONS, ()), FreeRef(CONS, ())
-    ids = {}
-    assert _table_key(_spent(grammar, lexicon, (shared, shared)), ids) != \
-        _table_key(_spent(grammar, lexicon, (one, other)), ids)
+    assert _table_key(_spent(grammar, lexicon, (shared, shared))) != \
+        _table_key(_spent(grammar, lexicon, (one, other)))

@@ -86,8 +86,8 @@ def _tapes(lexicon, root, voc):
 
 
 def test_verdicts_equal_pairwise_unification(grammar, lexicon):
-    ctx = _SearchContext(grammar, lexicon, lookahead=True)
-    assert ctx.stems is ctx.memo.stems is not None
+    ctx = _SearchContext(grammar, lexicon)
+    assert ctx.memo.stems is not None
     soft = lexicon.soft_attrs
     roots = list(_nodes(lexicon.tree("root").root))
     vocs = list(_nodes(lexicon.tree("vocalism").root))
@@ -105,7 +105,7 @@ def test_verdicts_equal_pairwise_unification(grammar, lexicon):
     # a soft attribute is a preference, which the stem check leaves out
     lex = load_lexicon("!soft\tpref\nroot\tk\tpref=x\t\n"
                        "vocalism\ta\tpref=y\t\n")
-    ctx = _SearchContext(grammar, lex, lookahead=True)
+    ctx = _SearchContext(grammar, lex)
     assert _stems_meet(ctx, _tapes(lex, lex.tree("root").root.edges["k"],
                                    lex.tree("vocalism").root.edges["a"]))
 
@@ -153,13 +153,14 @@ def test_grammar_closing_a_root_alone_gets_no_lookahead(grammar, lexicon):
         ("A", "B", "V", "W"), ("A", "V", "B", "W"), ("A", "V", "W", "B")}
 
 
-def _frontier(ctx, grammar, lexicon, word):
+def _frontier(grammar, lexicon, word):
     frontier = {}
 
     def record(ctx, state):
-        frontier[state.pos] = frontier.get(state.pos, 0) + 1
+        frontier.setdefault(state.pos, []).append(state)
         return ()
 
+    ctx = _SearchContext(grammar, lexicon)
     for _ in _search(ctx, [analysis_start(grammar, lexicon, word)],
                      error_step=record):
         pass
@@ -175,15 +176,18 @@ def test_failure_point_search_sees_every_state(grammar, lexicon, monkeypatch):
         return error_roots(ctx, frontier, max_positions)
 
     monkeypatch.setattr(corrector, "_error_roots", recording)
+    ctx = _SearchContext(grammar, lexicon)
     cut = 0
     for word in map(decode, ERROR_EXAMPLES):
         seen.clear()
         corrector.correct(word, grammar, lexicon)
-        want = _frontier(_SearchContext(grammar, lexicon), grammar, lexicon,
-                         word)
-        assert seen == [want], word
-        pruned = _frontier(_SearchContext(grammar, lexicon, lookahead=True),
-                           grammar, lexicon, word)
-        cut += sum(want.values()) - sum(pruned.values())
-    # the lookahead would cut states from it
+        # the frontier of a search that cannot prune by the lookahead
+        with monkeypatch.context() as m:
+            _no_lookahead(m)
+            frontier = _frontier(grammar, lexicon, word)
+        assert seen == [{pos: len(states)
+                         for pos, states in frontier.items()}], word
+        cut += sum(not _stems_meet(ctx, state.tapes)
+                   for states in frontier.values() for state in states)
+    # the lookahead would cut some of the states the pass records
     assert cut > 0

@@ -84,7 +84,7 @@ def test_unbounded_corrections_of_a_sweep_word(grammar, lexicon,
 
 
 def test_symbol_sets_of_the_bundled_grammar(grammar, lexicon):
-    ctx = _SearchContext(grammar, lexicon, lookahead=True)
+    ctx = _SearchContext(grammar, lexicon)
     cons = grammar.classes["cons"]
     for sym in "ktbdHrJ":
         assert _surface_set(ctx, ROOT, sym) == {sym}
@@ -137,7 +137,7 @@ def _subsequence(required, surface):
 
 
 def test_verdicts_equal_a_scan_of_the_entries(grammar, lexicon):
-    ctx = _SearchContext(grammar, lexicon, lookahead=True)
+    ctx = _SearchContext(grammar, lexicon)
     nodes = [(ti, n) for ti, tape in enumerate(TAPES)
              for n in _nodes(lexicon.tree(tape).root) if n.depth]
     below = {id(n): _required_below(ctx, ti, n) for ti, n in nodes}
@@ -175,7 +175,7 @@ def test_a_symbol_a_rule_deletes_is_optional():
     g = parse_grammar(DELETION)
     entries = ("a", "ab", "b", "ka")
     lex = load_lexicon("".join(f"root\t{e}\tcat=noun\t\n" for e in entries))
-    ctx = _SearchContext(g, lex, lookahead=True)
+    ctx = _SearchContext(g, lex)
     assert _surface_set(ctx, ROOT, "k") == frozenset()
     assert _surface_set(ctx, ROOT, "a") == {"a"}
     rules = {"A": {"kind": "identity", "letters": set("abk")},
@@ -221,18 +221,19 @@ def test_a_reap_chain_is_not_checked(monkeypatch):
     assert "abab" in words
     assert 2 in checked and 1 not in checked
     # on the way, with "ab" read and "b" unread, the entry cannot fit
-    ctx = _SearchContext(g, lex, lookahead=True)
+    ctx = _SearchContext(g, lex)
     node = lex.tree("root").root.edges["a"].edges["b"]
     assert not _fits(ctx, ROOT, node, decode("bb"), 1, ())
 
 
-def _frontier(ctx, grammar, lexicon, word):
+def _frontier(grammar, lexicon, word):
     frontier = {}
 
     def record(ctx, state):
         frontier.setdefault(state.pos, []).append(state)
         return ()
 
+    ctx = _SearchContext(grammar, lexicon)
     for _ in _search(ctx, [analysis_start(grammar, lexicon, word)],
                      error_step=record):
         pass
@@ -245,7 +246,8 @@ def test_failure_point_search_sees_every_state(grammar, lexicon,
     error_roots = corrector._error_roots
 
     def recording(ctx, frontier, max_positions):
-        assert ctx.fits is not None
+        # the pass fitted no surface
+        assert ctx.fits == {}
         seen.append({pos: len(states) for pos, states in frontier.items()})
         return error_roots(ctx, frontier, max_positions)
 
@@ -254,13 +256,14 @@ def test_failure_point_search_sees_every_state(grammar, lexicon,
     for word in map(decode, ERROR_EXAMPLES):
         seen.clear()
         corrector.correct(word, grammar, lexicon)
-        ctx = _SearchContext(grammar, lexicon)
-        assert ctx.fits is None
-        frontier = _frontier(ctx, grammar, lexicon, word)
+        # the frontier of a search that cannot prune by the lookahead
+        with monkeypatch.context() as m:
+            _no_lookahead(m)
+            frontier = _frontier(grammar, lexicon, word)
         assert seen == [{pos: len(states)
                          for pos, states in frontier.items()}], word
         # the lookahead would cut some of the states the pass records
-        ctx.look_ahead()
+        ctx = _SearchContext(grammar, lexicon)
         unfit += sum(not _surface_fits(ctx, state)
                      for states in frontier.values() for state in states)
     assert unfit > 0
@@ -272,8 +275,8 @@ def test_error_rules_skip_states_the_stem_lookahead_rules_out(
     try_error_rules = corrector.try_error_rules
 
     def recording(ctx, state):
-        tried.append(ctx.stems is None or engine._stems_meet(ctx,
-                                                             state.tapes))
+        tried.append(ctx.memo.stems is None
+                     or engine._stems_meet(ctx, state.tapes))
         return try_error_rules(ctx, state)
 
     monkeypatch.setattr(corrector, "try_error_rules", recording)
