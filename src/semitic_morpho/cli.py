@@ -321,6 +321,9 @@ def main() -> None:
         # that the interpreter's final flush cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         status = EXIT_USAGE
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        status = EXIT_USAGE
     raise SystemExit(status)
 
 

@@ -24,10 +24,14 @@ tries are walked, dispatch drops the rules whose verdict fails, and the
 failure table names a history by its node. A search over a word does not
 expand a state whose root and vocalism cursors sit inside morphemes of
 which no pair unifies, since the stem check would reject every stem they
-could close (_stems_meet), nor one with a cursor inside a morpheme whose
-unread symbols no longer fit, in order, into the unread surface
-(_surface_fits), except where it must see every state: _search works out
-from each state whether these lookaheads apply.
+could close (_stems_meet), nor one whose unread surface the pattern symbols
+it still has to read (the rest of its pattern morpheme, then whole
+morphemes) cannot spell symbol for symbol (_covers), nor one with a cursor
+on another tape inside a morpheme whose unread symbols no longer fit, in
+order, into the unread surface (_fits), except where it must see every
+state: _search works out from each state whether these lookaheads apply,
+and the step memo works out from the grammar which tape spells the surface
+(_spelling_tape).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
-                    Optional, Sequence, Tuple)
+                    Optional, Sequence, Set, Tuple)
 
 from .alphabet import BOUNDARY, SymbolString, slot_index
 from .features import FeatureStructure, restrict, unify, unify_all
@@ -389,15 +393,22 @@ class StepMemo:
              successor (_stem_ok). None for any other grammar, which gets
              no lookahead.
     surfaces (tape index, symbol) -> the surface symbols one record that
-             reads the symbol on that tape emits, None for any symbol, or
-             the empty set when the symbol need not surface as one symbol:
-             the surface-fit lookahead's symbol sets (_surface_set), at
-             most one per symbol of each tape's alphabet
-    fit_steps  trie node -> whether an entry ends at or below it after
-             symbols with an empty set only, and each (set, node reached)
-             of the next symbol with a non-empty set after any such
-             symbols: the trie as the surface-fit lookahead walks it
-             (_fit_steps), one entry per node
+             reads the symbol on that tape can emit, None for any symbol;
+             and `vanishing`, the (tape index, symbol) pairs a record may
+             read without surfacing them as one symbol of their own: one
+             derivation per symbol of each tape's alphabet, read by both
+             surface-fit walks (_spelling, _surface_set)
+    spelling the tape on which each record reads exactly one symbol and
+             spells at most one surface symbol for it (_spelling_tape), or
+             None: derived here, on the first search over the pair
+    cover_steps  trie node of the spelling tape -> each (surface set, may
+             vanish, child) of its edges: the trie as the cover walk reads
+             it (_cover_steps), one entry per node
+    fit_steps  trie node of another tape -> whether an entry ends at or
+             below it after symbols with an empty set (_surface_set) only,
+             and each (set, node reached) of the next symbol with a
+             non-empty set after any such symbols: the trie as the
+             subsequence walk reads it (_fit_steps), one entry per node
     lex_cap  the longest lexical-only run a partition may make
     """
 
@@ -414,6 +425,9 @@ class StepMemo:
         self.stems: Optional[Dict[Tuple[Node, Node], bool]] = \
             {} if _closes_stems_together(grammar) else None
         self.surfaces: Dict[Tuple[int, str], Optional[FrozenSet[str]]] = {}
+        self.vanishing: Set[Tuple[int, str]] = set()
+        self.spelling = _spelling_tape(grammar)
+        self.cover_steps: Dict[Node, tuple] = {}
         self.fit_steps: Dict[Node, tuple] = {}
         self.lex_cap = lexicon.max_entry_length() + 4
 
@@ -458,12 +472,19 @@ def step_memo(grammar: Grammar, lexicon: Lexicon) -> StepMemo:
 class _SearchContext:
     """What one search reads: the grammar, the lexicon and its step memo,
     and the rules it may apply; and the tables that live as long as the
-    search: the one that interns its histories, and `fits`, the
-    surface-fit lookahead's verdicts. `fits` maps (trie node, pos, spliced
-    prefix) to whether some entry at or below the node can still surface
-    its unread symbols inside `spliced + word[pos:]` (_fits); a verdict
-    reads the search's word. Where the lookaheads apply is a fact of each
-    state, which _search works out.
+    search, each of which reads the search's one word:
+    - `histories`, which interns its history nodes;
+    - `covers`, the cover lookahead's verdicts: (trie node of the spelling
+      tape, pos, spliced prefix) -> whether the symbols still to be read
+      from the node can spell `spliced + word[pos:]` (_covers; at the trie
+      root, whether whole morphemes can, _spelled);
+    - `fits`, the subsequence check's verdicts: (trie node of another
+      tape, pos, spliced prefix) -> whether some entry at or below the
+      node can still surface its unread symbols inside it (_fits);
+    - `word_bits`, surface set -> the bitmask of the word's symbols a
+      record with that set can spell (_item_bits).
+    Where the lookaheads apply is a fact of each state, which _search
+    works out.
     """
 
     def __init__(self, grammar: Grammar, lexicon: Lexicon,
@@ -476,7 +497,9 @@ class _SearchContext:
         self.allowed = self.memo.mask(
             lambda plan: plan.rule.name not in skip_rules)
         self.histories: Dict[tuple, History] = {}
+        self.covers: Dict[tuple, bool] = {}
         self.fits: Dict[tuple, bool] = {}
+        self.word_bits: Dict[Optional[FrozenSet[str]], int] = {}
 
     def history(self, parent: History, lex_seg: Tuple[LexTuple, ...],
                 surf_seg: Tuple[str, ...]) -> History:
@@ -916,34 +939,48 @@ def _stems_meet(ctx: _SearchContext, tapes: Sequence[TapeState]) -> bool:
 def _surface_set(ctx: _SearchContext, ti: int,
                  sym: str) -> Optional[FrozenSet[str]]:
     """The surface symbols a record that reads `sym` on tape `ti` can emit,
-    None for any symbol (StepMemo.surfaces, filled on first use).
+    None for any symbol, or empty when `sym` need not surface as one symbol
+    of its own: it may vanish (_spelling), or no rule reads it."""
+    emits, vanishes = _spelling(ctx, ti, sym)
+    return frozenset() if vanishes else emits
 
-    Empty when `sym` need not surface as one symbol of its own: it is the
-    boundary, no rule reads it, or some rule that can read it reads more
-    than one symbol of the tape or has other than one surface slot (as the
-    rules that let it vanish do). Otherwise each rule that can read it
-    emits one surface symbol at its one surface slot: a literal, `sym`
+
+def _spelling(ctx: _SearchContext, ti: int,
+              sym: str) -> Tuple[Optional[FrozenSet[str]], bool]:
+    """What one record that reads `sym` on tape `ti` spells: the surface
+    symbols it can emit, None for any symbol, and whether `sym` may vanish
+    (StepMemo.surfaces and StepMemo.vanishing, filled on first use).
+
+    `sym` may vanish when some rule that can read it reads more than one
+    symbol of the tape or has other than one surface slot, as the rules
+    that delete it and the boundary rules do. Each other rule that can read
+    it emits one surface symbol at its one surface slot: a literal, `sym`
     itself when the slot is the variable that reads it, or else any value
     of the slot's variable. Guards only narrow these sets, so only class
     domains are read.
     """
     key = (ti, sym)
-    symbols = ctx.memo.surfaces.get(key, _UNSEEN)
-    if symbols is _UNSEEN:
-        symbols = ctx.memo.surfaces[key] = \
-            frozenset() if sym == BOUNDARY else _emitted(ctx.grammar, ti, sym)
-    return symbols
+    memo = ctx.memo
+    emits = memo.surfaces.get(key, _UNSEEN)
+    if emits is _UNSEEN:
+        emits, vanishes = _emitted(ctx.grammar, ti, sym)
+        memo.surfaces[key] = emits
+        if vanishes:
+            memo.vanishing.add(key)
+    return emits, key in memo.vanishing
 
 
-def _emitted(grammar: Grammar, ti: int, sym: str) -> Optional[FrozenSet[str]]:
-    """_surface_set for a symbol other than the boundary."""
-    out, anything = set(), False
+def _emitted(grammar: Grammar, ti: int,
+             sym: str) -> Tuple[Optional[FrozenSet[str]], bool]:
+    """_spelling, derived from the grammar's rules."""
+    out, anything, vanishes = set(), False, False
     for rule in grammar.rules:
         slots = [tup[ti] for tup in rule.lex if tup[ti] != EPS]
         if not any(_reads(slot, sym, rule.guards) for slot in slots):
             continue
         if len(slots) != 1 or len(rule.surf) != 1:
-            return frozenset()
+            vanishes = True
+            continue
         surf = rule.surf[0]
         if surf[0] == "lit":
             out.add(surf[1])
@@ -956,24 +993,193 @@ def _emitted(grammar: Grammar, ti: int, sym: str) -> Optional[FrozenSet[str]]:
                 anything = True
             else:
                 out |= domain
-    return None if anything else frozenset(out)
+    return (None if anything else frozenset(out)), vanishes
+
+
+def _spelling_tape(grammar: Grammar) -> Optional[int]:
+    """The first tape on which every rule of the grammar has exactly one
+    lexical tuple, that tuple's slot is a literal or a variable, and the
+    rule has at most one surface slot; None when no tape is. Then each
+    record reads exactly one symbol of the tape and spells at most one
+    surface symbol for it: the premise of the cover lookahead (_covers)."""
+    for ti in range(len(TAPES)):
+        if all(len(rule.lex) == 1 and rule.lex[0][ti][0] in ("lit", "var")
+               and len(rule.surf) <= 1 for rule in grammar.rules):
+            return ti
+    return None
 
 
 def _surface_fits(ctx: _SearchContext, state: SearchState) -> bool:
-    """False when a cursor sits inside a morpheme (not at its trie root) and
-    no entry at or below it can still surface its unread symbols, in
-    order, inside the unread surface (_fits). A cursor below which an entry
-    ends with no symbol left that must surface fits any surface, as every
-    vocalism cursor does in the bundled grammar, and needs no verdict."""
+    """False when the unread surface cannot be spelled by the symbols the
+    spelling tape's cursor still has to read (_covers), or when a cursor on
+    another tape sits inside a morpheme (not at its trie root) and no entry
+    at or below it can still surface its unread symbols, in order, inside
+    the unread surface (_fits). A cursor below which an entry ends with no
+    symbol left that must surface fits any surface, as every vocalism
+    cursor does in the bundled grammar, and needs no verdict."""
     steps = ctx.memo.fit_steps
+    spelling = ctx.memo.spelling
     for ti, tape in enumerate(state.tapes):
         node = tape.cursor.node
-        if not node.depth or (steps.get(node) or
-                              _fit_steps(ctx, ti, node))[0]:
-            continue
-        if not _fits(ctx, ti, node, state.word, state.pos, state.spliced):
+        if ti == spelling:
+            if not _covers(ctx, ti, tape.cursor.tree.root, node, state.word,
+                           state.pos, state.spliced):
+                return False
+        elif node.depth and not (steps.get(node) or
+                                 _fit_steps(ctx, ti, node))[0] \
+                and not _fits(ctx, ti, node, state.word, state.pos,
+                              state.spliced):
             return False
     return True
+
+
+def _covers(ctx: _SearchContext, ti: int, root: Node, node: Node,
+            word: SymbolString, pos: int, spliced: tuple) -> bool:
+    """Can the symbols of the spelling tape `ti` still to be read from
+    `node` spell the unread surface `spliced + word[pos:]` exactly, one
+    surface symbol or none per symbol (_spelling)? They are the rest of
+    the morpheme the node is inside, up to an entry's end, then whole
+    morphemes from the trie's `root` (_spelled). A FreeRef matches a set
+    when it admits one of its symbols.
+
+    The verdicts are kept per (node, pos, spliced prefix) in ctx.covers. One
+    is worked out from the verdicts of the node's children, so a walk down
+    the rest of a morpheme leaves a verdict at each node and unread
+    surface it passes, which the states below then read. It recurses only
+    inside one morpheme, so no deeper than the longest entry.
+    """
+    key = (node, pos, spliced)
+    fit = ctx.covers.get(key)
+    if fit is None:
+        if node is root:
+            return _spelled(ctx, ti, root, word, pos, spliced)
+        fit = bool(node.entries) and _spelled(ctx, ti, root, word, pos,
+                                              spliced)
+        if not fit:
+            item = spliced[0] if spliced else \
+                word[pos] if pos < len(word) else None
+            rest = (pos, spliced[1:]) if spliced else (pos + 1, ())
+            edges = ctx.memo.cover_steps.get(node)
+            if edges is None:
+                edges = _cover_steps(ctx, ti, node)
+            for emits, vanishes, child in edges:
+                if vanishes and _covers(ctx, ti, root, child, word, pos,
+                                        spliced) or \
+                        item is not None and _takes(emits, item) and \
+                        _covers(ctx, ti, root, child, word, *rest):
+                    fit = True
+                    break
+        ctx.covers[key] = fit
+    return fit
+
+
+def _takes(emits: Optional[FrozenSet[str]], item) -> bool:
+    """Can a record with the surface set `emits` (None for any symbol)
+    spell the unread item, a symbol or a FreeRef?"""
+    if emits is None:
+        return True
+    if isinstance(item, str):
+        return item in emits
+    return any(map(item.admits, emits))
+
+
+def _spelled(ctx: _SearchContext, ti: int, root: Node, word: SymbolString,
+             pos: int, spliced: tuple) -> bool:
+    """Do whole morphemes of the spelling tape `ti`, each spelling some
+    surface, spell `spliced + word[pos:]`? Kept in ctx.covers under the trie
+    root, and worked out with a stack of the rests still undecided, never
+    by recursion over the word: each morpheme read from the root leaves a
+    shorter rest, and the longest morpheme is tried first."""
+    covers = ctx.covers
+    top = (root, pos, spliced)
+    stack = [top]
+    pending: Dict[tuple, list] = {}
+    while top not in covers:
+        key = stack[-1]
+        rests = pending.get(key)
+        if rests is None:
+            _, at, before = key
+            if not before and at == len(word):
+                covers[key] = True
+                stack.pop()
+                continue
+            # the rest after each morpheme that spells k > 0 items
+            n = len(before)
+            ends = _cover_ends(ctx, ti, root, word, at, before)
+            rests = pending[key] = [
+                (root, at, before[k:]) if k <= n else (root, at + k - n, ())
+                for k in range(1, ends.bit_length()) if ends >> k & 1]
+        while rests and covers.get(rests[-1]) is False:
+            rests.pop()
+        if not rests or covers.get(rests[-1]):
+            covers[key] = bool(rests)
+            stack.pop()
+        else:
+            stack.append(rests[-1])
+    return covers[top]
+
+
+def _cover_ends(ctx: _SearchContext, ti: int, root: Node,
+                word: SymbolString, pos: int, spliced: tuple) -> int:
+    """The bitmask of the k such that some whole morpheme of the spelling
+    tape `ti`, read from the trie's `root`, can spell the first k items of
+    `spliced + word[pos:]`.
+
+    The trie is walked down once, carrying to each node the bitmask of the
+    numbers of items the symbols read so far can spell: a symbol that may
+    vanish keeps each number k, and one whose surface set takes item k
+    moves it to k + 1 (_item_bits). So the walk visits each node at most
+    once, and never more deeply than the longest entry.
+    """
+    steps = ctx.memo.cover_steps
+    bits: Dict[Optional[FrozenSet[str]], int] = {}
+    ends = 0
+    todo = [(root, 1)]
+    while todo:
+        node, reach = todo.pop()
+        if node.entries:
+            ends |= reach
+        edges = steps.get(node)
+        if edges is None:
+            edges = _cover_steps(ctx, ti, node)
+        for emits, vanishes, child in edges:
+            takes = bits.get(emits)
+            if takes is None:
+                takes = bits[emits] = _item_bits(ctx, emits, word, pos,
+                                                 spliced)
+            step = (reach & takes) << 1
+            if vanishes:
+                step |= reach
+            if step:
+                todo.append((child, step))
+    return ends
+
+
+def _item_bits(ctx: _SearchContext, emits: Optional[FrozenSet[str]],
+               word: SymbolString, pos: int, spliced: tuple) -> int:
+    """The bitmask of the items of `spliced + word[pos:]` that a record
+    with the surface set `emits` (None for any symbol) can spell: bit k for
+    item k. A FreeRef matches a set when it admits one of its symbols. The
+    bitmask over the whole word is kept per search in ctx.word_bits."""
+    whole = ctx.word_bits.get(emits)
+    if whole is None:
+        whole = ctx.word_bits[emits] = int("0" + "".join(
+            "1" if emits is None or sym in emits else "0"
+            for sym in reversed(word)), 2)
+    out = whole >> pos << len(spliced)
+    for k, item in enumerate(spliced):
+        if _takes(emits, item):
+            out |= 1 << k
+    return out
+
+
+def _cover_steps(ctx: _SearchContext, ti: int, node: Node
+                 ) -> Tuple[Tuple[Optional[FrozenSet[str]], bool, Node], ...]:
+    """Each (surface set, may vanish, child) of `node`'s edges on the
+    spelling tape `ti` (StepMemo.cover_steps)."""
+    steps = ctx.memo.cover_steps[node] = tuple(
+        (*_spelling(ctx, ti, sym), child) for sym, child in node.edges.items())
+    return steps
 
 
 def _fits(ctx: _SearchContext, ti: int, node: Node, word: SymbolString,
@@ -997,8 +1203,7 @@ def _fits(ctx: _SearchContext, ti: int, node: Node, word: SymbolString,
             if fit:
                 break
             for k, item in enumerate(spliced):
-                if want is None or (item in want if isinstance(item, str)
-                                    else any(map(item.admits, want))):
+                if _takes(want, item):
                     fit = _fits(ctx, ti, child, word, pos, spliced[k + 1:])
                     break
             else:
@@ -1311,17 +1516,31 @@ def _search(ctx: _SearchContext, roots: Iterable[SearchState],
 
     The surface-fit lookahead (_surface_fits) is exact at a state below
     which no error rule applies: in a search without an error step, or
-    once the budget is spent. A complete state below it must finish the
-    morpheme each cursor is inside, since _complete needs every cursor
-    done, so it reads the unread symbols of some entry below the cursor. A
-    symbol with a non-empty surface set (_surface_set) is read by a record
-    of its own that emits one surface symbol of that set, and records
-    consume the unread surface in order. With no error rule to come, the
-    surface they consume is exactly `spliced + word[pos:]`, so the entry's
-    required sequence is an ordered subsequence of it (_fits). A state
-    where no entry below some cursor fits has no complete descendant. A
-    reap chain (budget 1) can still take an error, which changes the
-    input, so its states are not checked.
+    once the budget is spent. With no error rule to come, the records below
+    the state consume exactly the unread surface `spliced + word[pos:]`,
+    in order, and a complete state below it has every cursor done
+    (_complete).
+    - On the spelling tape (_spelling_tape) each record reads exactly one
+      symbol and spells at most one surface symbol, from that symbol's
+      surface set, or none only where the symbol may vanish (_spelling).
+      So the symbols a complete descendant still reads on that tape, the
+      rest of the current morpheme and then whole morphemes up to the trie
+      root, spell the unread surface symbol for symbol (_covers). Leaving
+      out a morpheme that spells nothing leaves such a cover a cover, so
+      the walk over whole morphemes takes only those that spell some
+      surface (_spelled), and never loops through the root. The check
+      reads no history, obligation or other tape: it is a necessary
+      condition, and holds wherever the premise on the grammar does.
+    - On another tape a complete descendant finishes the morpheme each
+      cursor is inside, so it reads the unread symbols of some entry below
+      the cursor. A symbol with a non-empty surface set (_surface_set) is
+      read by a record of its own that emits one surface symbol of that
+      set, so the entry's required sequence is an ordered subsequence of
+      the unread surface (_fits).
+    A state that fails either check has no complete descendant. A reap
+    chain (budget 1) can still take an error, which changes the input, so
+    its states are not checked; nor are those of the error-free pass, as
+    above.
     """
     stack: List[Tuple[Iterator[SearchState], Optional[tuple], int]] = [
         (iter(roots), None, 0)]

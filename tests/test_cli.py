@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -384,3 +385,24 @@ def test_closed_stdout_exits_2_without_traceback(tmp_path, fmt):
         proc.stderr.close()
         assert proc.wait(timeout=120) == 2
     assert "Traceback" not in err
+
+
+def test_interrupt_exits_2_without_traceback():
+    # Ctrl-C while the CLI waits for the next line of an open stdin
+    env = dict(os.environ, PYTHONUNBUFFERED="1",
+               PYTHONPATH=str(Path(semitic_morpho.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "semitic_morpho.cli", "analyze", "--stdin"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=env)
+    try:
+        proc.stdin.write(b"katab\n")
+        proc.stdin.flush()
+        assert b"katab" in proc.stdout.readline()
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 2
+    assert err.decode() == "error: interrupted\n"
