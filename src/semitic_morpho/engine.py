@@ -24,14 +24,15 @@ tries are walked, dispatch drops the rules whose verdict fails, and the
 failure table names a history by its node. A search over a word does not
 expand a state whose root and vocalism cursors sit inside morphemes of
 which no pair unifies, since the stem check would reject every stem they
-could close (_stems_meet), nor one whose unread surface the pattern symbols
-it still has to read (the rest of its pattern morpheme, then whole
-morphemes) cannot spell symbol for symbol (_covers), nor one with a cursor
-on another tape inside a morpheme whose unread symbols no longer fit, in
-order, into the unread surface (_fits), except where it must see every
+could close (_stems_meet), nor one with a cursor whose unread symbols can
+no longer surface in the unread surface (_fits, one walk for every tape):
+on the tape that spells the surface symbol for symbol (_spelling_tape),
+the rest of its morpheme and then whole morphemes must spell all of it;
+inside a morpheme on another tape, the rest of some entry must surface in
+order somewhere in it. That holds except where the search must see every
 state: _search works out from each state whether these lookaheads apply,
-and the step memo works out from the grammar which tape spells the surface
-(_spelling_tape).
+and the step memo works out from the grammar which tape spells the
+surface.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
-                    Optional, Sequence, Set, Tuple)
+                    Optional, Sequence, Tuple)
 
 from .alphabet import BOUNDARY, SymbolString, slot_index
 from .features import FeatureStructure, restrict, unify, unify_all
@@ -392,23 +393,17 @@ class StepMemo:
              state whose cursors reach no pair that meets has no complete
              successor (_stem_ok). None for any other grammar, which gets
              no lookahead.
-    surfaces (tape index, symbol) -> the surface symbols one record that
-             reads the symbol on that tape can emit, None for any symbol;
-             and `vanishing`, the (tape index, symbol) pairs a record may
-             read without surfacing them as one symbol of their own: one
-             derivation per symbol of each tape's alphabet, read by both
-             surface-fit walks (_spelling, _surface_set)
+    spellings  (tape index, symbol) -> (the surface symbols one record
+             that reads the symbol on that tape can emit, None for any
+             symbol; whether the symbol may vanish): one derivation per
+             symbol of each tape's alphabet (_spelling)
     spelling the tape on which each record reads exactly one symbol and
              spells at most one surface symbol for it (_spelling_tape), or
              None: derived here, on the first search over the pair
-    cover_steps  trie node of the spelling tape -> each (surface set, may
-             vanish, child) of its edges: the trie as the cover walk reads
-             it (_cover_steps), one entry per node
-    fit_steps  trie node of another tape -> whether an entry ends at or
-             below it after symbols with an empty set (_surface_set) only,
-             and each (set, node reached) of the next symbol with a
-             non-empty set after any such symbols: the trie as the
-             subsequence walk reads it (_fit_steps), one entry per node
+    cover_steps  trie node -> (whether an entry ends at or below it after
+             symbols that may all vanish, each (surface set, may vanish,
+             child) of its edges): the trie as the surface-fit walk reads
+             it on every tape (_cover_steps), one entry per node
     lex_cap  the longest lexical-only run a partition may make
     """
 
@@ -424,11 +419,10 @@ class StepMemo:
         self.watches: Dict[tuple, tuple] = {}
         self.stems: Optional[Dict[Tuple[Node, Node], bool]] = \
             {} if _closes_stems_together(grammar) else None
-        self.surfaces: Dict[Tuple[int, str], Optional[FrozenSet[str]]] = {}
-        self.vanishing: Set[Tuple[int, str]] = set()
+        self.spellings: Dict[Tuple[int, str],
+                             Tuple[Optional[FrozenSet[str]], bool]] = {}
         self.spelling = _spelling_tape(grammar)
         self.cover_steps: Dict[Node, tuple] = {}
-        self.fit_steps: Dict[Node, tuple] = {}
         self.lex_cap = lexicon.max_entry_length() + 4
 
     def mask(self, admits) -> int:
@@ -474,13 +468,10 @@ class _SearchContext:
     and the rules it may apply; and the tables that live as long as the
     search, each of which reads the search's one word:
     - `histories`, which interns its history nodes;
-    - `covers`, the cover lookahead's verdicts: (trie node of the spelling
-      tape, pos, spliced prefix) -> whether the symbols still to be read
-      from the node can spell `spliced + word[pos:]` (_covers; at the trie
-      root, whether whole morphemes can, _spelled);
-    - `fits`, the subsequence check's verdicts: (trie node of another
-      tape, pos, spliced prefix) -> whether some entry at or below the
-      node can still surface its unread symbols inside it (_fits);
+    - `covers`, the surface-fit walk's verdicts: (trie node, pos, spliced
+      prefix) -> whether the symbols still to be read from the node can
+      surface in `spliced + word[pos:]` (_fits; at the spelling tape's
+      root, whether whole morphemes can spell it, _spelled);
     - `word_bits`, surface set -> the bitmask of the word's symbols a
       record with that set can spell (_item_bits).
     Where the lookaheads apply is a fact of each state, which _search
@@ -498,7 +489,6 @@ class _SearchContext:
             lambda plan: plan.rule.name not in skip_rules)
         self.histories: Dict[tuple, History] = {}
         self.covers: Dict[tuple, bool] = {}
-        self.fits: Dict[tuple, bool] = {}
         self.word_bits: Dict[Optional[FrozenSet[str]], int] = {}
 
     def history(self, parent: History, lex_seg: Tuple[LexTuple, ...],
@@ -936,20 +926,11 @@ def _stems_meet(ctx: _SearchContext, tapes: Sequence[TapeState]) -> bool:
     return meet
 
 
-def _surface_set(ctx: _SearchContext, ti: int,
-                 sym: str) -> Optional[FrozenSet[str]]:
-    """The surface symbols a record that reads `sym` on tape `ti` can emit,
-    None for any symbol, or empty when `sym` need not surface as one symbol
-    of its own: it may vanish (_spelling), or no rule reads it."""
-    emits, vanishes = _spelling(ctx, ti, sym)
-    return frozenset() if vanishes else emits
-
-
 def _spelling(ctx: _SearchContext, ti: int,
               sym: str) -> Tuple[Optional[FrozenSet[str]], bool]:
     """What one record that reads `sym` on tape `ti` spells: the surface
     symbols it can emit, None for any symbol, and whether `sym` may vanish
-    (StepMemo.surfaces and StepMemo.vanishing, filled on first use).
+    (StepMemo.spellings, filled on first use).
 
     `sym` may vanish when some rule that can read it reads more than one
     symbol of the tape or has other than one surface slot, as the rules
@@ -957,43 +938,35 @@ def _spelling(ctx: _SearchContext, ti: int,
     it emits one surface symbol at its one surface slot: a literal, `sym`
     itself when the slot is the variable that reads it, or else any value
     of the slot's variable. Guards only narrow these sets, so only class
-    domains are read.
+    domains are read. A symbol no rule reads has an empty set and does not
+    vanish.
     """
     key = (ti, sym)
-    memo = ctx.memo
-    emits = memo.surfaces.get(key, _UNSEEN)
-    if emits is _UNSEEN:
-        emits, vanishes = _emitted(ctx.grammar, ti, sym)
-        memo.surfaces[key] = emits
-        if vanishes:
-            memo.vanishing.add(key)
-    return emits, key in memo.vanishing
-
-
-def _emitted(grammar: Grammar, ti: int,
-             sym: str) -> Tuple[Optional[FrozenSet[str]], bool]:
-    """_spelling, derived from the grammar's rules."""
-    out, anything, vanishes = set(), False, False
-    for rule in grammar.rules:
-        slots = [tup[ti] for tup in rule.lex if tup[ti] != EPS]
-        if not any(_reads(slot, sym, rule.guards) for slot in slots):
-            continue
-        if len(slots) != 1 or len(rule.surf) != 1:
-            vanishes = True
-            continue
-        surf = rule.surf[0]
-        if surf[0] == "lit":
-            out.add(surf[1])
-        elif surf == slots[0]:
-            out.add(sym)
-        else:
-            domain = rule.guards.allowed.get(surf[1]) \
-                if surf[0] == "var" else None
-            if domain is None:
-                anything = True
+    spelling = ctx.memo.spellings.get(key)
+    if spelling is None:
+        out, anything, vanishes = set(), False, False
+        for rule in ctx.grammar.rules:
+            slots = [tup[ti] for tup in rule.lex if tup[ti] != EPS]
+            if not any(_reads(slot, sym, rule.guards) for slot in slots):
+                continue
+            if len(slots) != 1 or len(rule.surf) != 1:
+                vanishes = True
+                continue
+            surf = rule.surf[0]
+            if surf[0] == "lit":
+                out.add(surf[1])
+            elif surf == slots[0]:
+                out.add(sym)
             else:
-                out |= domain
-    return (None if anything else frozenset(out)), vanishes
+                domain = rule.guards.allowed.get(surf[1]) \
+                    if surf[0] == "var" else None
+                if domain is None:
+                    anything = True
+                else:
+                    out |= domain
+        spelling = ctx.memo.spellings[key] = (
+            None if anything else frozenset(out), vanishes)
+    return spelling
 
 
 def _spelling_tape(grammar: Grammar) -> Optional[int]:
@@ -1001,7 +974,8 @@ def _spelling_tape(grammar: Grammar) -> Optional[int]:
     lexical tuple, that tuple's slot is a literal or a variable, and the
     rule has at most one surface slot; None when no tape is. Then each
     record reads exactly one symbol of the tape and spells at most one
-    surface symbol for it: the premise of the cover lookahead (_covers)."""
+    surface symbol for it: the premise of the walk's spelling mode
+    (_fits)."""
     for ti in range(len(TAPES)):
         if all(len(rule.lex) == 1 and rule.lex[0][ti][0] in ("lit", "var")
                and len(rule.surf) <= 1 for rule in grammar.rules):
@@ -1010,67 +984,90 @@ def _spelling_tape(grammar: Grammar) -> Optional[int]:
 
 
 def _surface_fits(ctx: _SearchContext, state: SearchState) -> bool:
-    """False when the unread surface cannot be spelled by the symbols the
-    spelling tape's cursor still has to read (_covers), or when a cursor on
-    another tape sits inside a morpheme (not at its trie root) and no entry
-    at or below it can still surface its unread symbols, in order, inside
-    the unread surface (_fits). A cursor below which an entry ends with no
-    symbol left that must surface fits any surface, as every vocalism
-    cursor does in the bundled grammar, and needs no verdict."""
-    steps = ctx.memo.fit_steps
+    """False when the symbols some tape's cursor still has to read cannot
+    surface in the unread surface (_fits): the spelling tape's cursor
+    always, and another tape's only inside a morpheme (not at its trie
+    root)."""
     spelling = ctx.memo.spelling
     for ti, tape in enumerate(state.tapes):
         node = tape.cursor.node
-        if ti == spelling:
-            if not _covers(ctx, ti, tape.cursor.tree.root, node, state.word,
-                           state.pos, state.spliced):
-                return False
-        elif node.depth and not (steps.get(node) or
-                                 _fit_steps(ctx, ti, node))[0] \
-                and not _fits(ctx, ti, node, state.word, state.pos,
-                              state.spliced):
+        if (node.depth or ti == spelling) and not _fits(
+                ctx, ti, tape.cursor.tree.root, node, state.word, state.pos,
+                state.spliced):
             return False
     return True
 
 
-def _covers(ctx: _SearchContext, ti: int, root: Node, node: Node,
-            word: SymbolString, pos: int, spliced: tuple) -> bool:
-    """Can the symbols of the spelling tape `ti` still to be read from
-    `node` spell the unread surface `spliced + word[pos:]` exactly, one
-    surface symbol or none per symbol (_spelling)? They are the rest of
-    the morpheme the node is inside, up to an entry's end, then whole
-    morphemes from the trie's `root` (_spelled). A FreeRef matches a set
-    when it admits one of its symbols.
+def _fits(ctx: _SearchContext, ti: int, root: Node, node: Node,
+          word: SymbolString, pos: int, spliced: tuple) -> bool:
+    """Can the symbols tape `ti` still reads from `node` surface in the
+    unread surface `spliced + word[pos:]`? Each spells one surface symbol
+    of its set, or none where it may vanish (_spelling); a FreeRef matches
+    a set when it admits one of its symbols.
+    - On the spelling tape (StepMemo.spelling) they spell it exactly: each
+      symbol takes the next unread item or vanishes, and at an entry's end
+      whole morphemes from the trie's `root` spell the rest (_spelled).
+    - On another tape the rest of one entry below the node surfaces in
+      order inside it: a symbol that cannot vanish takes its first match at
+      or after the front, which leaves the longest rest, and an entry's end
+      fits. So does a node below which an entry ends after symbols that
+      may all vanish (StepMemo.cover_steps), with no verdict kept.
 
-    The verdicts are kept per (node, pos, spliced prefix) in ctx.covers. One
-    is worked out from the verdicts of the node's children, so a walk down
-    the rest of a morpheme leaves a verdict at each node and unread
-    surface it passes, which the states below then read. It recurses only
-    inside one morpheme, so no deeper than the longest entry.
+    The verdicts are kept per (node, pos, spliced prefix) in ctx.covers,
+    where _spelled keeps its own under the root. One is worked out from
+    the verdicts of the node's children, so a walk down the rest of a
+    morpheme leaves a verdict at each node and unread surface it passes,
+    which the states below then read. It recurses only inside one
+    morpheme, so no deeper than the longest entry.
     """
+    ends, edges = ctx.memo.cover_steps.get(node) or \
+        _cover_steps(ctx, ti, node)
+    spelling = ti == ctx.memo.spelling
+    if ends and not spelling:
+        return True
     key = (node, pos, spliced)
     fit = ctx.covers.get(key)
     if fit is None:
         if node is root:
             return _spelled(ctx, ti, root, word, pos, spliced)
-        fit = bool(node.entries) and _spelled(ctx, ti, root, word, pos,
-                                              spliced)
-        if not fit:
+        fit = False
+        if spelling:
+            fit = bool(node.entries) and _spelled(ctx, ti, root, word, pos,
+                                                  spliced)
+            # the one item a symbol can take, and the rest after it
             item = spliced[0] if spliced else \
                 word[pos] if pos < len(word) else None
             rest = (pos, spliced[1:]) if spliced else (pos + 1, ())
-            edges = ctx.memo.cover_steps.get(node)
-            if edges is None:
-                edges = _cover_steps(ctx, ti, node)
-            for emits, vanishes, child in edges:
-                if vanishes and _covers(ctx, ti, root, child, word, pos,
-                                        spliced) or \
-                        item is not None and _takes(emits, item) and \
-                        _covers(ctx, ti, root, child, word, *rest):
-                    fit = True
-                    break
+        for emits, vanishes, child in edges:
+            if fit:
+                break
+            # the unread surface after the symbol spells one item: the next
+            # on the spelling tape; elsewhere the first it matches, where a
+            # symbol that may vanish is only stepped over
+            if spelling:
+                after = rest if item is not None and _takes(emits, item) \
+                    else None
+            else:
+                after = None if vanishes else _after(emits, word, pos, spliced)
+            fit = (vanishes and _fits(ctx, ti, root, child, word, pos, spliced)
+                   or after is not None
+                   and _fits(ctx, ti, root, child, word, *after))
         ctx.covers[key] = fit
     return fit
+
+
+def _after(emits: Optional[FrozenSet[str]], word: SymbolString, pos: int,
+           spliced: tuple) -> Optional[Tuple[int, tuple]]:
+    """The unread surface `spliced + word[pos:]` after the first item a
+    record with the surface set `emits` can spell, as (pos, spliced
+    prefix), or None when none can."""
+    for k, item in enumerate(spliced):
+        if _takes(emits, item):
+            return pos, spliced[k + 1:]
+    for j in range(pos, len(word)):
+        if emits is None or word[j] in emits:
+            return j + 1, ()
+    return None
 
 
 def _takes(emits: Optional[FrozenSet[str]], item) -> bool:
@@ -1139,10 +1136,8 @@ def _cover_ends(ctx: _SearchContext, ti: int, root: Node,
         node, reach = todo.pop()
         if node.entries:
             ends |= reach
-        edges = steps.get(node)
-        if edges is None:
-            edges = _cover_steps(ctx, ti, node)
-        for emits, vanishes, child in edges:
+        for emits, vanishes, child in (steps.get(node) or
+                                       _cover_steps(ctx, ti, node))[1]:
             takes = bits.get(emits)
             if takes is None:
                 takes = bits[emits] = _item_bits(ctx, emits, word, pos,
@@ -1174,65 +1169,20 @@ def _item_bits(ctx: _SearchContext, emits: Optional[FrozenSet[str]],
 
 
 def _cover_steps(ctx: _SearchContext, ti: int, node: Node
-                 ) -> Tuple[Tuple[Optional[FrozenSet[str]], bool, Node], ...]:
-    """Each (surface set, may vanish, child) of `node`'s edges on the
-    spelling tape `ti` (StepMemo.cover_steps)."""
-    steps = ctx.memo.cover_steps[node] = tuple(
-        (*_spelling(ctx, ti, sym), child) for sym, child in node.edges.items())
-    return steps
-
-
-def _fits(ctx: _SearchContext, ti: int, node: Node, word: SymbolString,
-          pos: int, spliced: tuple) -> bool:
-    """Is the required sequence of some entry at or below `node` on tape
-    `ti` an ordered subsequence of the unread surface `spliced +
-    word[pos:]`? An entry's required sequence is its unread symbols, each
-    as its surface set (_surface_set), leaving out those with an empty set.
-    A FreeRef matches a set when it admits one of its symbols.
-
-    Walked down the trie by required symbols (_fit_steps), never listing
-    entries: each is matched at its first match, which leaves the longest
-    rest to the node it leads to. The verdicts are kept per (node, pos,
-    spliced prefix) in ctx.fits.
-    """
-    key = (node, pos, spliced)
-    fit = ctx.fits.get(key)
-    if fit is None:
-        fit, steps = ctx.memo.fit_steps.get(node) or _fit_steps(ctx, ti, node)
-        for want, child in steps:
-            if fit:
-                break
-            for k, item in enumerate(spliced):
-                if _takes(want, item):
-                    fit = _fits(ctx, ti, child, word, pos, spliced[k + 1:])
-                    break
-            else:
-                for j in range(pos, len(word)):
-                    if want is None or word[j] in want:
-                        fit = _fits(ctx, ti, child, word, j + 1, ())
-                        break
-        ctx.fits[key] = fit
-    return fit
-
-
-def _fit_steps(ctx: _SearchContext, ti: int, node: Node
-               ) -> Tuple[bool, Tuple[Tuple[Optional[FrozenSet[str]], Node],
-                                      ...]]:
-    """Whether an entry ends at or below `node` after symbols with an empty
-    surface set only, and each (surface set, node reached) of the next
-    required symbol after any such symbols (StepMemo.fit_steps)."""
-    steps = ctx.memo.fit_steps.get(node)
+                 ) -> Tuple[bool, Tuple[Tuple[Optional[FrozenSet[str]], bool,
+                                              Node], ...]]:
+    """Whether an entry ends at or below `node` on tape `ti` after symbols
+    that may all vanish, and each (surface set, may vanish, child) of the
+    node's edges (StepMemo.cover_steps). Only the walk's mode for a tape
+    other than the spelling tape reads the flag (_fits)."""
+    steps = ctx.memo.cover_steps.get(node)
     if steps is None:
-        ends, out = bool(node.entries), []
-        for sym, child in node.edges.items():
-            want = _surface_set(ctx, ti, sym)
-            if want is None or want:
-                out.append((want, child))
-            else:
-                child_ends, child_steps = _fit_steps(ctx, ti, child)
-                ends = ends or child_ends
-                out += child_steps
-        steps = ctx.memo.fit_steps[node] = (ends, tuple(out))
+        edges = tuple((*_spelling(ctx, ti, sym), child)
+                      for sym, child in node.edges.items())
+        ends = bool(node.entries) or any(
+            vanishes and _cover_steps(ctx, ti, child)[0]
+            for _, vanishes, child in edges)
+        steps = ctx.memo.cover_steps[node] = (ends, edges)
     return steps
 
 
@@ -1519,27 +1469,28 @@ def _search(ctx: _SearchContext, roots: Iterable[SearchState],
     once the budget is spent. With no error rule to come, the records below
     the state consume exactly the unread surface `spliced + word[pos:]`,
     in order, and a complete state below it has every cursor done
-    (_complete).
+    (_complete). The lookahead is one walk down the trie from each cursor
+    (_fits), in the mode of its tape:
     - On the spelling tape (_spelling_tape) each record reads exactly one
       symbol and spells at most one surface symbol, from that symbol's
       surface set, or none only where the symbol may vanish (_spelling).
       So the symbols a complete descendant still reads on that tape, the
       rest of the current morpheme and then whole morphemes up to the trie
-      root, spell the unread surface symbol for symbol (_covers). Leaving
-      out a morpheme that spells nothing leaves such a cover a cover, so
-      the walk over whole morphemes takes only those that spell some
-      surface (_spelled), and never loops through the root. The check
-      reads no history, obligation or other tape: it is a necessary
-      condition, and holds wherever the premise on the grammar does.
+      root, spell the unread surface symbol for symbol. Leaving out a
+      morpheme that spells nothing leaves such a cover a cover, so the walk
+      over whole morphemes takes only those that spell some surface
+      (_spelled), and never loops through the root. The check reads no
+      history, obligation or other tape: it is a necessary condition, and
+      holds wherever the premise on the grammar does.
     - On another tape a complete descendant finishes the morpheme each
       cursor is inside, so it reads the unread symbols of some entry below
-      the cursor. A symbol with a non-empty surface set (_surface_set) is
-      read by a record of its own that emits one surface symbol of that
-      set, so the entry's required sequence is an ordered subsequence of
-      the unread surface (_fits).
-    A state that fails either check has no complete descendant. A reap
-    chain (budget 1) can still take an error, which changes the input, so
-    its states are not checked; nor are those of the error-free pass, as
+      the cursor. Each that cannot vanish is read by a record of its own
+      that emits one surface symbol of its set, so they surface in order
+      inside the unread surface; no complete state lies past a symbol that
+      no rule reads.
+    A state that fails the walk on some tape has no complete descendant. A
+    reap chain (budget 1) can still take an error, which changes the input,
+    so its states are not checked; nor are those of the error-free pass, as
     above.
     """
     stack: List[Tuple[Iterator[SearchState], Optional[tuple], int]] = [

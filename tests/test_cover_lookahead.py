@@ -1,8 +1,8 @@
 """The cover lookahead: a search state below which no error rule applies is
 not expanded once the symbols it still has to read on the spelling tape
 (the rest of its morpheme there, then whole morphemes) cannot spell the
-unread surface symbol for symbol (engine._covers, _spelled, _spelling,
-_spelling_tape).
+unread surface symbol for symbol (engine._fits in the spelling tape's
+mode, _spelled, _spelling, _spelling_tape).
 
 The lookahead must change no output, must read each symbol's spelling off
 the grammar's rules, must apply only to a grammar on one of whose tapes
@@ -23,21 +23,25 @@ import pytest
 from semitic_morpho import corrector, engine
 from semitic_morpho.alphabet import decode, encode
 from semitic_morpho.dsl import parse_grammar
-from semitic_morpho.engine import (PATTERN, ROOT, VOCALISM, FreeRef, _covers,
-                                   _fits, _search, _SearchContext,
-                                   _spelling, _surface_fits, _surface_set,
-                                   analysis_start, analyze, step_memo)
+from semitic_morpho.engine import (PATTERN, ROOT, VOCALISM, FreeRef, _fits,
+                                   _search, _SearchContext, _spelling,
+                                   _surface_fits, analysis_start, analyze,
+                                   step_memo)
 from semitic_morpho.lexicon import load_lexicon
 
 from oracles import oracle_micro_analyze
 from test_order_contract import ERROR_EXAMPLES
+from test_surface_lookahead import _required_below, _subsequence
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import unanalyzable_edits, well_formed_words  # noqa: E402
 
 
 def _no_cover(monkeypatch):
-    monkeypatch.setattr(engine, "_covers", lambda *args: True)
+    # the walk passes every spelling-tape cursor and walks the other tapes
+    fits = engine._fits
+    monkeypatch.setattr(engine, "_fits", lambda ctx, ti, *args:
+                        ti == ctx.memo.spelling or fits(ctx, ti, *args))
 
 
 def _candidates(cands):
@@ -108,11 +112,11 @@ def test_spellings_of_the_bundled_grammar(grammar, lexicon):
     assert _spelling(ctx, PATTERN, "a") == ({"a"}, True)
     # R3 and R4 read the boundary and spell nothing
     assert _spelling(ctx, PATTERN, "+") == (frozenset(), True)
-    # the subsequence check reads the same derivation
+    # the walk reads the same derivation on the other tapes
     assert _spelling(ctx, ROOT, "A") == ({"A", "w"}, False)
-    assert _surface_set(ctx, PATTERN, "v1") == frozenset()
-    assert _surface_set(ctx, VOCALISM, "a") == frozenset()
-    assert _surface_set(ctx, PATTERN, "c1") == cons
+    assert _spelling(ctx, PATTERN, "v1")[1]
+    assert _spelling(ctx, VOCALISM, "a")[1]
+    assert _spelling(ctx, PATTERN, "c1") == (cons, False)
 
 
 def _nodes(node):
@@ -156,7 +160,7 @@ def test_verdicts_equal_a_regular_expression(grammar, lexicon):
         ctx = _SearchContext(grammar, lexicon)
         for node in nodes:
             want = covers[node].fullmatch("".join(suffix)) is not None
-            assert _covers(ctx, PATTERN, root, node, suffix, 0, ()) == want, \
+            assert _fits(ctx, PATTERN, root, node, suffix, 0, ()) == want, \
                 (node.depth, suffix)
             verdicts.add(want)
     assert verdicts == {True, False}
@@ -165,7 +169,7 @@ def test_verdicts_equal_a_regular_expression(grammar, lexicon):
     for word in map(decode, ("ktb", "katab", "kutib", "ktbiyy")):
         for node in nodes:
             ctx = _SearchContext(grammar, lexicon)
-            got = _covers(ctx, PATTERN, root, node, word, 0, (vowel,))
+            got = _fits(ctx, PATTERN, root, node, word, 0, (vowel,))
             want = any(covers[node].fullmatch(s + "".join(word))
                        for s in ("a", "i"))
             assert got == want, (node.depth, word)
@@ -179,8 +183,9 @@ def test_a_misfit_the_subsequence_check_passes(grammar, lexicon):
     root = lexicon.tree("pattern").root
     node = root.edges["c1"].edges["v1"].edges["c2"]
     word = decode("kqudW")
-    assert _fits(ctx, PATTERN, node, word, 1, ())
-    assert not _covers(ctx, PATTERN, root, node, word, 1, ())
+    assert any(_subsequence(req, word[1:])
+               for req in _required_below(ctx, PATTERN, node))
+    assert not _fits(ctx, PATTERN, root, node, word, 1, ())
 
 
 # the micro grammar of test_engine on the pattern tape, and two that break
@@ -266,8 +271,8 @@ def test_failure_point_search_is_not_checked(grammar, lexicon, monkeypatch):
         ctx = _SearchContext(grammar, lexicon)
         root = lexicon.tree("pattern").root
         uncovered += sum(
-            not _covers(ctx, PATTERN, root, s.tapes[PATTERN].cursor.node,
-                        s.word, s.pos, s.spliced)
+            not _fits(ctx, PATTERN, root, s.tapes[PATTERN].cursor.node,
+                      s.word, s.pos, s.spliced)
             for states in frontier.values() for s in states)
     assert uncovered > 0
 
@@ -293,18 +298,18 @@ def test_a_reap_chain_is_not_checked(monkeypatch):
         budgets.append(state.budget)
         return _surface_fits(ctx, state)
 
-    def spy_covers(*args):
-        covered.append(args)
-        return _covers(*args)
+    def spy_walk(ctx, ti, *args):
+        covered.append(ti)
+        return _fits(ctx, ti, *args)
 
     monkeypatch.setattr(engine, "_surface_fits", spy_fits)
-    monkeypatch.setattr(engine, "_covers", spy_covers)
+    monkeypatch.setattr(engine, "_fits", spy_walk)
     words = [encode(c.corrected_word)
              for c in corrector.correct(decode("bb"), g, lex)]
     # two insertions, at positions 0 and 1, make the word
     assert "abab" in words
     assert 2 in budgets and 1 not in budgets
-    assert covered
+    assert ROOT in covered
 
 
 @pytest.mark.parametrize("unit, times, analyses",

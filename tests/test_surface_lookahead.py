@@ -1,7 +1,8 @@
 """The surface-fit lookahead: a search state below which no error rule
 applies is not expanded once some cursor sits inside a morpheme whose
 unread symbols no entry below it can still surface, in order, inside the
-unread surface (engine._surface_fits, _fits, _surface_set).
+unread surface (engine._surface_fits, _fits in the mode of a tape that does
+not spell the surface, _spelling).
 
 The lookahead must change no output, must read each symbol's surface set
 off the grammar's rules, must not check a state a reap chain can still
@@ -18,9 +19,10 @@ import pytest
 from semitic_morpho import corrector, engine
 from semitic_morpho.alphabet import BOUNDARY, decode, encode
 from semitic_morpho.dsl import parse_grammar
-from semitic_morpho.engine import (PATTERN, ROOT, VOCALISM, FreeRef, _fits,
-                                   _search, _SearchContext, _surface_fits,
-                                   _surface_set, analysis_start, analyze)
+from semitic_morpho.engine import (PATTERN, ROOT, VOCALISM, FreeRef,
+                                   StepMemo, _fits, _search, _SearchContext,
+                                   _spelling, _surface_fits, analysis_start,
+                                   analyze)
 from semitic_morpho.lexicon import TAPES, load_lexicon
 
 from oracles import oracle_micro_analyze
@@ -87,23 +89,29 @@ def test_symbol_sets_of_the_bundled_grammar(grammar, lexicon):
     ctx = _SearchContext(grammar, lexicon)
     cons = grammar.classes["cons"]
     for sym in "ktbdHrJ":
-        assert _surface_set(ctx, ROOT, sym) == {sym}
+        assert _spelling(ctx, ROOT, sym) == ({sym}, False)
     # glottal_change surfaces a root glottal stop as w
-    assert _surface_set(ctx, ROOT, "A") == {"A", "w"}
+    assert _spelling(ctx, ROOT, "A") == ({"A", "w"}, False)
     # R1 and R5 surface a consonant slot as the root consonant it reads
     # or copies, glottal_change as w
     for slot in ("c1", "c2", "c3", "c4"):
-        assert _surface_set(ctx, PATTERN, slot) == cons
+        assert _spelling(ctx, PATTERN, slot) == (cons, False)
     for letter in "tnwA":
-        assert _surface_set(ctx, PATTERN, letter) == {letter}
+        assert _spelling(ctx, PATTERN, letter) == ({letter}, False)
     # R7-R9 let vowels and vowel slots vanish, and the boundary never shows
     for sym in ("a", "i", "u", "v1", "v2", BOUNDARY):
-        assert _surface_set(ctx, PATTERN, sym) == frozenset()
+        assert _need_not_surface(ctx, PATTERN, sym)
     for sym in ("a", "i", "u", BOUNDARY):
-        assert _surface_set(ctx, VOCALISM, sym) == frozenset()
-    # one set per symbol of a tape, filled on first use and kept
-    assert ctx.memo.surfaces[(ROOT, "A")] == {"A", "w"}
+        assert _need_not_surface(ctx, VOCALISM, sym)
+    # one spelling per symbol of a tape, filled on first use and kept
+    assert ctx.memo.spellings[(ROOT, "A")] == ({"A", "w"}, False)
     assert _SearchContext(grammar, lexicon).memo is ctx.memo
+
+
+def _need_not_surface(ctx, ti, sym):
+    """`sym` may vanish, or no rule reads it."""
+    emits, vanishes = _spelling(ctx, ti, sym)
+    return vanishes or emits == frozenset()
 
 
 def _nodes(node):
@@ -113,12 +121,18 @@ def _nodes(node):
 
 
 def _required_below(ctx, ti, node):
-    """The required sequence of every entry at or below `node`, as sets."""
+    """The required sequence of every entry at or below `node` that a
+    record can still read, as sets: each unread symbol that cannot vanish.
+    An entry with an unread symbol that no rule reads has none."""
     out = []
     for n in _nodes(node):
         for entry in n.entries:
-            sets = [_surface_set(ctx, ti, s) for s in entry.form[node.depth:]]
-            out.append([s for s in sets if s is None or s])
+            spellings = [_spelling(ctx, ti, s)
+                         for s in entry.form[node.depth:]]
+            if all(vanishes or emits != frozenset()
+                   for emits, vanishes in spellings):
+                out.append([emits for emits, vanishes in spellings
+                            if not vanishes])
     return out
 
 
@@ -138,8 +152,16 @@ def _subsequence(required, surface):
 
 def test_verdicts_equal_a_scan_of_the_entries(grammar, lexicon):
     ctx = _SearchContext(grammar, lexicon)
-    nodes = [(ti, n) for ti, tape in enumerate(TAPES)
-             for n in _nodes(lexicon.tree(tape).root) if n.depth]
+    # a memo of its own that names no spelling tape, so that the walk reads
+    # every tape, the pattern tape's vanishing symbols too, in the mode
+    # this scan describes (the spelling mode is checked against a regular
+    # expression in test_cover_lookahead)
+    ctx.memo = StepMemo(grammar, lexicon)
+    ctx.memo.spelling = None
+    every = [(ti, n) for ti, tape in enumerate(TAPES)
+             for n in _nodes(lexicon.tree(tape).root)]
+    nodes = [(ti, n) for ti, n in every if n.depth]
+    assert {ti for ti, _ in nodes} == {ROOT, PATTERN, VOCALISM}
     below = {id(n): _required_below(ctx, ti, n) for ti, n in nodes}
     suffixes = {tuple(decode(w))[i:] for w in well_formed_words()
                 for i in range(len(decode(w)) + 1)}
@@ -148,16 +170,17 @@ def test_verdicts_equal_a_scan_of_the_entries(grammar, lexicon):
     verdicts = set()
     for suffix in sorted(suffixes):
         for spliced in ((), (vowel,), (not_k, "t")):
-            ctx.fits = {}
+            ctx.covers = {}
             for ti, n in nodes:
                 want = any(_subsequence(req, spliced + suffix)
                            for req in below[id(n)])
-                assert _fits(ctx, ti, n, suffix, 0, spliced) == want, (
+                root = lexicon.tree(TAPES[ti]).root
+                assert _fits(ctx, ti, root, n, suffix, 0, spliced) == want, (
                     TAPES[ti], n.depth, suffix, spliced)
                 verdicts.add(want)
     assert verdicts == {True, False}
     # the trie as the lookahead walks it: one entry per node
-    assert len(ctx.memo.fit_steps) <= len(nodes) + len(TAPES)
+    assert len(ctx.memo.cover_steps) <= len(every)
 
 
 # the micro grammar of criterion 9c on the root tape, with a rule that
@@ -176,8 +199,8 @@ def test_a_symbol_a_rule_deletes_is_optional():
     entries = ("a", "ab", "b", "ka")
     lex = load_lexicon("".join(f"root\t{e}\tcat=noun\t\n" for e in entries))
     ctx = _SearchContext(g, lex)
-    assert _surface_set(ctx, ROOT, "k") == frozenset()
-    assert _surface_set(ctx, ROOT, "a") == {"a"}
+    assert _need_not_surface(ctx, ROOT, "k")
+    assert _spelling(ctx, ROOT, "a") == ({"a"}, False)
     rules = {"A": {"kind": "identity", "letters": set("abk")},
              "B": {"kind": "boundary"},
              "D": {"kind": "deletion", "letters": {"k"}}}
@@ -193,6 +216,41 @@ def test_a_symbol_a_rule_deletes_is_optional():
             assert got == want, word
             deleted += sum("D" in trace for trace, _ in got)
     assert deleted
+
+
+# the micro grammar of criterion 9c on the root tape, with a rule that
+# spells two surface symbols, so that no tape spells the surface one for one
+UNREAD = """\
+class lt = {a, b, k}
+rule A: * - X - *  =>  * - (0, X, 0) - *  where lt(X)
+rule B: * - 0 - *  =>  (0, B1, 0) - (0, +, 0) - *  where B1 != +
+rule G: * - q q - *  =>  * - (0, q, 0) - *
+"""
+
+
+def test_a_symbol_no_rule_reads_ends_the_walk():
+    g = parse_grammar(UNREAD)
+    entries = ("a", "ab", "b", "kdb")
+    lex = load_lexicon("".join(f"root\t{e}\tcat=noun\t\n" for e in entries))
+    ctx = _SearchContext(g, lex)
+    assert ctx.memo.spelling is None
+    assert _spelling(ctx, ROOT, "d") == (frozenset(), False)
+    # no record reads the d of kdb, so a root cursor in front of it fits no
+    # surface, though the b behind it is a subsequence of the unread b
+    root = lex.tree("root").root
+    assert not _fits(ctx, ROOT, root, root.edges["k"], decode("kb"), 1, ())
+    rules = {"A": {"kind": "identity", "letters": set("abk")},
+             "B": {"kind": "boundary"}}
+    # G finds no qq in these words
+    for n in range(1, 5):
+        for word in map("".join, itertools.product("abdk", repeat=n)):
+            got = {(a.rule_trace,
+                    "".join(t[ROOT] for r in a.records for t in r.lex_seg))
+                   for a in analyze(decode(word), g, lex)}
+            want = {(tuple(name for name, _, _ in trace), tape)
+                    for trace, tape in oracle_micro_analyze(rules, entries,
+                                                            word)}
+            assert got == want, word
 
 
 # a reap chain inserts one symbol at each input position
@@ -223,7 +281,8 @@ def test_a_reap_chain_is_not_checked(monkeypatch):
     # on the way, with "ab" read and "b" unread, the entry cannot fit
     ctx = _SearchContext(g, lex)
     node = lex.tree("root").root.edges["a"].edges["b"]
-    assert not _fits(ctx, ROOT, node, decode("bb"), 1, ())
+    assert not _fits(ctx, ROOT, lex.tree("root").root, node, decode("bb"),
+                     1, ())
 
 
 def _frontier(grammar, lexicon, word):
@@ -247,7 +306,7 @@ def test_failure_point_search_sees_every_state(grammar, lexicon,
 
     def recording(ctx, frontier, max_positions):
         # the pass fitted no surface
-        assert ctx.fits == {}
+        assert ctx.covers == {}
         seen.append({pos: len(states) for pos, states in frontier.items()})
         return error_roots(ctx, frontier, max_positions)
 
