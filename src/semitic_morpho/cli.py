@@ -16,8 +16,8 @@ from .engine import (Analysis, UnknownMorpheme, analyze, generate,
                      optional_deletion_rules)
 from .grammar import GrammarError
 from .lexicon import LexiconError, load_lexicon
-from .morphosyntax import (FeatureClash, UnknownPattern, parse_word,
-                           repair_clash)
+from .morphosyntax import (PREFERENCE_ATTR, FeatureClash, UnknownPattern,
+                           parse_word, repair_clash)
 
 EXIT_OK = 0
 EXIT_NO_RESULT = 1
@@ -203,7 +203,7 @@ def _repair_word(args, grammar, lexicon, word, symbols) -> bool:
     for a in analyses:
         parsed = parse_word(a, lexicon)
         if isinstance(parsed, FeatureClash):
-            if parsed.attribute == "bp_pattern":
+            if parsed.attribute == PREFERENCE_ATTR:
                 for s in repair_clash(parsed, grammar, lexicon):
                     enc = encode(s)
                     if enc not in repairs:
@@ -303,8 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "word", "skip") is None and not getattr(args, "stdin", False):
+    word, stdin = getattr(args, "word", "skip"), getattr(args, "stdin", False)
+    if word is None and not stdin:
         parser.error(f"{args.command} needs a WORD or --stdin")
+    if word is not None and stdin:
+        parser.error(f"{args.command} takes a WORD or --stdin, not both")
     if args.command == "generate" and not (
             args.pattern or args.root or args.vocalism or args.affix):
         parser.error("generate needs a --pattern, --root, --vocalism or "

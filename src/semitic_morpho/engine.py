@@ -25,14 +25,16 @@ failure table names a history by its node. A search over a word does not
 expand a state whose root and vocalism cursors sit inside morphemes of
 which no pair unifies, since the stem check would reject every stem they
 could close (_stems_meet), nor one with a cursor whose unread symbols can
-no longer surface in the unread surface (_fits, one walk for every tape):
-on the tape that spells the surface symbol for symbol (_spelling_tape),
-the rest of its morpheme and then whole morphemes must spell all of it;
-inside a morpheme on another tape, the rest of some entry must surface in
-order somewhere in it. That holds except where the search must see every
-state: _search works out from each state whether these lookaheads apply,
-and the step memo works out from the grammar which tape spells the
-surface.
+no longer surface in the unread surface (_fits). One memoised walk down
+the trie answers that on every tape (_spans): on the tape that spells the
+surface symbol for symbol (_spelling_tape), it gives the numbers of unread
+items the rest of some entry below a node spells, and the rest of the
+morpheme and then whole morphemes, each read through the same walk from
+the trie root, must spell all of it (_spelled); inside a morpheme on
+another tape, the rest of some entry must surface in order somewhere in
+it. That holds except where the search must see every state: _search
+works out from each state whether these lookaheads apply, and the step
+memo works out from the grammar which tape spells the surface.
 """
 
 from __future__ import annotations
@@ -402,8 +404,10 @@ class StepMemo:
              None: derived here, on the first search over the pair
     cover_steps  trie node -> (whether an entry ends at or below it after
              symbols that may all vanish, each (surface set, may vanish,
-             child) of its edges): the trie as the surface-fit walk reads
-             it on every tape (_cover_steps), one entry per node
+             child) of its edges): the trie as the surface-fit walk
+             (_spans) reads it on every tape, whole morphemes from the
+             spelling tape's root too, one entry per node (_cover_steps);
+             only a tape other than the spelling tape reads the flag
     lex_cap  the longest lexical-only run a partition may make
     """
 
@@ -468,12 +472,14 @@ class _SearchContext:
     and the rules it may apply; and the tables that live as long as the
     search, each of which reads the search's one word:
     - `histories`, which interns its history nodes;
-    - `covers`, the surface-fit walk's verdicts: (trie node, pos, spliced
-      prefix) -> whether the symbols still to be read from the node can
-      surface in `spliced + word[pos:]` (_fits; at the spelling tape's
-      root, whether whole morphemes can spell it, _spelled);
-    - `word_bits`, surface set -> the bitmask of the word's symbols a
-      record with that set can spell (_item_bits).
+    - `spans`, the surface-fit walk's values: (trie node, pos, spliced
+      prefix) -> on the spelling tape, the bitmask of the numbers of items
+      of `spliced + word[pos:]` the rest of some entry below the node
+      spells; on another tape, nonzero when that rest surfaces in order
+      inside it (_spans);
+    - `covers`, the spelling tape's verdicts under the same keys: whether
+      the rest of the morpheme and then whole morphemes spell it
+      (_spelled).
     Where the lookaheads apply is a fact of each state, which _search
     works out.
     """
@@ -489,7 +495,7 @@ class _SearchContext:
             lambda plan: plan.rule.name not in skip_rules)
         self.histories: Dict[tuple, History] = {}
         self.covers: Dict[tuple, bool] = {}
-        self.word_bits: Dict[Optional[FrozenSet[str]], int] = {}
+        self.spans: Dict[tuple, int] = {}
 
     def history(self, parent: History, lex_seg: Tuple[LexTuple, ...],
                 surf_seg: Tuple[str, ...]) -> History:
@@ -1001,46 +1007,55 @@ def _surface_fits(ctx: _SearchContext, state: SearchState) -> bool:
 def _fits(ctx: _SearchContext, ti: int, root: Node, node: Node,
           word: SymbolString, pos: int, spliced: tuple) -> bool:
     """Can the symbols tape `ti` still reads from `node` surface in the
-    unread surface `spliced + word[pos:]`? Each spells one surface symbol
-    of its set, or none where it may vanish (_spelling); a FreeRef matches
-    a set when it admits one of its symbols.
-    - On the spelling tape (StepMemo.spelling) they spell it exactly: each
-      symbol takes the next unread item or vanishes, and at an entry's end
-      whole morphemes from the trie's `root` spell the rest (_spelled).
-    - On another tape the rest of one entry below the node surfaces in
-      order inside it: a symbol that cannot vanish takes its first match at
-      or after the front, which leaves the longest rest, and an entry's end
-      fits. So does a node below which an entry ends after symbols that
-      may all vanish (StepMemo.cover_steps), with no verdict kept.
+    unread surface `spliced + word[pos:]`? On the spelling tape
+    (StepMemo.spelling) the rest of the morpheme and then whole morphemes
+    from the trie's `root` must spell it (_spelled); on another tape the
+    rest of some entry below the node must surface in order inside it
+    (_spans)."""
+    if ti == ctx.memo.spelling:
+        return _spelled(ctx, ti, root, node, word, pos, spliced)
+    return _spans(ctx, ti, node, word, pos, spliced) != 0
 
-    The verdicts are kept per (node, pos, spliced prefix) in ctx.covers,
-    where _spelled keeps its own under the root. One is worked out from
-    the verdicts of the node's children, so a walk down the rest of a
-    morpheme leaves a verdict at each node and unread surface it passes,
-    which the states below then read. It recurses only inside one
-    morpheme, so no deeper than the longest entry.
+
+def _spans(ctx: _SearchContext, ti: int, node: Node, word: SymbolString,
+           pos: int, spliced: tuple) -> int:
+    """What the rest of some entry below `node` on tape `ti` can spell of
+    the unread surface `spliced + word[pos:]`. Each symbol spells one
+    surface symbol of its set, or none where it may vanish (_spelling); a
+    FreeRef matches a set when it admits one of its symbols.
+    - On the spelling tape (StepMemo.spelling), the bitmask of the k such
+      that the rest of some entry spells exactly the first k items: each
+      symbol takes the next item or vanishes.
+    - On another tape, nonzero when the rest of some entry surfaces in
+      order inside it: a symbol that cannot vanish takes its first match at
+      or after the front, which leaves the longest rest, and one that may
+      vanish is only stepped over. A node below which an entry ends after
+      symbols that may all vanish fits with no value kept: only this mode
+      reads that flag of StepMemo.cover_steps.
+
+    The values are kept per (node, pos, spliced prefix) in ctx.spans. One
+    is worked out from those of the node's children, so it recurses only
+    inside one morpheme, no deeper than the longest entry.
     """
     ends, edges = ctx.memo.cover_steps.get(node) or \
         _cover_steps(ctx, ti, node)
     spelling = ti == ctx.memo.spelling
     if ends and not spelling:
-        return True
+        return 1
     key = (node, pos, spliced)
-    fit = ctx.covers.get(key)
-    if fit is None:
-        if node is root:
-            return _spelled(ctx, ti, root, word, pos, spliced)
-        fit = False
+    spans = ctx.spans.get(key)
+    if spans is None:
+        spans = 1 if node.entries else 0
         if spelling:
-            fit = bool(node.entries) and _spelled(ctx, ti, root, word, pos,
-                                                  spliced)
             # the one item a symbol can take, and the rest after it
             item = spliced[0] if spliced else \
                 word[pos] if pos < len(word) else None
             rest = (pos, spliced[1:]) if spliced else (pos + 1, ())
         for emits, vanishes, child in edges:
-            if fit:
+            if spans and not spelling:
                 break
+            if vanishes:
+                spans |= _spans(ctx, ti, child, word, pos, spliced)
             # the unread surface after the symbol spells one item: the next
             # on the spelling tape; elsewhere the first it matches, where a
             # symbol that may vanish is only stepped over
@@ -1049,11 +1064,10 @@ def _fits(ctx: _SearchContext, ti: int, root: Node, node: Node,
                     else None
             else:
                 after = None if vanishes else _after(emits, word, pos, spliced)
-            fit = (vanishes and _fits(ctx, ti, root, child, word, pos, spliced)
-                   or after is not None
-                   and _fits(ctx, ti, root, child, word, *after))
-        ctx.covers[key] = fit
-    return fit
+            if after is not None:
+                spans |= _spans(ctx, ti, child, word, *after) << 1
+        ctx.spans[key] = spans
+    return spans
 
 
 def _after(emits: Optional[FrozenSet[str]], word: SymbolString, pos: int,
@@ -1080,32 +1094,40 @@ def _takes(emits: Optional[FrozenSet[str]], item) -> bool:
     return any(map(item.admits, emits))
 
 
-def _spelled(ctx: _SearchContext, ti: int, root: Node, word: SymbolString,
-             pos: int, spliced: tuple) -> bool:
-    """Do whole morphemes of the spelling tape `ti`, each spelling some
-    surface, spell `spliced + word[pos:]`? Kept in ctx.covers under the trie
-    root, and worked out with a stack of the rests still undecided, never
-    by recursion over the word: each morpheme read from the root leaves a
+def _spelled(ctx: _SearchContext, ti: int, root: Node, node: Node,
+             word: SymbolString, pos: int, spliced: tuple) -> bool:
+    """Do the symbols the spelling tape `ti` still reads from `node`, the
+    rest of its morpheme and then whole morphemes from the trie's `root`,
+    spell `spliced + word[pos:]`? The rests after the current morpheme are
+    read off its bitmask (_spans): each k >= 0 below the root, and each
+    k > 0 at the root, since a morpheme that spells nothing can be left
+    out. The verdicts are kept in ctx.covers under the key of the bitmask,
+    and worked out with a stack of the rests still undecided, never by
+    recursion over the word: each morpheme read from the root leaves a
     shorter rest, and the longest morpheme is tried first."""
     covers = ctx.covers
-    top = (root, pos, spliced)
+    top = (node, pos, spliced)
+    fit = covers.get(top)
+    if fit is not None:
+        return fit
     stack = [top]
     pending: Dict[tuple, list] = {}
     while top not in covers:
         key = stack[-1]
         rests = pending.get(key)
         if rests is None:
-            _, at, before = key
-            if not before and at == len(word):
+            at_node, at, before = key
+            if at_node is root and not before and at == len(word):
                 covers[key] = True
                 stack.pop()
                 continue
-            # the rest after each morpheme that spells k > 0 items
+            # the rest after the current morpheme spells k items
             n = len(before)
-            ends = _cover_ends(ctx, ti, root, word, at, before)
+            spans = _spans(ctx, ti, at_node, word, at, before)
             rests = pending[key] = [
                 (root, at, before[k:]) if k <= n else (root, at + k - n, ())
-                for k in range(1, ends.bit_length()) if ends >> k & 1]
+                for k in range(1 if at_node is root else 0, spans.bit_length())
+                if spans >> k & 1]
         while rests and covers.get(rests[-1]) is False:
             rests.pop()
         if not rests or covers.get(rests[-1]):
@@ -1116,65 +1138,13 @@ def _spelled(ctx: _SearchContext, ti: int, root: Node, word: SymbolString,
     return covers[top]
 
 
-def _cover_ends(ctx: _SearchContext, ti: int, root: Node,
-                word: SymbolString, pos: int, spliced: tuple) -> int:
-    """The bitmask of the k such that some whole morpheme of the spelling
-    tape `ti`, read from the trie's `root`, can spell the first k items of
-    `spliced + word[pos:]`.
-
-    The trie is walked down once, carrying to each node the bitmask of the
-    numbers of items the symbols read so far can spell: a symbol that may
-    vanish keeps each number k, and one whose surface set takes item k
-    moves it to k + 1 (_item_bits). So the walk visits each node at most
-    once, and never more deeply than the longest entry.
-    """
-    steps = ctx.memo.cover_steps
-    bits: Dict[Optional[FrozenSet[str]], int] = {}
-    ends = 0
-    todo = [(root, 1)]
-    while todo:
-        node, reach = todo.pop()
-        if node.entries:
-            ends |= reach
-        for emits, vanishes, child in (steps.get(node) or
-                                       _cover_steps(ctx, ti, node))[1]:
-            takes = bits.get(emits)
-            if takes is None:
-                takes = bits[emits] = _item_bits(ctx, emits, word, pos,
-                                                 spliced)
-            step = (reach & takes) << 1
-            if vanishes:
-                step |= reach
-            if step:
-                todo.append((child, step))
-    return ends
-
-
-def _item_bits(ctx: _SearchContext, emits: Optional[FrozenSet[str]],
-               word: SymbolString, pos: int, spliced: tuple) -> int:
-    """The bitmask of the items of `spliced + word[pos:]` that a record
-    with the surface set `emits` (None for any symbol) can spell: bit k for
-    item k. A FreeRef matches a set when it admits one of its symbols. The
-    bitmask over the whole word is kept per search in ctx.word_bits."""
-    whole = ctx.word_bits.get(emits)
-    if whole is None:
-        whole = ctx.word_bits[emits] = int("0" + "".join(
-            "1" if emits is None or sym in emits else "0"
-            for sym in reversed(word)), 2)
-    out = whole >> pos << len(spliced)
-    for k, item in enumerate(spliced):
-        if _takes(emits, item):
-            out |= 1 << k
-    return out
-
-
 def _cover_steps(ctx: _SearchContext, ti: int, node: Node
                  ) -> Tuple[bool, Tuple[Tuple[Optional[FrozenSet[str]], bool,
                                               Node], ...]]:
     """Whether an entry ends at or below `node` on tape `ti` after symbols
     that may all vanish, and each (surface set, may vanish, child) of the
     node's edges (StepMemo.cover_steps). Only the walk's mode for a tape
-    other than the spelling tape reads the flag (_fits)."""
+    other than the spelling tape reads the flag (_spans)."""
     steps = ctx.memo.cover_steps.get(node)
     if steps is None:
         edges = tuple((*_spelling(ctx, ti, sym), child)
@@ -1469,19 +1439,21 @@ def _search(ctx: _SearchContext, roots: Iterable[SearchState],
     once the budget is spent. With no error rule to come, the records below
     the state consume exactly the unread surface `spliced + word[pos:]`,
     in order, and a complete state below it has every cursor done
-    (_complete). The lookahead is one walk down the trie from each cursor
-    (_fits), in the mode of its tape:
+    (_complete). The lookahead is one memoised walk down the trie from
+    each cursor (_fits, _spans), in the mode of its tape:
     - On the spelling tape (_spelling_tape) each record reads exactly one
       symbol and spells at most one surface symbol, from that symbol's
       surface set, or none only where the symbol may vanish (_spelling).
       So the symbols a complete descendant still reads on that tape, the
       rest of the current morpheme and then whole morphemes up to the trie
-      root, spell the unread surface symbol for symbol. Leaving out a
-      morpheme that spells nothing leaves such a cover a cover, so the walk
-      over whole morphemes takes only those that spell some surface
-      (_spelled), and never loops through the root. The check reads no
-      history, obligation or other tape: it is a necessary condition, and
-      holds wherever the premise on the grammar does.
+      root, spell the unread surface symbol for symbol. The walk gives the
+      numbers of unread items the rest of the morpheme can spell, and from
+      the root those whole morphemes spell. Leaving out a morpheme that
+      spells nothing leaves such a cover a cover, so the stack over the
+      rests takes from the root only morphemes that spell some surface
+      (_spelled), and never loops through it. The check reads no history,
+      obligation or other tape: it is a necessary condition, and holds
+      wherever the premise on the grammar does.
     - On another tape a complete descendant finishes the morpheme each
       cursor is inside, so it reads the unread symbols of some entry below
       the cursor. Each that cannot vanish is read by a record of its own

@@ -359,6 +359,17 @@ def test_stdin_without_bad_lines_keeps_status(capsys, monkeypatch):
     assert code == 1 and err == ""
 
 
+@pytest.mark.parametrize("command", ("analyze", "correct", "repair"))
+def test_word_and_stdin_usage_error(capsys, monkeypatch, command):
+    # neither input is dropped in silence
+    monkeypatch.setattr("sys.stdin", io.StringIO("kutib\n"))
+    code, out, err = _run_failing(capsys, command, "katab", "--stdin")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].endswith(
+        f"error: {command} takes a WORD or --stdin, not both")
+    assert "Traceback" not in err
+
+
 def test_empty_word_no_analysis(capsys):
     code, out, err = _run(capsys, "analyze", "")
     assert code == 1

@@ -21,8 +21,8 @@ from semitic_morpho.alphabet import BOUNDARY, decode, encode
 from semitic_morpho.dsl import parse_grammar
 from semitic_morpho.engine import (PATTERN, ROOT, VOCALISM, FreeRef,
                                    StepMemo, _fits, _search, _SearchContext,
-                                   _spelling, _surface_fits, analysis_start,
-                                   analyze)
+                                   _spans, _spelling, _surface_fits,
+                                   analysis_start, analyze)
 from semitic_morpho.lexicon import TAPES, load_lexicon
 
 from oracles import oracle_micro_analyze
@@ -170,7 +170,8 @@ def test_verdicts_equal_a_scan_of_the_entries(grammar, lexicon):
     verdicts = set()
     for suffix in sorted(suffixes):
         for spliced in ((), (vowel,), (not_k, "t")):
-            ctx.covers = {}
+            # the tables' keys do not name the word
+            ctx.covers, ctx.spans = {}, {}
             for ti, n in nodes:
                 want = any(_subsequence(req, spliced + suffix)
                            for req in below[id(n)])
@@ -181,6 +182,65 @@ def test_verdicts_equal_a_scan_of_the_entries(grammar, lexicon):
     assert verdicts == {True, False}
     # the trie as the lookahead walks it: one entry per node
     assert len(ctx.memo.cover_steps) <= len(every)
+
+
+def _spelled_counts(spellings, surface):
+    """The k such that symbols with these spellings spell exactly the first
+    k items of `surface`: each takes the next item or vanishes."""
+    counts = {0}
+    for emits, vanishes in spellings:
+        counts = {k + 1 for k in counts
+                  if k < len(surface) and _matches(emits, surface[k])} | \
+            (counts if vanishes else set())
+    return counts
+
+
+def _bits(mask):
+    return {k for k in range(mask.bit_length()) if mask >> k & 1}
+
+
+def test_bitmasks_equal_a_scan_of_the_entries(grammar, lexicon):
+    suffixes = sorted({tuple(decode(w))[i:] for w in well_formed_words()
+                       for i in range(len(decode(w)) + 1)})
+    splices = ((), (FreeRef(grammar.classes["vowel"], ("u",)),))
+    # the spelling mode, on the bundled grammar's spelling tape: bit k when
+    # the rest of some entry below the node spells the first k items
+    ctx = _SearchContext(grammar, lexicon)
+    assert ctx.memo.spelling == PATTERN
+    nodes = list(_nodes(lexicon.tree("pattern").root))
+    rests = {id(n): [[_spelling(ctx, PATTERN, s) for s in e.form[n.depth:]]
+                     for m in _nodes(n) for e in m.entries] for n in nodes}
+    several = False
+    for suffix in suffixes:
+        for spliced in splices:
+            # the table's keys do not name the word
+            ctx.spans = {}
+            for n in nodes:
+                want = set().union(*(_spelled_counts(r, spliced + suffix)
+                                     for r in rests[id(n)]))
+                got = _spans(ctx, PATTERN, n, suffix, 0, spliced)
+                assert _bits(got) == want, (n.depth, suffix, spliced)
+                several |= len(want) > 1
+    assert several
+    # the subsequence mode, on every tape and at every node: nonzero when
+    # the scan of test_verdicts_equal_a_scan_of_the_entries accepts
+    ctx.memo = StepMemo(grammar, lexicon)
+    ctx.memo.spelling = None
+    every = [(ti, n) for ti, tape in enumerate(TAPES)
+             for n in _nodes(lexicon.tree(tape).root)]
+    below = {id(n): _required_below(ctx, ti, n) for ti, n in every}
+    verdicts = set()
+    for suffix in suffixes:
+        for spliced in splices:
+            ctx.spans = {}
+            for ti, n in every:
+                want = any(_subsequence(req, spliced + suffix)
+                           for req in below[id(n)])
+                got = _spans(ctx, ti, n, suffix, 0, spliced)
+                assert (got != 0) == want, (TAPES[ti], n.depth, suffix,
+                                            spliced)
+                verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 # the micro grammar of criterion 9c on the root tape, with a rule that
@@ -306,7 +366,7 @@ def test_failure_point_search_sees_every_state(grammar, lexicon,
 
     def recording(ctx, frontier, max_positions):
         # the pass fitted no surface
-        assert ctx.covers == {}
+        assert ctx.covers == {} and ctx.spans == {}
         seen.append({pos: len(states) for pos, states in frontier.items()})
         return error_roots(ctx, frontier, max_positions)
 
