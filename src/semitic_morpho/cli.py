@@ -308,6 +308,9 @@ def run(argv: Optional[List[str]] = None) -> int:
         parser.error(f"{args.command} needs a WORD or --stdin")
     if word is not None and stdin:
         parser.error(f"{args.command} takes a WORD or --stdin, not both")
+    if word == "":
+        # --stdin skips blank lines; an empty WORD is no word either
+        parser.error(f"{args.command} needs a non-empty WORD")
     if args.command == "generate" and not (
             args.pattern or args.root or args.vocalism or args.affix):
         parser.error("generate needs a --pattern, --root, --vocalism or "

@@ -17,8 +17,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .alphabet import SymbolString
 from .engine import (Analysis, FreeRef, Obligation, PartitionRecord,
                      SearchState, _feed_obligations, _SearchContext, _search,
-                     _stems_meet, _unread, analysis_start, analyze,
-                     optional_deletion_rules, scripted_surfaces, to_analysis)
+                     _stems_meet, _unread, analysis_start,
+                     optional_deletion_rules, scripted_surfaces, step_memo,
+                     to_analysis)
+from .engine import analyze as engine_analyze
 from .grammar import (WILDCARD, ErrorRule, Grammar, match_partition_context,
                       match_tuple)
 # unused here: perfbench/tracing.py wraps this name (PRCs feed in engine)
@@ -131,12 +133,32 @@ def rank_key(grammar: Grammar, errors: Sequence, corrected: SymbolString) -> tup
             grammar.erule_index[grammar.canonical(first[0])], corrected)
 
 
+def analyze(word: SymbolString, grammar: Grammar,
+            lexicon: Lexicon) -> Tuple[Analysis, ...]:
+    """engine.analyze for correction's base analysis and verifications,
+    kept per word in the step memo (StepMemo.words) when it finds one."""
+    words = step_memo(grammar, lexicon).words
+    word = tuple(word)
+    analyses = words.get(word)
+    if analyses is None:
+        analyses = tuple(engine_analyze(word, grammar, lexicon))
+        if analyses:
+            words[word] = analyses
+    return analyses
+
+
 def regenerate(analysis: Analysis, grammar: Grammar, lexicon: Lexicon,
                skip_rules: frozenset) -> Optional[SymbolString]:
     """Canonical surface of an analysis: rerun the rule relation over the
-    analysis' own morpheme sequences with an open surface tape."""
-    return next(scripted_surfaces(analysis.morphemes, grammar, lexicon,
-                                  skip_rules), None)
+    analysis' own morpheme sequences with an open surface tape. It is kept
+    per selection in the step memo (StepMemo.surfaces)."""
+    surfaces = step_memo(grammar, lexicon).surfaces
+    key = (tuple(tuple(e.id for e in analysis.morphemes.get(tape, ()))
+                 for tape in TAPES), skip_rules)
+    if key not in surfaces:
+        surfaces[key] = next(scripted_surfaces(
+            analysis.morphemes, grammar, lexicon, skip_rules), None)
+    return surfaces[key]
 
 
 def _check_bound(name: str, bound: Optional[int]) -> None:
@@ -175,9 +197,11 @@ def iter_corrections(word: SymbolString, grammar: Grammar, lexicon: Lexicon,
     prunes by the lookaheads, since they would leave some states out.
     Phase 2 searches from their error successors (`_error_roots`). A path
     is one error event whose first record is its root, so the first path to
-    a word carries its final rank key. max_positions (None, or at least 1;
-    ValueError otherwise) keeps the positions p with failure point - p <
-    max_positions.
+    a word carries its final rank key. Each new selection is regenerated
+    and each new corrected word verified through `regenerate` and
+    `analyze`, which keep their results in the step memo. max_positions
+    (None, or at least 1; ValueError otherwise) keeps the positions p with
+    failure point - p < max_positions.
     """
     _check_bound("max_positions", max_positions)
     base = analyze(word, grammar, lexicon)

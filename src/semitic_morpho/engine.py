@@ -359,10 +359,13 @@ def optional_deletion_rules(grammar: Grammar) -> FrozenSet[str]:
 
 class StepMemo:
     """The lexicon side of rule application for one (grammar, lexicon)
-    pair, filled lazily and shared by every search over the pair.
+    pair, filled lazily and shared by every search over the pair, and
+    correction's regenerations and verifications over it.
 
     Each table holds a pure function of trie nodes (by identity), surface
-    symbols and bindings, so a hit returns what the walk would compute. A
+    symbols and bindings, so a hit returns what the walk would compute;
+    `surfaces` and `words` hold pure functions of a morpheme selection and
+    of a word, so a hit returns what the search would find. A
     scripted cursor's node is a node of the one-path trie of the form it
     reads (`paths`), so its key is that form and the offset into it, and
     homographs share their entries. Lexicon.add bumps the lexicon's
@@ -409,6 +412,13 @@ class StepMemo:
              spelling tape's root too, one entry per node (_cover_steps);
              only a tape other than the spelling tape reads the flag
     lex_cap  the longest lexical-only run a partition may make
+    surfaces (entry ids per tape in TAPES order, skip rules) -> the first
+             surface the rule relation gives that morpheme selection, or
+             None: correction's regenerations (corrector.regenerate)
+    words    word -> its analyses, for a word that has one: correction's
+             base analyses and verifications (corrector.analyze); a word
+             with no analysis is not kept, so the table holds at most the
+             analysable words that corrections reach
     """
 
     def __init__(self, grammar: Grammar, lexicon: Lexicon):
@@ -428,6 +438,8 @@ class StepMemo:
         self.spelling = _spelling_tape(grammar)
         self.cover_steps: Dict[Node, tuple] = {}
         self.lex_cap = lexicon.max_entry_length() + 4
+        self.surfaces: Dict[tuple, Optional[SymbolString]] = {}
+        self.words: Dict[SymbolString, Tuple[Analysis, ...]] = {}
 
     def mask(self, admits) -> int:
         """Bitmask of the plans for which `admits(plan)` holds."""

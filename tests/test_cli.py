@@ -370,10 +370,16 @@ def test_word_and_stdin_usage_error(capsys, monkeypatch, command):
     assert "Traceback" not in err
 
 
-def test_empty_word_no_analysis(capsys):
-    code, out, err = _run(capsys, "analyze", "")
-    assert code == 1
-    assert out.strip() == ": no analysis"
+@pytest.mark.parametrize("command", ("analyze", "correct", "repair"))
+def test_empty_word_usage_error(capsys, command):
+    # --stdin skips blank lines, so an empty WORD is a usage error too
+    code, out, err = _run_failing(capsys, command, "")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert lines[0].startswith("usage: ")
+    assert lines[-1].endswith(f"error: {command} needs a non-empty WORD")
+    assert sum("error:" in line for line in lines) == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("fmt", ("text", "json"))
