@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from . import engine
 from .alphabet import SymbolString
 from .engine import (Analysis, FreeRef, Obligation, PartitionRecord,
                      SearchState, _feed_obligations, _SearchContext, _search,
-                     _stems_meet, _unread, analysis_start,
-                     optional_deletion_rules, scripted_surfaces, step_memo,
-                     to_analysis)
+                     _unread, analysis_start, optional_deletion_rules,
+                     scripted_surfaces, step_memo, to_analysis)
 from .engine import analyze as engine_analyze
 from .grammar import (WILDCARD, ErrorRule, Grammar, match_partition_context,
                       match_tuple)
@@ -60,7 +60,14 @@ def _splice_corr(rule: ErrorRule, bindings) -> Tuple[object, ...]:
 
 
 def try_error_rules(ctx: _SearchContext, state: SearchState) -> List[SearchState]:
-    """Successor states obtained by applying one error rule at this state."""
+    """Successor states obtained by applying one error rule at this state.
+
+    A successor that spends the budget is checked by the surface-fit
+    lookahead right after its splice, and one that fails gets no
+    obligation, record or state. The stem lookahead is not checked again:
+    an error keeps the tapes, and this function sees only states whose
+    tapes met it, those of the failure pass through _error_roots and those
+    of the error search where they were made."""
     # budget 1 is a reap chain: it takes one error per input position, so
     # insertions cannot feed each other without bound
     if state.budget == 1 and any(r.error_origin is not None and
@@ -89,6 +96,13 @@ def try_error_rules(ctx: _SearchContext, state: SearchState) -> List[SearchState
         if nonconsuming and state.last_nonconsuming:
             continue
         splice = _splice_corr(rule, b)
+        spliced = splice + state.spliced[len(rule.err):]
+        pos = state.pos + max(0, len(rule.err) - len(state.spliced))
+        budget = 1 if rule.reap else 2
+        # no error is to come once the budget is spent (engine._search)
+        if budget == 2 and not engine._surface_fits(
+                ctx, state.tapes, state.word, pos, spliced):
+            continue
         record = PartitionRecord(rule_name=rule.name, surf_seg=(), lex_seg=(),
                                  error_origin=rule.name,
                                  err_seg=consumed, pos=state.pos, corr=splice)
@@ -105,13 +119,13 @@ def try_error_rules(ctx: _SearchContext, state: SearchState) -> List[SearchState
         out.append(SearchState(
             tapes=state.tapes,
             word=state.word,
-            spliced=splice + state.spliced[len(rule.err):],
+            spliced=spliced,
             records=state.records + (record,),
             history=state.history,
             free_vars=state.free_vars,
             obligations=tuple(pending),
-            budget=1 if rule.reap else 2,
-            pos=state.pos + max(0, len(rule.err) - len(state.spliced)),
+            budget=budget,
+            pos=pos,
             lex_run=state.lex_run,
             last_nonconsuming=nonconsuming,
         ))
@@ -178,7 +192,7 @@ def _error_roots(ctx: _SearchContext, frontier: Dict[int, List[SearchState]],
     stop = -1 if max_positions is None else max(-1, point - max_positions)
     for pos in range(point, stop, -1):
         yield from sorted((succ for state in frontier.get(pos, ())
-                           if _stems_meet(ctx, state.tapes)
+                           if engine._stems_meet(ctx, state.tapes)
                            for succ in try_error_rules(ctx, state)),
                           key=lambda s: ctx.grammar.erule_index[
                               s.records[-1].rule_name])
@@ -193,8 +207,8 @@ def iter_corrections(word: SymbolString, grammar: Grammar, lexicon: Lexicon,
     If the word already analyzes, only the zero-error candidate is yielded.
     Otherwise phase 1 reruns the error-free search, recording its states by
     input position; the deepest is the failure point. Its states have
-    budget 0 in a search with an error step, which engine._search never
-    prunes by the lookaheads, since they would leave some states out.
+    budget 0 in a search with an error step, which no lookahead prunes
+    (engine._search), since they would leave some states out.
     Phase 2 searches from their error successors (`_error_roots`). A path
     is one error event whose first record is its root, so the first path to
     a word carries its final rank key. Each new selection is regenerated

@@ -22,27 +22,30 @@ partition prefix, interned per search, so equal histories are one object:
 each node caches the verdicts of the left contexts matched before the
 tries are walked, dispatch drops the rules whose verdict fails, and the
 failure table names a history by its node. A search over a word does not
-expand a state whose root and vocalism cursors sit inside morphemes of
+make a state whose root and vocalism cursors sit inside morphemes of
 which no pair unifies, since the stem check would reject every stem they
 could close (_stems_meet), nor one with a cursor whose unread symbols can
-no longer surface in the unread surface (_fits). One memoised walk down
-the trie answers that on every tape (_spans): on the tape that spells the
-surface symbol for symbol (_spelling_tape), it gives the numbers of unread
-items the rest of some entry below a node spells, and the rest of the
-morpheme and then whole morphemes, each read through the same walk from
-the trie root, must spell all of it (_spelled); inside a morpheme on
-another tape, the rest of some entry must surface in order somewhere in
-it. That holds except where the search must see every state: _search
-works out from each state whether these lookaheads apply, and the step
-memo works out from the grammar which tape spells the surface.
+no longer surface in the unread surface (_fits): each successor is checked
+where it is made, before its obligations, history node and record, and
+the search checks its roots. One memoised walk down the trie answers that
+on every tape (_spans): on the tape that spells the surface symbol for
+symbol (_spelling_tape), it gives the numbers of unread items the rest of
+some entry below a node spells, and the rest of the morpheme and then
+whole morphemes, each read through the same walk from the trie root, must
+spell all of it (_spelled); inside a morpheme on another tape, the rest
+of some entry must surface in order somewhere in it. That holds except
+where the search must see every state: whether these lookaheads apply is
+worked out from each state (_search), and which tape spells the surface
+from the grammar, in the step memo.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
-                    Optional, Sequence, Tuple)
+from types import MappingProxyType
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping,
+                    NamedTuple, Optional, Sequence, Tuple)
 
 from .alphabet import BOUNDARY, SymbolString, slot_index
 from .features import FeatureStructure, restrict, unify, unify_all
@@ -316,14 +319,18 @@ class StemInfo:
     pattern: MorphemeEntry
     root: MorphemeEntry
     vocalism: MorphemeEntry
-    features: FeatureStructure
+    features: Mapping[str, Tuple[str, ...]]          # read-only
 
 
 @dataclass(frozen=True)
 class Analysis:
+    """One analysis of a word. It is read-only, mappings too: correction
+    keeps analyses in the step memo (StepMemo.words) and hands the same
+    objects to every later correction over the grammar and lexicon."""
+
     surface: SymbolString                            # corrected surface
     records: Tuple[PartitionRecord, ...]
-    morphemes: Dict[str, Tuple[MorphemeEntry, ...]]
+    morphemes: Mapping[str, Tuple[MorphemeEntry, ...]]   # read-only
     stems: Tuple[StemInfo, ...]
     errors: Tuple[Tuple[str, int, Tuple[str, ...], Tuple[str, ...]], ...]
 
@@ -488,12 +495,18 @@ class _SearchContext:
       prefix) -> on the spelling tape, the bitmask of the numbers of items
       of `spliced + word[pos:]` the rest of some entry below the node
       spells; on another tape, nonzero when that rest surfaces in order
-      inside it (_spans);
+      inside it (_spans). A FreeRef in the prefix is keyed by its domain
+      and exclusions, all the walk reads of it: `refs` maps them to the
+      first FreeRef with them, which stands for every other (_surface_fits);
     - `covers`, the spelling tape's verdicts under the same keys: whether
       the rest of the morpheme and then whole morphemes spell it
       (_spelled).
-    Where the lookaheads apply is a fact of each state, which _search
-    works out.
+    Where the lookaheads apply is a fact of each successor, worked out
+    where it is made (apply_rule, corrector.try_error_rules) and, for the
+    roots, by _search, from its word, its budget and `errors`: whether the
+    search that expands the state has an error step (_lookaheads). _successors sets it
+    before it applies the rules, since apply_rule(ctx, state, rule) is
+    told nothing else of the search.
     """
 
     def __init__(self, grammar: Grammar, lexicon: Lexicon,
@@ -505,9 +518,11 @@ class _SearchContext:
         # the compiled rules this search may apply
         self.allowed = self.memo.mask(
             lambda plan: plan.rule.name not in skip_rules)
+        self.errors = False
         self.histories: Dict[tuple, History] = {}
         self.covers: Dict[tuple, bool] = {}
         self.spans: Dict[tuple, int] = {}
+        self.refs: Dict[tuple, FreeRef] = {}
 
     def history(self, parent: History, lex_seg: Tuple[LexTuple, ...],
                 surf_seg: Tuple[str, ...]) -> History:
@@ -1001,17 +1016,25 @@ def _spelling_tape(grammar: Grammar) -> Optional[int]:
     return None
 
 
-def _surface_fits(ctx: _SearchContext, state: SearchState) -> bool:
+def _surface_fits(ctx: _SearchContext, tapes: Sequence[TapeState],
+                  word: SymbolString, pos: int, spliced: tuple) -> bool:
     """False when the symbols some tape's cursor still has to read cannot
-    surface in the unread surface (_fits): the spelling tape's cursor
-    always, and another tape's only inside a morpheme (not at its trie
-    root)."""
+    surface in the unread surface `spliced + word[pos:]` (_fits): the
+    spelling tape's cursor always, and another tape's only inside a
+    morpheme (not at its trie root). The walk reads a FreeRef only through
+    its domain and exclusions (_takes), so the first FreeRef of the search
+    with them stands for each (ctx.refs), and successors spliced apart
+    share their verdicts."""
+    if spliced:
+        refs = ctx.refs
+        spliced = tuple([refs.setdefault((it.domain, it.excluded), it)
+                         if isinstance(it, FreeRef) else it
+                         for it in spliced])
     spelling = ctx.memo.spelling
-    for ti, tape in enumerate(state.tapes):
+    for ti, tape in enumerate(tapes):
         node = tape.cursor.node
         if (node.depth or ti == spelling) and not _fits(
-                ctx, ti, tape.cursor.tree.root, node, state.word, state.pos,
-                state.spliced):
+                ctx, ti, tape.cursor.tree.root, node, word, pos, spliced):
             return False
     return True
 
@@ -1211,15 +1234,24 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
     Independent left contexts are matched before the tries are walked, and
     a first surface variable bound by them or by the surface head limits
     the walk; see RulePlan.
+
+    A successor keeps the state's budget, so the lookaheads that apply to
+    it are those that apply to the state (_lookaheads). They are checked once
+    the step's morphemes are committed, and a successor that fails one
+    gets no obligation, watch, history node, record or state. A successor
+    no lookahead checks is committed only after its obligations are fed:
+    most generation steps fail there, and would commit for nothing.
     """
     plan = ctx.grammar.plans[rule.name]
+    word = state.word
+    stems, fit = _lookaheads(state, ctx.errors)
     start: Bindings = {}
     if plan.hoisted:
         start = _verdict(plan, state)
         if start is None:
             return
     var = plan.surf_var
-    if var is not None and state.word is not None:
+    if var is not None and word is not None:
         unread = _unread(state, 1)
         head = unread[0] if unread else None
         if isinstance(head, str):
@@ -1242,7 +1274,7 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
         free_vars = state.free_vars
         spliced = ()
         orig = 0
-        if state.word is None:
+        if word is None:
             emitted = _emit_surface(rule.surf, b)
             if emitted is None:
                 continue
@@ -1268,6 +1300,18 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
             lex_run = state.lex_run + total_consumed
             if lex_run > ctx.memo.lex_cap:
                 continue
+        pos = state.pos + orig
+        tapes_mid = list(state.tapes)
+        for ti in read:
+            tapes_mid[ti] = TapeState(cursors[ti], tapes_mid[ti].morphemes)
+        committed = None
+        if stems:
+            committed = [
+                tapes for tapes in _commit_morphemes(tapes_mid, read)
+                if _stems_meet(ctx, tapes)
+                and (not fit or _surface_fits(ctx, tapes, word, pos, spliced))]
+            if not committed:
+                continue
 
         record = PartitionRecord(rule.name, surf_syms, lex_tuples,
                                  pos=state.pos)
@@ -1278,12 +1322,11 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
         pending += _scan_coercions(ctx, state, record, plan)
         if rule.rlc != WILDCARD or rule.rsc != WILDCARD or rule.guards.feats:
             pending.append(_obligation(ctx, state, rule, b))
-        tapes_mid = list(state.tapes)
-        for ti in read:
-            tapes_mid[ti] = TapeState(cursors[ti], tapes_mid[ti].morphemes)
         history = ctx.history(state.history, lex_tuples, surf_syms)
 
-        for tapes_after in _commit_morphemes(tapes_mid, read):
+        if committed is None:
+            committed = _commit_morphemes(tapes_mid, read)
+        for tapes_after in committed:
             obligations = _settle(pending, tapes_after)
             if obligations is None:
                 continue
@@ -1291,14 +1334,14 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
                 continue
             yield SearchState(
                 tapes=tapes_after,
-                word=state.word,
+                word=word,
                 spliced=spliced,
                 records=state.records + (record,),
                 history=history,
                 free_vars=free_vars,
                 obligations=obligations,
                 budget=state.budget,
-                pos=state.pos + orig,
+                pos=pos,
                 lex_run=lex_run,
                 last_nonconsuming=nonconsuming,
             )
@@ -1354,6 +1397,7 @@ def _successors(ctx: _SearchContext, state: SearchState,
     variable to a symbol other than the head: apply_rule would yield
     nothing for it.
     """
+    ctx.errors = error_step is not None
     head, plans = _dispatch(ctx, state)
     for plan in plans:
         if head is not None and plan.prebind_tapes and any(
@@ -1411,6 +1455,15 @@ def _table_key(state: SearchState) -> tuple:
             state.lex_run, state.last_nonconsuming)
 
 
+def _lookaheads(state: SearchState, errors: bool) -> Tuple[bool, bool]:
+    """Whether the stem lookahead and the surface fit apply at `state` in a
+    search with an error step (`errors`) or without, which is also where
+    they apply at the successors of its rules, since those keep its budget
+    (_search)."""
+    stems = state.word is not None and (state.budget > 0 or not errors)
+    return stems, stems and (state.budget == 2 or not errors)
+
+
 def _search(ctx: _SearchContext, roots: Iterable[SearchState],
             error_step=None) -> Iterator[SearchState]:
     """Depth-first search from each root in turn; yields complete states in
@@ -1435,13 +1488,20 @@ def _search(ctx: _SearchContext, roots: Iterable[SearchState],
 
     The lookaheads are exact by the same token, and a state is checked by
     them when it has a word and is not a budget-0 state of a search with
-    an error step. Generation has no word, and its cursors walk the paths
+    an error step (_lookaheads). Generation has no word, and its cursors walk the paths
     of scripted forms, with no lexicon entries below them. A budget-0
     state of a search with an error step belongs to correction's
     error-free pass, which records every state it expands to fix the
     failure point; a lookahead would leave some out and could move it.
     The roots of correction's second pass are error successors, whose
     budget is 1 or 2.
+
+    A successor is checked where it is made, before anything else is built
+    for it: apply_rule checks its successors once their morphemes are
+    committed, and corrector.try_error_rules its error successors right
+    after the splice. This search checks only its roots. A complete state
+    passes both lookaheads, so checking before _complete, as the makers
+    do, cuts no more than checking after it.
 
     The stem lookahead (_stems_meet) skips only incomplete states whose
     subtrees yield no complete state (_stem_ok).
@@ -1493,11 +1553,13 @@ def _search(ctx: _SearchContext, roots: Iterable[SearchState],
             yielded += 1
             yield state
             continue
-        if state.word is not None and (error_step is None or state.budget):
-            if not _stems_meet(ctx, state.tapes):
+        # a root: every other state was checked where it was made
+        if len(stack) == 1:
+            stems, fit = _lookaheads(state, error_step is not None)
+            if stems and not _stems_meet(ctx, state.tapes):
                 continue
-            if (error_step is None or state.budget == 2) \
-                    and not _surface_fits(ctx, state):
+            if fit and not _surface_fits(ctx, state.tapes, state.word,
+                                         state.pos, state.spliced):
                 continue
         key = _table_key(state) if error_step and state.budget == 2 else None
         if key in failed:
@@ -1529,7 +1591,8 @@ def analysis_start(grammar: Grammar, lexicon: Lexicon,
 
 def to_analysis(ctx: _SearchContext, state: SearchState) -> Analysis:
     free = dict(state.free_vars)
-    morphemes = {t: state.tapes[i].morphemes for i, t in enumerate(TAPES)}
+    morphemes = MappingProxyType({t: state.tapes[i].morphemes
+                                  for i, t in enumerate(TAPES)})
     stems = _collect_stems(ctx, state)
     errors = tuple((r.rule_name, r.pos, r.err_seg,
                     tuple(free.get(c.ref_id, "?") if isinstance(c, FreeRef)
@@ -1553,7 +1616,7 @@ def _collect_stems(ctx: _SearchContext, state: SearchState) -> Tuple[StemInfo, .
             break
         p = patterns[i]
         hard = _hard_features(ctx, p, r, v)
-        stems.append(StemInfo(p, r, v, hard if hard is not None else {}))
+        stems.append(StemInfo(p, r, v, MappingProxyType(hard or {})))
     return tuple(stems)
 
 

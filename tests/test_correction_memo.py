@@ -13,7 +13,7 @@ from semitic_morpho import corrector, load_builtin
 from semitic_morpho.alphabet import LETTERS, decode
 from semitic_morpho.arabic_data import LEXICON_FILE, data_text
 from semitic_morpho.corrector import correct
-from semitic_morpho.engine import analyze, step_memo
+from semitic_morpho.engine import analyze, scripted_surfaces, step_memo
 from semitic_morpho.lexicon import load_lexicon
 
 from oracles import damerau_edits
@@ -44,18 +44,54 @@ def _corrections(pair, words, max_positions=None):
 
 
 @pytest.mark.parametrize("max_positions", (None, 2))
-def test_tables_change_no_correction(words, max_positions):
-    # the same output whichever earlier corrections filled the tables: on a
-    # fresh pair, on the same pair again, and on a fresh pair in reverse
-    pair = load_builtin()
-    first = _corrections(pair, words, max_positions)
-    assert _corrections(pair, words, max_positions) == first
-    assert _corrections(load_builtin(), words[::-1], max_positions) == first
-    memo = step_memo(*pair[:2])
-    assert memo.surfaces and memo.words
+def test_tables_change_no_correction(words, max_positions, monkeypatch):
+    # one pass on a fresh pair, in which every read of either table equals
+    # a fresh search for the same selection or word: whatever earlier
+    # corrections filled the tables with, a correction reads what it would
+    # have found without them
+    grammar, lexicon, _ = load_builtin()
+    memo = step_memo(grammar, lexicon)
+    hits = [0, 0]
+    regenerate, analyze_kept = corrector.regenerate, corrector.analyze
+
+    def checked_regenerate(analysis, g, l, skip_rules):
+        kept = len(memo.surfaces)
+        got = regenerate(analysis, g, l, skip_rules)
+        hits[0] += len(memo.surfaces) == kept
+        assert got == next(scripted_surfaces(analysis.morphemes, g, l,
+                                             skip_rules), None)
+        return got
+
+    def checked_analyze(word, g, l):
+        kept = len(memo.words)
+        got = analyze_kept(word, g, l)
+        hits[1] += bool(got) and len(memo.words) == kept
+        assert got == tuple(analyze(word, g, l)), word
+        return got
+
+    monkeypatch.setattr(corrector, "regenerate", checked_regenerate)
+    monkeypatch.setattr(corrector, "analyze", checked_analyze)
+    for word in words:
+        correct(decode(word), grammar, lexicon, max_candidates=None,
+                max_positions=max_positions)
+    # both tables were read back, not only filled
+    assert hits[0] and hits[1]
     # a word with no analysis is never kept: not the inputs, none at all
     assert all(memo.words.values())
     assert not set(memo.words) & {decode(word) for word in words}
+
+
+def test_analyses_are_read_only():
+    # corrections over one pair share the kept analyses, so none can be
+    # changed under a later correction
+    grammar, lexicon, _ = load_builtin()
+    before = _corrections((grammar, lexicon), ("katbb",))
+    analysis = correct(decode("katbb"), grammar, lexicon)[0].analyses[0]
+    with pytest.raises(TypeError):
+        analysis.morphemes["root"] = ()
+    with pytest.raises(TypeError):
+        analysis.stems[0].features["cat"] = ("noun",)
+    assert _corrections((grammar, lexicon), ("katbb",)) == before
 
 
 def test_second_pass_searches_for_no_regeneration_or_verification(

@@ -31,10 +31,12 @@ from semitic_morpho.lexicon import load_lexicon
 
 from oracles import oracle_micro_analyze
 from test_order_contract import ERROR_EXAMPLES
-from test_surface_lookahead import _required_below, _subsequence
+from test_surface_lookahead import (_required_below, _subsequence,
+                                    checked_budget)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import unanalyzable_edits, well_formed_words  # noqa: E402
+from steps import successors_made  # noqa: E402
 
 
 def _no_cover(monkeypatch):
@@ -78,6 +80,14 @@ def test_corrections_equal_those_without_the_cover(grammar, lexicon,
     pruned = run()
     _no_cover(monkeypatch)
     assert run() == pruned
+
+
+def test_the_patch_turns_off_every_check(monkeypatch):
+    # as in test_surface_lookahead: the patched walk reaches every place a
+    # successor is checked, so apply_rule and try_error_rules make more
+    pruned, unpruned = successors_made(monkeypatch, _no_cover,
+                                       ERROR_EXAMPLES)
+    assert unpruned[0] > pruned[0] and unpruned[1] > pruned[1]
 
 
 def test_unbounded_corrections_of_a_sweep_word(grammar, lexicon,
@@ -294,9 +304,9 @@ def test_a_reap_chain_is_not_checked(monkeypatch):
     assert step_memo(g, lex).spelling == ROOT
     budgets, covered = [], []
 
-    def spy_fits(ctx, state):
-        budgets.append(state.budget)
-        return _surface_fits(ctx, state)
+    def spy_fits(ctx, *args):
+        budgets.append(checked_budget())
+        return _surface_fits(ctx, *args)
 
     def spy_walk(ctx, ti, *args):
         covered.append(ti)

@@ -27,6 +27,7 @@ from test_order_contract import ERROR_EXAMPLES
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import unanalyzable_edits, well_formed_words  # noqa: E402
+from steps import successors_made  # noqa: E402
 
 ROOT, VOCALISM = TAPES.index("root"), TAPES.index("vocalism")
 
@@ -64,6 +65,17 @@ def test_corrections_equal_those_without_the_lookahead(grammar, lexicon,
     pruned = run()
     _no_lookahead(monkeypatch)
     assert run() == pruned
+
+
+def test_the_patch_turns_off_every_check(monkeypatch):
+    # the tests above compare with a search without the lookahead only if
+    # the patch reaches every place it is checked: apply_rule, where a
+    # successor is made, and corrector._error_roots, which applies no error
+    # rule at a failure-pass state it rules out. Then apply_rule and
+    # try_error_rules make more successors
+    pruned, unpruned = successors_made(monkeypatch, _no_lookahead,
+                                       ERROR_EXAMPLES)
+    assert unpruned[0] > pruned[0] and unpruned[1] > pruned[1]
 
 
 def _nodes(node):

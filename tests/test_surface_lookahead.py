@@ -30,9 +30,11 @@ from test_order_contract import ERROR_EXAMPLES
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import unanalyzable_edits, well_formed_words  # noqa: E402
+from steps import successors_made  # noqa: E402
+
 
 def _no_lookahead(monkeypatch):
-    monkeypatch.setattr(engine, "_surface_fits", lambda ctx, state: True)
+    monkeypatch.setattr(engine, "_surface_fits", lambda ctx, *args: True)
 
 
 def _candidates(cands):
@@ -69,6 +71,15 @@ def test_corrections_equal_those_without_the_lookahead(grammar, lexicon,
     pruned = run()
     _no_lookahead(monkeypatch)
     assert run() == pruned
+
+
+def test_the_patch_turns_off_every_check(monkeypatch):
+    # the tests above compare with a search without the lookahead only if
+    # the patch reaches every place a successor is checked, apply_rule and
+    # try_error_rules: then both make more successors
+    pruned, unpruned = successors_made(monkeypatch, _no_lookahead,
+                                       ERROR_EXAMPLES)
+    assert unpruned[0] > pruned[0] and unpruned[1] > pruned[1]
 
 
 def test_unbounded_corrections_of_a_sweep_word(grammar, lexicon,
@@ -323,14 +334,27 @@ erule G: X => 0  { * - * }  reap=n  where lt(X)
 """
 
 
+def checked_budget() -> int:
+    """Inside the lookahead, the budget of the state it checks, read off
+    the function that checks it: a successor of apply_rule keeps the budget
+    of the state the rule applies at, one of try_error_rules has its own,
+    and _search checks its roots as they are."""
+    frame = sys._getframe(1)
+    while frame.f_code.co_name not in ("apply_rule", "try_error_rules",
+                                       "_search"):
+        frame = frame.f_back
+    caller = frame.f_locals
+    return caller.get("budget", caller["state"].budget)
+
+
 def test_a_reap_chain_is_not_checked(monkeypatch):
     g = parse_grammar(REAP)
     lex = load_lexicon("root\tabab\tcat=noun\t\n")
     checked = []
 
-    def spy(ctx, state):
-        checked.append(state.budget)
-        return _surface_fits(ctx, state)
+    def spy(ctx, *args):
+        checked.append(checked_budget())
+        return _surface_fits(ctx, *args)
 
     monkeypatch.setattr(engine, "_surface_fits", spy)
     words = [encode(c.corrected_word)
@@ -383,7 +407,8 @@ def test_failure_point_search_sees_every_state(grammar, lexicon,
                          for pos, states in frontier.items()}], word
         # the lookahead would cut some of the states the pass records
         ctx = _SearchContext(grammar, lexicon)
-        unfit += sum(not _surface_fits(ctx, state)
+        unfit += sum(not _surface_fits(ctx, state.tapes, state.word,
+                                       state.pos, state.spliced)
                      for states in frontier.values() for state in states)
     assert unfit > 0
 
@@ -405,10 +430,63 @@ def test_error_rules_skip_states_the_stem_lookahead_rules_out(
 
 
 def test_generation_does_not_look_ahead(grammar, lexicon, monkeypatch):
-    def fail(ctx, state):
+    def fail(ctx, *args):
         raise AssertionError("generation has no input to fit")
 
     monkeypatch.setattr(engine, "_surface_fits", fail)
     surfaces = engine.generate({"pattern": "M1", "root": "ktb",
                                 "vocalism": "a"}, grammar, lexicon)
     assert decode("katab") in surfaces
+
+
+@pytest.mark.parametrize("lookahead", ("_stems_meet", "_surface_fits"))
+def test_a_cut_successor_is_not_built(grammar, lexicon, monkeypatch,
+                                      lookahead):
+    # where a lookahead cuts a successor, it cuts it before its
+    # obligations, watches, history node, record or state are made, in
+    # apply_rule and in try_error_rules alike
+    built = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def made(*args, **kwargs):
+            built.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, made)
+
+    for name in ("_feed_obligations", "_scan_coercions", "_obligation",
+                 "PartitionRecord", "SearchState"):
+        spy(engine, name)
+    for name in ("_feed_obligations", "Obligation", "PartitionRecord",
+                 "SearchState"):
+        spy(corrector, name)
+    spy(_SearchContext, "history")
+
+    def successors(verdict, errors):
+        # the successors of the roots of two searches: those of every rule,
+        # or those of every error rule
+        monkeypatch.setattr(engine, lookahead, lambda *args: verdict)
+        ctx = _SearchContext(grammar, lexicon)
+        roots = [analysis_start(grammar, lexicon, decode(word))
+                 for word in ("katab", "ktabat")]
+        del built[:]
+        if errors:
+            return [s for root in roots
+                    for s in corrector.try_error_rules(ctx, root)]
+        return [s for root in roots for plan in ctx.grammar.plans.values()
+                for s in engine.apply_rule(ctx, root, plan.rule)]
+
+    assert successors(True, False) and built
+    assert successors(False, False) == [] and built == []
+    if lookahead == "_stems_meet":
+        # an error keeps the tapes, so only the surface fit checks it
+        return
+    assert any(s.budget == 2 for s in successors(True, True))
+    # an error successor that spends the budget is checked, one of a reap
+    # chain is not
+    kept = successors(False, True)
+    assert all(s.budget == 1 for s in kept)
+    assert built.count("SearchState") == len(kept)
+    assert built.count("PartitionRecord") == len(kept)
