@@ -20,15 +20,16 @@ what it offers a walk is that form and the offset into it. The lexical
 tuples and surface a partition has consumed are one history node per
 partition prefix, interned per search, so equal histories are one object:
 each node caches the verdicts of the left contexts matched before the
-tries are walked, dispatch drops the rules whose verdict fails, and the
-failure table names a history by its node. A search over a word does not
-make a state whose root and vocalism cursors sit inside morphemes of
-which no pair unifies, since the stem check would reject every stem they
-could close (_stems_meet), nor one with a cursor whose unread symbols can
-no longer surface in the unread surface (_fits): each successor is checked
-where it is made, before its obligations, history node and record, and
-the search checks its roots. One memoised walk down the trie answers that
-on every tape (_spans): on the tape that spells the surface symbol for
+tries are walked, read off its own segments and its parent's cached
+matches where the contexts allow, dispatch drops the rules whose verdict
+fails, and the failure table names a history by its node. A search over a
+word does not make a state whose root and vocalism cursors sit inside
+morphemes of which no pair unifies, since the stem check would reject
+every stem they could close (_stems_meet), nor one with a cursor whose
+unread symbols can no longer surface in the unread surface (_fits): each
+successor is checked where it is made, before its obligations, history
+node and record, and analyze checks its start. One memoised walk down the
+trie answers that on every tape (_spans): on the tape that spells the surface symbol for
 symbol (_spelling_tape), it gives the numbers of unread items the rest of
 some entry below a node spells, and the rest of the morpheme and then
 whole morphemes, each read through the same walk from the trie root, must
@@ -49,9 +50,10 @@ from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping,
 
 from .alphabet import BOUNDARY, SymbolString, slot_index
 from .features import FeatureStructure, restrict, unify, unify_all
-from .grammar import (EPS, WILDCARD, Bindings, Grammar, Guards, LexTuple,
-                      RecordPattern, RulePlan, TwoLevelRule, match_context,
-                      match_lex, match_record_pattern, match_slot)
+from .grammar import (EPS, WILDCARD, Bindings, Grammar, Guards, LeftSide,
+                      LexTuple, RecordPattern, RulePlan, TwoLevelRule,
+                      match_context, match_lex, match_record_pattern,
+                      match_slot)
 from .lexicon import TAPES, Lexicon, LexiconTree, MorphemeEntry, Node
 
 # the indices of the stem tapes in TAPES
@@ -253,10 +255,16 @@ class History:
     (_SearchContext.history), so equal histories made the same way are one
     object. `verdicts` caches, per plan, the left-context bindings matched
     at this history with no bindings given, or None when they fail
-    (_verdict); it is made on first use, as are the flattened histories.
+    (_verdict). `tails` caches, per LeftSide (RulePlan.sides) for which
+    this node has a segment on the side's tape, the matches of its earlier
+    groups from the end of the history: entry j holds the bindings of
+    groups j, j-1, ..., 0, each at its nearest match left of the one
+    after it, or None when one finds none (_tails). A node's verdicts and
+    tails are read off its own segments and its parent's tails. Each cache
+    is made on first use, as are the flattened histories.
     """
 
-    __slots__ = ("parent", "lex_seg", "surf_seg", "verdicts", "flat")
+    __slots__ = ("parent", "lex_seg", "surf_seg", "verdicts", "tails", "flat")
 
     def __init__(self, parent: Optional["History"] = None,
                  lex_seg: Tuple[LexTuple, ...] = (),
@@ -265,6 +273,7 @@ class History:
         self.lex_seg = lex_seg
         self.surf_seg = surf_seg
         self.verdicts: Optional[Dict[RulePlan, Optional[Bindings]]] = None
+        self.tails: Optional[Dict[LeftSide, tuple]] = None
         self.flat: Optional[Tuple[tuple, tuple]] = None
 
     def lexical(self) -> Tuple[LexTuple, ...]:
@@ -395,6 +404,16 @@ class StepMemo:
              whose lexical expression matches the segment, each with the
              bindings of that match, in plan.watch order; see
              _scan_coercions
+    contexts (LeftSide, item index, lexical tuple or surface symbol) -> the
+             bindings of that item of the side matched against it with none
+             given, or None: what the left-context verdicts read off the
+             history nodes are made of (_verdict); index -1 is the flush
+             item, others index LeftSide.chain
+    hard     identities of a (pattern, root, vocalism) entry triple -> the
+             triple's entries and their unified hard features, or None when
+             they clash: the stem check's (_stem_ok) and the stems' of an
+             analysis (_collect_stems), through _hard_features. The entries
+             are kept with the value, so no identity in a key is reused
     stems    (root trie node, vocalism trie node) -> whether some root entry
              at or below the one unifies in hard features with some
              vocalism entry at or below the other: the stem lookahead's
@@ -438,6 +457,8 @@ class StepMemo:
         self.walks: Dict[tuple, tuple] = {}
         self.paths: Dict[SymbolString, Node] = {}
         self.watches: Dict[tuple, tuple] = {}
+        self.contexts: Dict[tuple, Optional[Bindings]] = {}
+        self.hard: Dict[Tuple[int, int, int], tuple] = {}
         self.stems: Optional[Dict[Tuple[Node, Node], bool]] = \
             {} if _closes_stems_together(grammar) else None
         self.spellings: Dict[Tuple[int, str],
@@ -502,11 +523,11 @@ class _SearchContext:
       the rest of the morpheme and then whole morphemes spell it
       (_spelled).
     Where the lookaheads apply is a fact of each successor, worked out
-    where it is made (apply_rule, corrector.try_error_rules) and, for the
-    roots, by _search, from its word, its budget and `errors`: whether the
-    search that expands the state has an error step (_lookaheads). _successors sets it
-    before it applies the rules, since apply_rule(ctx, state, rule) is
-    told nothing else of the search.
+    where it is made (apply_rule, corrector.try_error_rules) from its word,
+    its budget and `errors`: whether the search that expands the state has
+    an error step (_lookaheads). _successors sets it before it applies the
+    rules, since apply_rule(ctx, state, rule) is told nothing else of the
+    search.
     """
 
     def __init__(self, grammar: Grammar, lexicon: Lexicon,
@@ -869,7 +890,7 @@ def _commit_morphemes(tapes: List[TapeState],
 def _stem_ok(ctx: _SearchContext, before: Sequence[TapeState],
              after: Sequence[TapeState]) -> bool:
     """False when the stem tapes just closed a morpheme whose hard
-    features clash.
+    features clash, read from the step memo (_hard_features).
 
     Analyses look ahead to this check (_stems_meet), and the lookahead is
     exact. Where the grammar closes stems together
@@ -894,11 +915,15 @@ def _hard_features(ctx: _SearchContext, pattern: MorphemeEntry,
                    root: MorphemeEntry,
                    vocalism: MorphemeEntry) -> Optional[FeatureStructure]:
     """The unified features of a stem without the soft attributes, or None
-    when they clash."""
-    soft = ctx.lexicon.soft_attrs
-    return unify_all(restrict(pattern.features, soft),
-                     restrict(root.features, soft),
-                     restrict(vocalism.features, soft))
+    when they clash; filled once per entry triple (StepMemo.hard)."""
+    key = (id(pattern), id(root), id(vocalism))
+    got = ctx.memo.hard.get(key)
+    if got is None:
+        soft = ctx.lexicon.soft_attrs
+        got = ctx.memo.hard[key] = (pattern, root, vocalism, unify_all(
+            restrict(pattern.features, soft), restrict(root.features, soft),
+            restrict(vocalism.features, soft)))
+    return got[3]
 
 
 def _reads(slot: tuple, sym: str, guards: Guards) -> bool:
@@ -1208,11 +1233,17 @@ def _match_left_contexts(plan: RulePlan, state: SearchState,
 _UNSEEN = object()
 
 
-def _verdict(plan: RulePlan, state: SearchState) -> Optional[Bindings]:
+def _verdict(ctx: _SearchContext, plan: RulePlan,
+             state: SearchState) -> Optional[Bindings]:
     """The bindings of a hoisted plan's left contexts at `state`, matched
     with none given, or None when they fail. They read the history alone,
     so the verdict is cached on its node; callers copy it before they bind.
-    A plan without left contexts binds nothing."""
+    A plan without left contexts binds nothing.
+
+    For a plan with sides (RulePlan.sides) the verdict is read off the node
+    and its parent's tails rather than the flattened history (_side_verdict):
+    each side's bindings are those of its groups, each matched where it
+    would be alone, and the sides' are merged into a fresh dict."""
     if not plan.left:
         return {}
     history = state.history
@@ -1223,8 +1254,108 @@ def _verdict(plan: RulePlan, state: SearchState) -> Optional[Bindings]:
         verdict = verdicts.get(plan, _UNSEEN)
         if verdict is not _UNSEEN:
             return verdict
-    verdict = verdicts[plan] = _match_left_contexts(plan, state, {})
+    sides = plan.sides
+    if sides is None:
+        verdict = _match_left_contexts(plan, state, {})
+    else:
+        verdict = _side_verdict(ctx, sides[0], history)
+        for side in sides[1:]:
+            if verdict is None:
+                break
+            got = _side_verdict(ctx, side, history)
+            verdict = None if got is None else {**verdict, **got}
+    verdicts[plan] = verdict
     return verdict
+
+
+def _item_match(ctx: _SearchContext, side: LeftSide, k: int,
+                item) -> Optional[Bindings]:
+    """Item `k` of `side` (-1: the flush item) matched against one history
+    item with no bindings given, through match_context, once per grammar
+    and lexicon (StepMemo.contexts). The bindings are shared: callers copy
+    them before they bind."""
+    key = (side, k, item)
+    contexts = ctx.memo.contexts
+    got = contexts.get(key, _UNSEEN)
+    if got is _UNSEEN:
+        pat = side.flush if k < 0 else side.chain[k]
+        got = contexts[key] = match_context((pat,), (item,), {}, side.guards,
+                                            side.lexical)
+    return got
+
+
+def _side_verdict(ctx: _SearchContext, side: LeftSide,
+                  node: History) -> Optional[Bindings]:
+    """The bindings of one left context at the history `node`, matched
+    with none given, or None. The nearest node with a segment on the
+    side's tape has the same history there, so it answers: its last item
+    takes the flush item, and the earlier groups take their nearest matches
+    left of it in the segment, then in the parent's tails (_chain)."""
+    lexical = side.lexical
+    seg = node.lex_seg if lexical else node.surf_seg
+    while not seg:
+        node = node.parent
+        if node is None:
+            return None if side.flush is not None or side.chain else {}
+        seg = node.lex_seg if lexical else node.surf_seg
+    if side.flush is None:
+        return _tails(ctx, side, node)[-1] if side.chain else {}
+    flush = _item_match(ctx, side, -1, seg[-1])
+    if flush is None or not side.chain:
+        return flush
+    chain = _chain(ctx, side, seg, len(seg) - 1, len(side.chain) - 1,
+                   _tails(ctx, side, node.parent))
+    return None if chain is None else {**flush, **chain}
+
+
+def _tails(ctx: _SearchContext, side: LeftSide,
+           node: Optional[History]) -> tuple:
+    """History.tails of the nearest node at or above `node` with a segment
+    on the side's tape, filled down from the nearest one that has them;
+    all None for an empty history."""
+    lexical = side.lexical
+    unfilled = []
+    tails = None
+    while node is not None:
+        if node.lex_seg if lexical else node.surf_seg:
+            if node.tails is not None:
+                tails = node.tails.get(side)
+                if tails is not None:
+                    break
+            unfilled.append(node)
+        node = node.parent
+    if tails is None:
+        tails = (None,) * len(side.chain)
+    for node in reversed(unfilled):
+        seg = node.lex_seg if lexical else node.surf_seg
+        tails = tuple([_chain(ctx, side, seg, len(seg), j, tails)
+                       for j in range(len(side.chain))])
+        if node.tails is None:
+            node.tails = {}
+        node.tails[side] = tails
+    return tails
+
+
+def _chain(ctx: _SearchContext, side: LeftSide, seg: tuple, end: int, j: int,
+           before: tuple) -> Optional[Bindings]:
+    """The bindings of the side's earlier groups j, j-1, ..., 0, each at
+    its nearest match left of the one after it, the first left of
+    `seg[end]`: in `seg`, then from the end of the history before it,
+    whose tails are `before`. None when one finds no match."""
+    out = None
+    i = end
+    for t in range(j, -1, -1):
+        found = None
+        while i and found is None:
+            i -= 1
+            found = _item_match(ctx, side, t, seg[i])
+        if found is None:
+            found = before[t]
+            if found is None:
+                return None
+            return found if out is None else {**out, **found}
+        out = found if out is None else {**out, **found}
+    return out
 
 
 def apply_rule(ctx: _SearchContext, state: SearchState,
@@ -1247,7 +1378,7 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
     stems, fit = _lookaheads(state, ctx.errors)
     start: Bindings = {}
     if plan.hoisted:
-        start = _verdict(plan, state)
+        start = _verdict(ctx, plan, state)
         if start is None:
             return
     var = plan.surf_var
@@ -1405,7 +1536,7 @@ def _successors(ctx: _SearchContext, state: SearchState,
                 for ti in plan.prebind_tapes):
             continue
         if plan.left and plan.hoisted:
-            start = _verdict(plan, state)
+            start = _verdict(ctx, plan, state)
             if start is None:
                 continue
             if head is not None and plan.surf_var is not None and \
@@ -1459,7 +1590,7 @@ def _lookaheads(state: SearchState, errors: bool) -> Tuple[bool, bool]:
     """Whether the stem lookahead and the surface fit apply at `state` in a
     search with an error step (`errors`) or without, which is also where
     they apply at the successors of its rules, since those keep its budget
-    (_search)."""
+    (apply_rule; see _search)."""
     stems = state.word is not None and (state.budget > 0 or not errors)
     return stems, stems and (state.budget == 2 or not errors)
 
@@ -1488,20 +1619,33 @@ def _search(ctx: _SearchContext, roots: Iterable[SearchState],
 
     The lookaheads are exact by the same token, and a state is checked by
     them when it has a word and is not a budget-0 state of a search with
-    an error step (_lookaheads). Generation has no word, and its cursors walk the paths
-    of scripted forms, with no lexicon entries below them. A budget-0
-    state of a search with an error step belongs to correction's
-    error-free pass, which records every state it expands to fix the
-    failure point; a lookahead would leave some out and could move it.
+    an error step (_lookaheads). Generation has no word, and its cursors
+    walk the paths of scripted forms, with no lexicon entries below them.
+    A budget-0 state of a search with an error step belongs to
+    correction's error-free pass, which records every state it expands to
+    fix the failure point; a lookahead would leave some out and could move
+    it.
     The roots of correction's second pass are error successors, whose
     budget is 1 or 2.
 
     A successor is checked where it is made, before anything else is built
     for it: apply_rule checks its successors once their morphemes are
     committed, and corrector.try_error_rules its error successors right
-    after the splice. This search checks only its roots. A complete state
-    passes both lookaheads, so checking before _complete, as the makers
-    do, cuts no more than checking after it.
+    after the splice. This search checks no state, its roots included. Of
+    the roots the library searches from, only analyze's start can fail a
+    lookahead, and analyze checks it: the stems trivially meet at the trie
+    roots, generation has no word, the error-free pass is not pruned, and
+    the error search's roots are error successors, checked by
+    try_error_rules and corrector._error_roots. A complete state passes
+    both lookaheads, so checking before _complete, as the makers do, cuts
+    no more than checking after it.
+
+    Each expansion reads two per-state checks from tables rather than
+    working them out: a hoisted plan's left-context verdict is read off the
+    state's history node, from its own segments and its parent's cached
+    tails, out of item matches kept in the step memo (_verdict,
+    History.tails, StepMemo.contexts); and the stem check unifies each
+    (pattern, root, vocalism) entry triple once (StepMemo.hard).
 
     The stem lookahead (_stems_meet) skips only incomplete states whose
     subtrees yield no complete state (_stem_ok).
@@ -1553,14 +1697,6 @@ def _search(ctx: _SearchContext, roots: Iterable[SearchState],
             yielded += 1
             yield state
             continue
-        # a root: every other state was checked where it was made
-        if len(stack) == 1:
-            stems, fit = _lookaheads(state, error_step is not None)
-            if stems and not _stems_meet(ctx, state.tapes):
-                continue
-            if fit and not _surface_fits(ctx, state.tapes, state.word,
-                                         state.pos, state.spliced):
-                continue
         key = _table_key(state) if error_step and state.budget == 2 else None
         if key in failed:
             continue
@@ -1574,8 +1710,12 @@ def analyze(word: SymbolString, grammar: Grammar,
     if not word:
         return []
     ctx = _SearchContext(grammar, lexicon)
-    return [to_analysis(ctx, s)
-            for s in _search(ctx, [analysis_start(grammar, lexicon, word)])]
+    start = analysis_start(grammar, lexicon, word)
+    # the one root a lookahead can cut: its cursors sit at the trie roots,
+    # where the stems trivially meet (_search)
+    if not _surface_fits(ctx, start.tapes, start.word, 0, ()):
+        return []
+    return [to_analysis(ctx, s) for s in _search(ctx, [start])]
 
 
 def analysis_start(grammar: Grammar, lexicon: Lexicon,

@@ -14,6 +14,7 @@ Lexical tuples in partitions use ``None`` for an empty slot.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -383,6 +384,45 @@ def rule_vars(rule) -> Set[str]:
         v for pat in contexts for v in context_vars(pat)}
 
 
+class LeftSide:
+    """One left context of a rule whose verdict the history nodes carry
+    (RulePlan.sides): the item flush against the core, or None, and the one
+    item of each earlier non-empty group, left to right. An object per
+    context, so that tables key it by identity."""
+
+    __slots__ = ("lexical", "flush", "chain", "guards")
+
+    def __init__(self, groups: LeftContext, lexical: bool, guards: Guards):
+        self.lexical = lexical
+        self.flush = groups[-1][0] if groups[-1] else None
+        self.chain = tuple(group[0] for group in groups[:-1] if group)
+        self.guards = guards
+
+
+def _left_sides(rule: TwoLevelRule, llc,
+                lsc) -> Optional[Tuple[LeftSide, ...]]:
+    """The left contexts as LeftSides, LLC first, when no group's match can
+    move another's: each group holds at most one item, no variable is in
+    two groups or in both contexts, and no != guard joins two variables of
+    them. None otherwise."""
+    contexts = [(pat, lexical) for pat, lexical in ((llc, True), (lsc, False))
+                if pat != WILDCARD]
+    groups = [group for pat, _ in contexts for group in pat if group]
+    if any(len(group) > 1 for group in groups):
+        return None
+    seen: Set[str] = set()
+    for group in groups:
+        names = set(context_vars(group))
+        if names & seen:
+            return None
+        seen |= names
+    if any(is_var and {v, other} & seen
+           for v, other, is_var in rule.guards.diseq):
+        return None
+    return tuple(LeftSide(pat, lexical, rule.guards)
+                 for pat, lexical in contexts)
+
+
 class RulePlan:
     """A two-level rule analysed once per grammar, for rule dispatch.
 
@@ -397,6 +437,15 @@ class RulePlan:
                  commits to its nearest match, and bindings can move it.
     llc, lsc     the left contexts, split at their ellipses, or WILDCARD.
     left         whether either left context is not WILDCARD.
+    sides        for a hoisted plan with left contexts whose groups cannot
+                 move one another (_left_sides), each context as a
+                 LeftSide, LLC first: the verdict is then read off the
+                 history node and its parent (engine._verdict). Left
+                 contexts are matched with no bindings given, and each group
+                 commits to its nearest match, so with one item per group
+                 and no variable or != guard linking two of them, each group
+                 matches where it would alone. None otherwise, and then the
+                 flattened history is matched. Derived on first use.
     surf_lit     the first surface slot's literal, or None.
     surf_var     the first surface slot's variable, or None, and its
     surf_domain  class (None when unrestricted).
@@ -473,6 +522,13 @@ class RulePlan:
                     if is_var and {v, other} & lex_vars}
         self.read_vars = tuple(sorted(lex_vars | partners))
         self.watch = watch
+
+    @functools.cached_property
+    def sides(self) -> Optional[Tuple[LeftSide, ...]]:
+        # worked out on first use, so loading a grammar does no more work
+        if not (self.hoisted and self.left):
+            return None
+        return _left_sides(self.rule, self.llc, self.lsc)
 
     def admits_head(self, head: str) -> bool:
         """Can the first surface slot take `head`, a grounded symbol?"""

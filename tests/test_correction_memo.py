@@ -128,10 +128,12 @@ def test_lexicon_add_empties_both_tables():
     grammar, lexicon, _ = load_builtin()
     before = _corrections((grammar, lexicon), ("katbb",))
     memo = step_memo(grammar, lexicon)
-    assert memo.surfaces and memo.words
+    assert memo.surfaces and memo.words and memo.hard
     lexicon.add(load_lexicon(EXTRA_ROOT).entries("root")[0])
     memo = step_memo(grammar, lexicon)
     assert memo.surfaces == {} and memo.words == {}
+    # the stem checks' table keys entries by identity: it goes too
+    assert memo.hard == {}
     # the next correction reads the new root, as on a lexicon loaded with it
     after = _corrections((grammar, lexicon), ("katbb",))
     extended = load_lexicon(data_text(LEXICON_FILE) + EXTRA_ROOT)

@@ -10,7 +10,8 @@ exactly, in both directions.
 
 A refactor leaves the file unchanged. A change that means to alter the
 work the layers do regenerates it (``PYTHONPATH=src
-python3 tests/test_count_contract.py``) and states the deltas in its
+python3 tests/test_count_contract.py``), which prints each count it changes
+as ``prefix: metric old -> new``, and states those deltas in its
 description.
 """
 
@@ -67,5 +68,21 @@ def test_counts_match_the_contract():
         assert got[prefix] == want[prefix], prefix
 
 
+def changes(old, new):
+    """(prefix, metric, old value, new value) for each count that differs,
+    in the new file's order; a count one side lacks reads None there."""
+    out = []
+    for prefix in dict.fromkeys([*new, *old]):
+        was, now = old.get(prefix, {}), new.get(prefix, {})
+        for metric in dict.fromkeys([*now, *was]):
+            if was.get(metric) != now.get(metric):
+                out.append((prefix, metric, was.get(metric), now.get(metric)))
+    return out
+
+
 if __name__ == "__main__":
-    EXPECTED.write_text(json.dumps(observed(), indent=1) + "\n", "utf-8")
+    old = json.loads(EXPECTED.read_text("utf-8")) if EXPECTED.exists() else {}
+    new = observed()
+    EXPECTED.write_text(json.dumps(new, indent=1) + "\n", "utf-8")
+    for prefix, metric, was, now in changes(old, new):
+        print(f"{prefix}: {metric} {was} -> {now}")

@@ -3,6 +3,7 @@ filled once per (grammar, lexicon) pair and shared by every analysis and
 generation over it."""
 
 import gc
+import itertools
 import weakref
 
 from hypothesis import given, settings, strategies as st
@@ -12,9 +13,11 @@ from semitic_morpho.alphabet import LETTERS, decode, encode
 from semitic_morpho.arabic_data import LEXICON_FILE, VERB_TABLE, data_text
 from semitic_morpho.dsl import parse_grammar
 from semitic_morpho.engine import (ScriptCursor, SearchState, TapeState,
-                                   TrieCursor, _advance_tapes, _search,
-                                   _SearchContext, _walk, analyze, generate,
+                                   TrieCursor, _advance_tapes,
+                                   _hard_features, _search, _SearchContext,
+                                   _walk, analyze, generate,
                                    optional_deletion_rules, step_memo)
+from semitic_morpho.features import restrict, unify_all
 from semitic_morpho.lexicon import TAPES, load_lexicon
 
 from oracles import damerau_edits
@@ -117,6 +120,40 @@ def test_generation_memo_is_bounded_by_the_lexicon():
         sizes.append((len(memo.walks), [len(m) for m in memo.masks],
                       len(memo.paths)))
     assert sizes[0] == sizes[1] and sizes[0][0] > 0
+
+
+def _unified(lexicon, pattern, root, vocalism):
+    soft = lexicon.soft_attrs
+    return unify_all(restrict(pattern.features, soft),
+                     restrict(root.features, soft),
+                     restrict(vocalism.features, soft))
+
+
+def test_stem_table_holds_the_unified_features():
+    # every entry triple the analyses of the table cells, the nominal and
+    # affixed words and their edits close, in the table the stem check and
+    # the analyses' stems read, is the triple's unification
+    grammar, lexicon, _ = load_builtin()
+    words = CELLS + NOMINAL_SURFACES + AFFIXED_SURFACES
+    for word in words + tuple(edited for word in words[::4]
+                              for _, _, edited in damerau_edits(word,
+                                                                ALPHABET)):
+        analyze(decode(word), grammar, lexicon)
+    hard = step_memo(grammar, lexicon).hard
+    assert len(hard) > 10
+    assert any(value[3] is None for value in hard.values())
+    for key, (pattern, root, vocalism, features) in hard.items():
+        assert key == (id(pattern), id(root), id(vocalism))
+        assert features == _unified(lexicon, pattern, root, vocalism)
+    # and every triple of the lexicon's entries reads as unified directly,
+    # the second time from the table
+    ctx = _SearchContext(grammar, lexicon)
+    for triple in itertools.product(lexicon.entries("pattern"),
+                                    lexicon.entries("root"),
+                                    lexicon.entries("vocalism")):
+        features = _hard_features(ctx, *triple)
+        assert features == _unified(lexicon, *triple), triple
+        assert _hard_features(ctx, *triple) is features
 
 
 def test_add_after_analyze_matches_a_fresh_lexicon():

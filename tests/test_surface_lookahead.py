@@ -338,12 +338,14 @@ def checked_budget() -> int:
     """Inside the lookahead, the budget of the state it checks, read off
     the function that checks it: a successor of apply_rule keeps the budget
     of the state the rule applies at, one of try_error_rules has its own,
-    and _search checks its roots as they are."""
+    and analyze checks its start state, whose budget is 0."""
     frame = sys._getframe(1)
     while frame.f_code.co_name not in ("apply_rule", "try_error_rules",
-                                       "_search"):
+                                       "analyze"):
         frame = frame.f_back
     caller = frame.f_locals
+    if frame.f_code.co_name == "analyze":
+        return caller["start"].budget
     return caller.get("budget", caller["state"].budget)
 
 
