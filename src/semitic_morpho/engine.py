@@ -28,13 +28,14 @@ morphemes of which no pair unifies, since the stem check would reject
 every stem they could close (_stems_meet), nor one with a cursor whose
 unread symbols can no longer surface in the unread surface (_fits): each
 successor is checked where it is made, before its obligations, history
-node and record, and analyze checks its start. One memoised walk down the
-trie answers that on every tape (_spans): on the tape that spells the surface symbol for
-symbol (_spelling_tape), it gives the numbers of unread items the rest of
-some entry below a node spells, and the rest of the morpheme and then
-whole morphemes, each read through the same walk from the trie root, must
-spell all of it (_spelled); inside a morpheme on another tape, the rest
-of some entry must surface in order somewhere in it. That holds except
+node and record, and analyze checks its start. One memoised walk down
+the trie answers that on every tape (_spans): on the tape that spells the
+surface symbol for symbol (_spelling_tape), it gives the numbers of
+unread items the rest of some entry below a node spells, and the rest of
+the morpheme and then whole morphemes, each read through the same walk
+from the trie root, must spell all of it (_spelled); inside a morpheme on
+another tape, the rest of some entry must surface in order somewhere in
+it. That holds except
 where the search must see every state: whether these lookaheads apply is
 worked out from each state (_search), and which tape spells the surface
 from the grammar, in the step memo.
