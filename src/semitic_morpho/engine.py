@@ -19,10 +19,11 @@ scripted tape reads its current morpheme's form along a one-path trie, so
 what it offers a walk is that form and the offset into it. The lexical
 tuples and surface a partition has consumed are one history node per
 partition prefix, interned per search, so equal histories are one object:
-each node caches the verdicts of the left contexts matched before the
-tries are walked, read off its own segments and its parent's cached
-matches where the contexts allow, dispatch drops the rules whose verdict
-fails, and the failure table names a history by its node. A search over a
+every left context is matched off the nodes, scanning their segments back
+from the end and memoising the scan at each node end it passes, each node
+caches the verdicts of the left contexts matched before the tries are
+walked, dispatch drops the rules whose verdict fails, and the failure
+table names a history by its node. A search over a
 word does not make a state whose root and vocalism cursors sit inside
 morphemes of which no pair unifies, since the stem check would reject
 every stem they could close (_stems_meet), nor one with a cursor whose
@@ -254,18 +255,17 @@ class History:
 
     A search interns its nodes by (parent, segments)
     (_SearchContext.history), so equal histories made the same way are one
-    object. `verdicts` caches, per plan, the left-context bindings matched
-    at this history with no bindings given, or None when they fail
-    (_verdict). `tails` caches, per LeftSide (RulePlan.sides) for which
-    this node has a segment on the side's tape, the matches of its earlier
-    groups from the end of the history: entry j holds the bindings of
-    groups j, j-1, ..., 0, each at its nearest match left of the one
-    after it, or None when one finds none (_tails). A node's verdicts and
-    tails are read off its own segments and its parent's tails. Each cache
-    is made on first use, as are the flattened histories.
+    object. Left contexts are matched off the nodes, segment by segment,
+    never off a flattened history (_left_bindings). `scans` memoises the
+    scans of a context's earlier groups from this node's end, on each tape
+    it has a segment on: (LeftSide, group index j, the values of the
+    bindings groups j, ..., 0 read) -> the bindings those groups add, or
+    None (_scan). `verdicts` caches, per hoisted
+    plan, its left contexts' bindings with none given (_verdict). Both are
+    made on first use, as is the flattened surface (surface()).
     """
 
-    __slots__ = ("parent", "lex_seg", "surf_seg", "verdicts", "tails", "flat")
+    __slots__ = ("parent", "lex_seg", "surf_seg", "verdicts", "scans", "flat")
 
     def __init__(self, parent: Optional["History"] = None,
                  lex_seg: Tuple[LexTuple, ...] = (),
@@ -274,31 +274,22 @@ class History:
         self.lex_seg = lex_seg
         self.surf_seg = surf_seg
         self.verdicts: Optional[Dict[RulePlan, Optional[Bindings]]] = None
-        self.tails: Optional[Dict[LeftSide, tuple]] = None
-        self.flat: Optional[Tuple[tuple, tuple]] = None
-
-    def lexical(self) -> Tuple[LexTuple, ...]:
-        """Every lexical tuple consumed, in order."""
-        return self._flatten()[0]
+        self.scans: Optional[Dict[tuple, Optional[Bindings]]] = None
+        self.flat: Optional[Tuple[str, ...]] = None
 
     def surface(self) -> Tuple[str, ...]:
-        """The corrected (or generated) surface consumed, in order."""
-        return self._flatten()[1]
-
-    def _flatten(self) -> Tuple[tuple, tuple]:
-        """(lexical(), surface()), kept on this node and on each ancestor
-        flattened on the way."""
+        """The corrected (or generated) surface consumed, in order, kept on
+        this node and on each ancestor flattened on the way."""
         if self.flat is None:
             unflat = []
             node = self
             while node is not None and node.flat is None:
                 unflat.append(node)
                 node = node.parent
-            lex, surf = ((), ()) if node is None else node.flat
+            surf = () if node is None else node.flat
             for node in reversed(unflat):
-                lex += node.lex_seg
                 surf += node.surf_seg
-                node.flat = (lex, surf)
+                node.flat = surf
         return self.flat
 
 
@@ -405,11 +396,11 @@ class StepMemo:
              whose lexical expression matches the segment, each with the
              bindings of that match, in plan.watch order; see
              _scan_coercions
-    contexts (LeftSide, item index, lexical tuple or surface symbol) -> the
-             bindings of that item of the side matched against it with none
-             given, or None: what the left-context verdicts read off the
-             history nodes are made of (_verdict); index -1 is the flush
-             item, others index LeftSide.chain
+    contexts ((LeftSide, group index j, values of LeftSide.reads[j]),
+             window) -> the bindings the group adds matched against the
+             window, the lexical tuples or surface symbols it would cover,
+             or None: what the left-context scans over the history nodes
+             are made of (_group_match, _scan)
     hard     identities of a (pattern, root, vocalism) entry triple -> the
              triple's entries and their unified hard features, or None when
              they clash: the stem check's (_stem_ok) and the stems' of an
@@ -834,7 +825,8 @@ def _scan_coercions(ctx: _SearchContext, state: SearchState,
     for rule, b in matches:
         if rule.name in ctx.skip_rules:
             continue
-        b = _match_left_contexts(ctx.grammar.plans[rule.name], state, b)
+        b = _left_bindings(ctx, ctx.grammar.plans[rule.name], state.history,
+                           b)
         if b is None:
             continue
         required = _emit_surface(rule.surf, b)
@@ -1217,20 +1209,6 @@ def _cover_steps(ctx: _SearchContext, ti: int, node: Node
     return steps
 
 
-def _match_left_contexts(plan: RulePlan, state: SearchState,
-                         bindings: Bindings) -> Optional[Bindings]:
-    guards = plan.rule.guards
-    if plan.llc != WILDCARD:
-        bindings = match_context(plan.llc, state.history.lexical(), bindings,
-                                 guards)
-        if bindings is None:
-            return None
-    if plan.lsc != WILDCARD:
-        bindings = match_context(plan.lsc, state.history.surface(), bindings,
-                                 guards, lexical=False)
-    return bindings
-
-
 _UNSEEN = object()
 
 
@@ -1239,13 +1217,8 @@ def _verdict(ctx: _SearchContext, plan: RulePlan,
     """The bindings of a hoisted plan's left contexts at `state`, matched
     with none given, or None when they fail. They read the history alone,
     so the verdict is cached on its node; callers copy it before they bind.
-    A plan without left contexts binds nothing.
-
-    For a plan with sides (RulePlan.sides) the verdict is read off the node
-    and its parent's tails rather than the flattened history (_side_verdict):
-    each side's bindings are those of its groups, each matched where it
-    would be alone, and the sides' are merged into a fresh dict."""
-    if not plan.left:
+    A plan without left contexts binds nothing."""
+    if not plan.sides:
         return {}
     history = state.history
     verdicts = history.verdicts
@@ -1255,108 +1228,145 @@ def _verdict(ctx: _SearchContext, plan: RulePlan,
         verdict = verdicts.get(plan, _UNSEEN)
         if verdict is not _UNSEEN:
             return verdict
-    sides = plan.sides
-    if sides is None:
-        verdict = _match_left_contexts(plan, state, {})
-    else:
-        verdict = _side_verdict(ctx, sides[0], history)
-        for side in sides[1:]:
-            if verdict is None:
-                break
-            got = _side_verdict(ctx, side, history)
-            verdict = None if got is None else {**verdict, **got}
-    verdicts[plan] = verdict
+    verdict = verdicts[plan] = _left_bindings(ctx, plan, history, {})
     return verdict
 
 
-def _item_match(ctx: _SearchContext, side: LeftSide, k: int,
-                item) -> Optional[Bindings]:
-    """Item `k` of `side` (-1: the flush item) matched against one history
-    item with no bindings given, through match_context, once per grammar
-    and lexicon (StepMemo.contexts). The bindings are shared: callers copy
-    them before they bind."""
-    key = (side, k, item)
+def _left_bindings(ctx: _SearchContext, plan: RulePlan, history: History,
+                   bindings: Bindings) -> Optional[Bindings]:
+    """`bindings` extended by the plan's left contexts matched at the end
+    of `history`, LLC then LSC, as grammar.match_context matches them, or
+    None when one fails: the one left-context matcher, read by hoisted
+    verdicts, by plans matched after the walk and by coercion watches. The
+    result may be `bindings` itself or shared with the history's tables:
+    callers copy it before they bind."""
+    for side in plan.sides:
+        seg = history.lex_seg if side.lexical else history.surf_seg
+        got = _scan(ctx, side, len(side.groups) - 1, history, len(seg),
+                    bindings)
+        if got is None:
+            return None
+        if got:
+            bindings = {**bindings, **got}
+    return bindings
+
+
+def _before(node: Optional[History], i: int,
+            lexical: bool) -> Tuple[Optional[History], int]:
+    """Position `i` of `node`'s segment on the tape (it may be 0 or
+    negative: that many items before its start) as (node, offset) with the
+    offset inside or at the end of the node's segment; (None, 0) for the
+    start of the history."""
+    while node is not None and i <= 0:
+        node = node.parent
+        while node is not None and not (node.lex_seg if lexical
+                                         else node.surf_seg):
+            node = node.parent
+        if node is not None:
+            i += len(node.lex_seg if lexical else node.surf_seg)
+    return node, i
+
+
+def _window(node: History, i: int, size: int,
+            lexical: bool) -> Optional[tuple]:
+    """The `size` items left of position `i` of `node`'s segment, which
+    holds fewer before it, read back across the nodes above it; None when
+    fewer precede it."""
+    items = (node.lex_seg if lexical else node.surf_seg)[:i]
+    while len(items) < size:
+        node, _ = _before(node, 0, lexical)
+        if node is None:
+            return None
+        seg = node.lex_seg if lexical else node.surf_seg
+        items = seg[len(items) - size:] + items
+    return items
+
+
+def _scan(ctx: _SearchContext, side: LeftSide, j: int,
+          node: Optional[History], i: int,
+          bindings: Bindings) -> Optional[Bindings]:
+    """F(p, j, b): the bindings that groups j, j-1, ..., 0 of `side` add
+    when matched under `bindings` leftwards from position p, `i` items into
+    `node`'s segment on the side's tape; None when one finds no match. The
+    last group of the context takes only the window flush against p; an
+    earlier one takes the nearest window that matches, and the groups
+    before it scan on from its start.
+
+    The scan walks the segments back from the node, a window of the
+    group's size at a time (_window), and matches each window once per
+    grammar and lexicon (_group_match). F of an earlier group at a node's
+    end is memoised on the node (History.scans), keyed by the values of
+    the variables the groups read (LeftSide.reads). The scan is monotone:
+    from every node end it passes before its match, it would scan on
+    exactly as it does, so each of them gets its answer, and a memoised end
+    it reaches answers for it."""
+    groups = side.groups
+    while j >= 0 and not groups[j]:
+        j -= 1
+    if j < 0:
+        return {}
+    lexical = side.lexical
+    size = len(groups[j])
+    flush = j == len(groups) - 1
+    key = (side, j, tuple([bindings.get(v) for v in side.reads[j]])
+           if bindings else ())
     contexts = ctx.memo.contexts
-    got = contexts.get(key, _UNSEEN)
-    if got is _UNSEEN:
-        pat = side.flush if k < 0 else side.chain[k]
-        got = contexts[key] = match_context((pat,), (item,), {}, side.guards,
-                                            side.lexical)
+    passed = []
+    got = None
+    if i <= 0:
+        node, i = _before(node, i, lexical)
+    while node is not None:
+        seg = node.lex_seg if lexical else node.surf_seg
+        if i == len(seg) and not flush:
+            scans = node.scans
+            if scans is None:
+                scans = node.scans = {}
+            else:
+                hit = scans.get(key, _UNSEEN)
+                if hit is not _UNSEEN:
+                    got = hit
+                    break
+            passed.append(scans)
+        window = seg[i - size:i] if i >= size else \
+            _window(node, i, size, lexical)
+        if window is None:
+            break
+        added = contexts.get((key, window), _UNSEEN)
+        if added is _UNSEEN:
+            added = _group_match(ctx, key, window)
+        if added is not None:
+            got = added
+            if j:
+                start, at = _before(node, i - size, lexical)
+                rest = _scan(ctx, side, j - 1, start, at,
+                             {**bindings, **added})
+                got = None if rest is None else {**added, **rest}
+            break
+        if flush:
+            break
+        i -= 1
+        if not i:
+            node, i = _before(node, 0, lexical)
+    for scans in passed:
+        scans[key] = got
     return got
 
 
-def _side_verdict(ctx: _SearchContext, side: LeftSide,
-                  node: History) -> Optional[Bindings]:
-    """The bindings of one left context at the history `node`, matched
-    with none given, or None. The nearest node with a segment on the
-    side's tape has the same history there, so it answers: its last item
-    takes the flush item, and the earlier groups take their nearest matches
-    left of it in the segment, then in the parent's tails (_chain)."""
-    lexical = side.lexical
-    seg = node.lex_seg if lexical else node.surf_seg
-    while not seg:
-        node = node.parent
-        if node is None:
-            return None if side.flush is not None or side.chain else {}
-        seg = node.lex_seg if lexical else node.surf_seg
-    if side.flush is None:
-        return _tails(ctx, side, node)[-1] if side.chain else {}
-    flush = _item_match(ctx, side, -1, seg[-1])
-    if flush is None or not side.chain:
-        return flush
-    chain = _chain(ctx, side, seg, len(seg) - 1, len(side.chain) - 1,
-                   _tails(ctx, side, node.parent))
-    return None if chain is None else {**flush, **chain}
-
-
-def _tails(ctx: _SearchContext, side: LeftSide,
-           node: Optional[History]) -> tuple:
-    """History.tails of the nearest node at or above `node` with a segment
-    on the side's tape, filled down from the nearest one that has them;
-    all None for an empty history."""
-    lexical = side.lexical
-    unfilled = []
-    tails = None
-    while node is not None:
-        if node.lex_seg if lexical else node.surf_seg:
-            if node.tails is not None:
-                tails = node.tails.get(side)
-                if tails is not None:
-                    break
-            unfilled.append(node)
-        node = node.parent
-    if tails is None:
-        tails = (None,) * len(side.chain)
-    for node in reversed(unfilled):
-        seg = node.lex_seg if lexical else node.surf_seg
-        tails = tuple([_chain(ctx, side, seg, len(seg), j, tails)
-                       for j in range(len(side.chain))])
-        if node.tails is None:
-            node.tails = {}
-        node.tails[side] = tails
-    return tails
-
-
-def _chain(ctx: _SearchContext, side: LeftSide, seg: tuple, end: int, j: int,
-           before: tuple) -> Optional[Bindings]:
-    """The bindings of the side's earlier groups j, j-1, ..., 0, each at
-    its nearest match left of the one after it, the first left of
-    `seg[end]`: in `seg`, then from the end of the history before it,
-    whose tails are `before`. None when one finds no match."""
-    out = None
-    i = end
-    for t in range(j, -1, -1):
-        found = None
-        while i and found is None:
-            i -= 1
-            found = _item_match(ctx, side, t, seg[i])
-        if found is None:
-            found = before[t]
-            if found is None:
-                return None
-            return found if out is None else {**out, **found}
-        out = found if out is None else {**out, **found}
-    return out
+def _group_match(ctx: _SearchContext, key: tuple,
+                 window: tuple) -> Optional[Bindings]:
+    """The bindings that group j of a LeftSide adds matched against
+    `window`, under the values of its reads that `key`, (side, j, values),
+    holds (none when empty), or None: filled once per grammar and lexicon
+    through match_context (StepMemo.contexts). The bindings are shared:
+    callers copy them before they bind."""
+    side, j, values = key
+    given = {v: x for v, x in zip(side.reads[j], values) if x is not None}
+    got = match_context(side.groups[j], window, given, side.guards,
+                        side.lexical)
+    if got is not None and given:
+        got = {v: x for v, x in got.items() if v not in given}
+    ctx.memo.contexts[key, window] = got
+    return got
 
 
 def apply_rule(ctx: _SearchContext, state: SearchState,
@@ -1400,7 +1410,7 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
     for cursors, consumed, lex_tuples, b in _advance_tapes(ctx, plan, state,
                                                            start):
         if not plan.hoisted:
-            b = _match_left_contexts(plan, state, b)
+            b = _left_bindings(ctx, plan, state.history, b)
             if b is None:
                 continue
         free_vars = state.free_vars
@@ -1536,7 +1546,7 @@ def _successors(ctx: _SearchContext, state: SearchState,
                 head not in state.tapes[ti].cursor.node.edges
                 for ti in plan.prebind_tapes):
             continue
-        if plan.left and plan.hoisted:
+        if plan.sides and plan.hoisted:
             start = _verdict(ctx, plan, state)
             if start is None:
                 continue
@@ -1642,11 +1652,13 @@ def _search(ctx: _SearchContext, roots: Iterable[SearchState],
     no more than checking after it.
 
     Each expansion reads two per-state checks from tables rather than
-    working them out: a hoisted plan's left-context verdict is read off the
-    state's history node, from its own segments and its parent's cached
-    tails, out of item matches kept in the step memo (_verdict,
-    History.tails, StepMemo.contexts); and the stem check unifies each
-    (pattern, root, vocalism) entry triple once (StepMemo.hard).
+    working them out: a hoisted plan's left-context verdict is cached on
+    the state's history node, and the one matcher that makes it scans the
+    node's segments back only to the nearest node end that memoises the
+    rest, out of group-window matches kept in the step memo (_verdict,
+    _left_bindings, History.scans, StepMemo.contexts); and the stem check
+    unifies each (pattern, root, vocalism) entry triple once
+    (StepMemo.hard).
 
     The stem lookahead (_stems_meet) skips only incomplete states whose
     subtrees yield no complete state (_stem_ok).

@@ -6,7 +6,9 @@ data, the micro partition oracle enumerates alignments exhaustively, and the
 licensing and obligatory-rule checkers read a complete partition after the
 fact with the grammar's slot and context matchers. The reference search is
 the plain depth-first search over the engine's successor function, without
-the error search's failure table.
+the error search's failure table, and the reference left-context matcher
+matches a search state's history, flattened by walking its nodes' parents,
+with the grammar's context matcher.
 """
 
 from __future__ import annotations
@@ -246,6 +248,24 @@ def _left_contexts(rule, b, history, surface) -> Optional[dict]:
     if b is None:
         return None
     return match_context(rule.lsc, surface, b, rule.guards, lexical=False)
+
+
+def flattened(history) -> Tuple[tuple, tuple]:
+    """The lexical tuples and the surface an engine history node has
+    consumed, read by walking its parents."""
+    nodes = []
+    while history is not None:
+        nodes.append(history)
+        history = history.parent
+    nodes.reverse()
+    return (tuple(t for n in nodes for t in n.lex_seg),
+            tuple(s for n in nodes for s in n.surf_seg))
+
+
+def match_left_contexts(plan, history, bindings) -> Optional[dict]:
+    """The reference for engine._left_bindings: the plan's LLC, then its
+    LSC, matched with grammar.match_context over the flattened history."""
+    return _left_contexts(plan.rule, bindings, *flattened(history))
 
 
 def _right_contexts(rule, b, rest_lex, rest_surf, n: int) -> Optional[dict]:

@@ -16,7 +16,6 @@ import inspect
 import itertools
 import re
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -33,10 +32,8 @@ from oracles import oracle_micro_analyze
 from test_order_contract import ERROR_EXAMPLES
 from test_surface_lookahead import (_required_below, _subsequence,
                                     checked_budget)
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from workloads import unanalyzable_edits, well_formed_words  # noqa: E402
-from steps import successors_made  # noqa: E402
+from steps import successors_made
+from workloads import unanalyzable_edits, well_formed_words
 
 
 def _no_cover(monkeypatch):

@@ -13,11 +13,10 @@ import weakref
 from semitic_morpho import engine
 from semitic_morpho.alphabet import LETTERS, decode
 from semitic_morpho.corrector import correct
-from semitic_morpho.engine import (History, _dispatch, _match_left_contexts,
-                                   _search, _SearchContext, analysis_start,
-                                   apply_rule)
+from semitic_morpho.engine import (History, _dispatch, _search,
+                                   _SearchContext, analysis_start, apply_rule)
 
-from oracles import damerau_edits
+from oracles import damerau_edits, flattened, match_left_contexts
 from test_order_contract import ERROR_EXAMPLES
 
 WORDS = tuple(ERROR_EXAMPLES) + tuple(
@@ -72,7 +71,7 @@ def test_searches_keep_one_node_per_history_and_exact_verdicts(
                                      node.surf_seg] is node, word
             # a cached verdict is the left contexts matched afresh
             for plan, verdict in (node.verdicts or {}).items():
-                assert verdict == _match_left_contexts(plan, state, {}), \
+                assert verdict == match_left_contexts(plan, node, {}), \
                     (word, plan.rule.name)
 
 
@@ -100,9 +99,10 @@ def test_history_nodes_are_interned(grammar, lexicon):
     assert ctx.history(root, (("k", None, None),), ("k",)) is node
     assert ctx.history(root, lex, ()) is not node
     assert ctx.history(node, (), ()) is node
-    assert (node.lexical(), node.surface()) == (lex, surf)
+    assert flattened(node) == (lex, surf) and node.surface() == surf
     child = ctx.history(node, (("t", None, None),), ())
-    assert child.lexical() == (("k", None, None), ("t", None, None))
+    assert flattened(child) == ((("k", None, None), ("t", None, None)),
+                                ("k",))
     assert child.surface() == ("k",)
 
 

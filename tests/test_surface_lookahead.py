@@ -12,7 +12,6 @@ the failure point.
 
 import itertools
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -27,10 +26,8 @@ from semitic_morpho.lexicon import TAPES, load_lexicon
 
 from oracles import oracle_micro_analyze
 from test_order_contract import ERROR_EXAMPLES
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from workloads import unanalyzable_edits, well_formed_words  # noqa: E402
-from steps import successors_made  # noqa: E402
+from steps import successors_made
+from workloads import unanalyzable_edits, well_formed_words
 
 
 def _no_lookahead(monkeypatch):
