@@ -88,7 +88,8 @@ def verify_table(grammar: Grammar, lexicon: Lexicon,
         expected_voc = ACTIVE_VOCALISM if voice == "act" else PASSIVE_VOCALISM
         analyses = analyze(decode(surface), grammar, lexicon)
         if not analyses:
-            failures.append(f"{surface} (M{measure} {voice}): no analysis")
+            failures.append(
+                f"{surface} ({expected_pattern} {voice}): no analysis")
             continue
         hits = [
             a for a in analyses
@@ -100,6 +101,6 @@ def verify_table(grammar: Grammar, lexicon: Lexicon,
                 f"{a.stems[-1].pattern.id}/{a.stems[-1].vocalism.id}"
                 for a in analyses if a.stems})
             failures.append(
-                f"{surface} (M{measure} {voice}): expected "
+                f"{surface} ({expected_pattern} {voice}): expected "
                 f"{expected_pattern}/{expected_voc}, got {got}")
     return failures

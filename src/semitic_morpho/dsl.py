@@ -460,10 +460,14 @@ def _fmt_context(pat, lexical: bool) -> str:
 def _fmt_guards(guards: Guards, classes: Dict[str, FrozenSet[str]]) -> str:
     clauses = []
     for var, dom in guards.allowed.items():
-        name = next((n for n, members in classes.items() if members == dom), None)
-        if name is None:
+        # the first class equal to the domain, or else every class that
+        # contains it, which the parser intersects back to the domain
+        names = [n for n, members in classes.items() if members == dom][:1] \
+            or [n for n, members in classes.items() if dom <= members]
+        if not names or frozenset.intersection(
+                *[classes[n] for n in names]) != dom:
             raise UndeclaredClass(f"no declared class for domain of {var}")
-        clauses.append(f"{name}({var})")
+        clauses.extend(f"{name}({var})" for name in names)
     for var, other, _ in guards.diseq:
         clauses.append(f"{var} != {other}")
     for var, tape in guards.aligned:

@@ -20,12 +20,13 @@ what it offers a walk is that form and the offset into it. The lexical
 tuples and surface a partition has consumed are one history node per
 partition prefix, interned per search, so equal histories are one object:
 every left context is matched off the nodes, scanning their segments back
-from the end and memoising the scan at each node end it passes, each node
-caches the verdicts of the left contexts matched before the tries are
-walked, dispatch drops the rules whose verdict fails, and the failure
-table names a history by its node. A search over a
-word does not make a state whose root and vocalism cursors sit inside
-morphemes of which no pair unifies, since the stem check would reject
+from the end and memoising the scan at each node end it passes, which is
+each node's one table. The left contexts matched before the tries are
+walked are read from that memo at the state's node, dispatch drops the
+rules whose verdict fails, and the failure table names a history by its
+node; the surface a partition consumed is read off its records. A search
+over a word does not make a state whose root and vocalism cursors sit
+inside morphemes of which no pair unifies, since the stem check would reject
 every stem they could close (_stems_meet), nor one with a cursor whose
 unread symbols can no longer surface in the unread surface (_fits): each
 successor is checked where it is made, before its obligations, history
@@ -256,16 +257,15 @@ class History:
     A search interns its nodes by (parent, segments)
     (_SearchContext.history), so equal histories made the same way are one
     object. Left contexts are matched off the nodes, segment by segment,
-    never off a flattened history (_left_bindings). `scans` memoises the
-    scans of a context's earlier groups from this node's end, on each tape
-    it has a segment on: (LeftSide, group index j, the values of the
-    bindings groups j, ..., 0 read) -> the bindings those groups add, or
-    None (_scan). `verdicts` caches, per hoisted
-    plan, its left contexts' bindings with none given (_verdict). Both are
-    made on first use, as is the flattened surface (surface()).
+    never off a flattened history (_left_bindings). `scans`, made on first
+    use, is the node's one table: it memoises the scans of a context's
+    groups from this node's end, on each tape it has a segment on:
+    (LeftSide, group index j, the values of the bindings groups j, ..., 0
+    read) -> the bindings those groups add, or None (_scan). The surface a
+    partition consumed is read off its records, not off the node.
     """
 
-    __slots__ = ("parent", "lex_seg", "surf_seg", "verdicts", "scans", "flat")
+    __slots__ = ("parent", "lex_seg", "surf_seg", "scans")
 
     def __init__(self, parent: Optional["History"] = None,
                  lex_seg: Tuple[LexTuple, ...] = (),
@@ -273,24 +273,7 @@ class History:
         self.parent = parent
         self.lex_seg = lex_seg
         self.surf_seg = surf_seg
-        self.verdicts: Optional[Dict[RulePlan, Optional[Bindings]]] = None
         self.scans: Optional[Dict[tuple, Optional[Bindings]]] = None
-        self.flat: Optional[Tuple[str, ...]] = None
-
-    def surface(self) -> Tuple[str, ...]:
-        """The corrected (or generated) surface consumed, in order, kept on
-        this node and on each ancestor flattened on the way."""
-        if self.flat is None:
-            unflat = []
-            node = self
-            while node is not None and node.flat is None:
-                unflat.append(node)
-                node = node.parent
-            surf = () if node is None else node.flat
-            for node in reversed(unflat):
-                surf += node.surf_seg
-                node.flat = surf
-        return self.flat
 
 
 @dataclass(slots=True)
@@ -416,10 +399,6 @@ class StepMemo:
              state whose cursors reach no pair that meets has no complete
              successor (_stem_ok). None for any other grammar, which gets
              no lookahead.
-    spellings  (tape index, symbol) -> (the surface symbols one record
-             that reads the symbol on that tape can emit, None for any
-             symbol; whether the symbol may vanish): one derivation per
-             symbol of each tape's alphabet (_spelling)
     spelling the tape on which each record reads exactly one symbol and
              spells at most one surface symbol for it (_spelling_tape), or
              None: derived here, on the first search over the pair
@@ -453,8 +432,6 @@ class StepMemo:
         self.hard: Dict[Tuple[int, int, int], tuple] = {}
         self.stems: Optional[Dict[Tuple[Node, Node], bool]] = \
             {} if _closes_stems_together(grammar) else None
-        self.spellings: Dict[Tuple[int, str],
-                             Tuple[Optional[FrozenSet[str]], bool]] = {}
         self.spelling = _spelling_tape(grammar)
         self.cover_steps: Dict[Node, tuple] = {}
         self.lex_cap = lexicon.max_entry_length() + 4
@@ -980,8 +957,9 @@ def _stems_meet(ctx: _SearchContext, tapes: Sequence[TapeState]) -> bool:
 def _spelling(ctx: _SearchContext, ti: int,
               sym: str) -> Tuple[Optional[FrozenSet[str]], bool]:
     """What one record that reads `sym` on tape `ti` spells: the surface
-    symbols it can emit, None for any symbol, and whether `sym` may vanish
-    (StepMemo.spellings, filled on first use).
+    symbols it can emit, None for any symbol, and whether `sym` may vanish.
+    The surface-fit walk derives it once per trie edge, when it fills the
+    node the edge leaves (_cover_steps).
 
     `sym` may vanish when some rule that can read it reads more than one
     symbol of the tape or has other than one surface slot, as the rules
@@ -992,32 +970,27 @@ def _spelling(ctx: _SearchContext, ti: int,
     domains are read. A symbol no rule reads has an empty set and does not
     vanish.
     """
-    key = (ti, sym)
-    spelling = ctx.memo.spellings.get(key)
-    if spelling is None:
-        out, anything, vanishes = set(), False, False
-        for rule in ctx.grammar.rules:
-            slots = [tup[ti] for tup in rule.lex if tup[ti] != EPS]
-            if not any(_reads(slot, sym, rule.guards) for slot in slots):
-                continue
-            if len(slots) != 1 or len(rule.surf) != 1:
-                vanishes = True
-                continue
-            surf = rule.surf[0]
-            if surf[0] == "lit":
-                out.add(surf[1])
-            elif surf == slots[0]:
-                out.add(sym)
+    out, anything, vanishes = set(), False, False
+    for rule in ctx.grammar.rules:
+        slots = [tup[ti] for tup in rule.lex if tup[ti] != EPS]
+        if not any(_reads(slot, sym, rule.guards) for slot in slots):
+            continue
+        if len(slots) != 1 or len(rule.surf) != 1:
+            vanishes = True
+            continue
+        surf = rule.surf[0]
+        if surf[0] == "lit":
+            out.add(surf[1])
+        elif surf == slots[0]:
+            out.add(sym)
+        else:
+            domain = rule.guards.allowed.get(surf[1]) \
+                if surf[0] == "var" else None
+            if domain is None:
+                anything = True
             else:
-                domain = rule.guards.allowed.get(surf[1]) \
-                    if surf[0] == "var" else None
-                if domain is None:
-                    anything = True
-                else:
-                    out |= domain
-        spelling = ctx.memo.spellings[key] = (
-            None if anything else frozenset(out), vanishes)
-    return spelling
+                out |= domain
+    return None if anything else frozenset(out), vanishes
 
 
 def _spelling_tape(grammar: Grammar) -> Optional[int]:
@@ -1212,34 +1185,16 @@ def _cover_steps(ctx: _SearchContext, ti: int, node: Node
 _UNSEEN = object()
 
 
-def _verdict(ctx: _SearchContext, plan: RulePlan,
-             state: SearchState) -> Optional[Bindings]:
-    """The bindings of a hoisted plan's left contexts at `state`, matched
-    with none given, or None when they fail. They read the history alone,
-    so the verdict is cached on its node; callers copy it before they bind.
-    A plan without left contexts binds nothing."""
-    if not plan.sides:
-        return {}
-    history = state.history
-    verdicts = history.verdicts
-    if verdicts is None:
-        verdicts = history.verdicts = {}
-    else:
-        verdict = verdicts.get(plan, _UNSEEN)
-        if verdict is not _UNSEEN:
-            return verdict
-    verdict = verdicts[plan] = _left_bindings(ctx, plan, history, {})
-    return verdict
-
-
 def _left_bindings(ctx: _SearchContext, plan: RulePlan, history: History,
                    bindings: Bindings) -> Optional[Bindings]:
     """`bindings` extended by the plan's left contexts matched at the end
     of `history`, LLC then LSC, as grammar.match_context matches them, or
     None when one fails: the one left-context matcher, read by hoisted
-    verdicts, by plans matched after the walk and by coercion watches. The
-    result may be `bindings` itself or shared with the history's tables:
-    callers copy it before they bind."""
+    plans before the walk (with none given), by plans matched after it and
+    by coercion watches. Each side's scan is memoised at the last node end
+    on its tape (_scan), so a hoisted plan's verdict is read from that
+    memo. The result may be `bindings` itself: callers copy it before they
+    bind."""
     for side in plan.sides:
         seg = history.lex_seg if side.lexical else history.surf_seg
         got = _scan(ctx, side, len(side.groups) - 1, history, len(seg),
@@ -1294,9 +1249,9 @@ def _scan(ctx: _SearchContext, side: LeftSide, j: int,
 
     The scan walks the segments back from the node, a window of the
     group's size at a time (_window), and matches each window once per
-    grammar and lexicon (_group_match). F of an earlier group at a node's
-    end is memoised on the node (History.scans), keyed by the values of
-    the variables the groups read (LeftSide.reads). The scan is monotone:
+    grammar and lexicon (_group_match). F of any group at a node's end is
+    memoised on the node (History.scans), keyed by the values of the
+    variables the groups read (LeftSide.reads). The scan is monotone:
     from every node end it passes before its match, it would scan on
     exactly as it does, so each of them gets its answer, and a memoised end
     it reaches answers for it."""
@@ -1317,7 +1272,7 @@ def _scan(ctx: _SearchContext, side: LeftSide, j: int,
         node, i = _before(node, i, lexical)
     while node is not None:
         seg = node.lex_seg if lexical else node.surf_seg
-        if i == len(seg) and not flush:
+        if i == len(seg):
             scans = node.scans
             if scans is None:
                 scans = node.scans = {}
@@ -1389,7 +1344,7 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
     stems, fit = _lookaheads(state, ctx.errors)
     start: Bindings = {}
     if plan.hoisted:
-        start = _verdict(ctx, plan, state)
+        start = _left_bindings(ctx, plan, state.history, {})
         if start is None:
             return
     var = plan.surf_var
@@ -1547,7 +1502,7 @@ def _successors(ctx: _SearchContext, state: SearchState,
                 for ti in plan.prebind_tapes):
             continue
         if plan.sides and plan.hoisted:
-            start = _verdict(ctx, plan, state)
+            start = _left_bindings(ctx, plan, state.history, {})
             if start is None:
                 continue
             if head is not None and plan.surf_var is not None and \
@@ -1571,8 +1526,8 @@ def _table_key(state: SearchState) -> tuple:
     as long as the grammar and lexicon. The history is named by its node,
     which the search interns (_SearchContext.history): equal content split
     into the same records is one node, so the key misses a content hit
-    only across different splits, and the node carries the cached verdicts
-    its subtree reads.
+    only across different splits, and the node carries the left-context
+    scans its subtree reads (History.scans).
     `records` is left out: only error rules read records, through their
     partition left contexts, and no error rule is tried once the budget is
     spent. A pending PRC reads the records to come, and it is in the key
@@ -1652,13 +1607,13 @@ def _search(ctx: _SearchContext, roots: Iterable[SearchState],
     no more than checking after it.
 
     Each expansion reads two per-state checks from tables rather than
-    working them out: a hoisted plan's left-context verdict is cached on
-    the state's history node, and the one matcher that makes it scans the
-    node's segments back only to the nearest node end that memoises the
-    rest, out of group-window matches kept in the step memo (_verdict,
-    _left_bindings, History.scans, StepMemo.contexts); and the stem check
-    unifies each (pattern, root, vocalism) entry triple once
-    (StepMemo.hard).
+    working them out: a hoisted plan's left-context verdict is the one
+    matcher's scan memoised at the end of the state's history node, and a
+    scan that misses there walks the node's segments back only to the
+    nearest node end that memoises the rest, out of group-window matches
+    kept in the step memo (_left_bindings, History.scans,
+    StepMemo.contexts); and the stem check unifies each (pattern, root,
+    vocalism) entry triple once (StepMemo.hard).
 
     The stem lookahead (_stems_meet) skips only incomplete states whose
     subtrees yield no complete state (_stem_ok).
@@ -1742,6 +1697,12 @@ def analysis_start(grammar: Grammar, lexicon: Lexicon,
     )
 
 
+def _surface(records: Sequence[PartitionRecord]) -> SymbolString:
+    """The corrected (or generated) surface the records consumed, in
+    order."""
+    return tuple(sym for r in records for sym in r.surf_seg)
+
+
 def to_analysis(ctx: _SearchContext, state: SearchState) -> Analysis:
     free = dict(state.free_vars)
     morphemes = MappingProxyType({t: state.tapes[i].morphemes
@@ -1751,7 +1712,7 @@ def to_analysis(ctx: _SearchContext, state: SearchState) -> Analysis:
                     tuple(free.get(c.ref_id, "?") if isinstance(c, FreeRef)
                           else c for c in r.corr))
                    for r in state.records if r.error_origin is not None)
-    return Analysis(surface=state.history.surface(), records=state.records,
+    return Analysis(surface=_surface(state.records), records=state.records,
                     morphemes=morphemes, stems=stems, errors=errors)
 
 
@@ -1834,4 +1795,4 @@ def scripted_surfaces(scripts: Dict[str, Sequence[MorphemeEntry]],
         word=None,
     )
     for s in _search(ctx, [initial]):
-        yield s.history.surface()
+        yield _surface(s.records)

@@ -48,6 +48,14 @@ def test_verify_table_detects_corruption(grammar, lexicon):
     bad = VerbTable(rows=(("2", "kattib", "kuttib"),))
     failures = verify_table(grammar, lexicon, bad)
     assert len(failures) == 1 and "kattib" in failures[0]
+    assert "(M2 act)" in failures[0]
+
+
+def test_verify_table_labels_quadriliterals(grammar, lexicon):
+    # a quadriliteral measure is its own pattern id, not M-prefixed
+    bad = VerbTable(rows=(("Q1", "daHrar", None),))
+    failures = verify_table(grammar, lexicon, bad)
+    assert len(failures) == 1 and "(Q1 act)" in failures[0], failures
 
 
 def test_verify_table_empty():

@@ -9,8 +9,8 @@ workload after the benchmark runner's warm-up. The test compares them
 exactly, in both directions.
 
 A refactor leaves the file unchanged. A change that means to alter the
-work the layers do regenerates it (``PYTHONPATH=src
-python3 tests/test_count_contract.py``), which prints each count it changes
+work the layers do regenerates it (``python3
+tests/test_count_contract.py``), which prints each count it changes
 as ``prefix: metric old -> new``, and states those deltas in its
 description.
 """
@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import run  # noqa: E402
 from semitic_morpho import arabic_data, engine  # noqa: E402

@@ -132,6 +132,20 @@ def test_print_parse_roundtrip(grammar):
                (b.err, b.corr, b.plc, b.prc, b.reap)
 
 
+def test_print_parse_roundtrip_of_an_intersected_domain():
+    # no class equals X's domain {i}, but the two that guard it intersect
+    # to it
+    text = ("class a1 = {a, i}\nclass a2 = {i, u}\n"
+            "rule R: * - X - * => * - (X, 0, 0) - *  where a1(X), a2(X)\n")
+    g = parse_grammar(text)
+    assert g.rules[0].guards.allowed == {"X": frozenset({"i"})}
+    again = parse_grammar(print_grammar(g))
+    assert again.classes == g.classes
+    assert [(r.name, r.surf, r.lex, r.guards) for r in again.rules] == \
+        [(r.name, r.surf, r.lex, r.guards) for r in g.rules]
+    assert print_grammar(again) == print_grammar(g)
+
+
 def test_print_rejects_undeclared_guard_domain():
     # a hand-built grammar can restrict a variable to a set no class names;
     # the printer reports it as a grammar error, which the CLI catches

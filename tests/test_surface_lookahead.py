@@ -111,9 +111,11 @@ def test_symbol_sets_of_the_bundled_grammar(grammar, lexicon):
         assert _need_not_surface(ctx, PATTERN, sym)
     for sym in ("a", "i", "u", BOUNDARY):
         assert _need_not_surface(ctx, VOCALISM, sym)
-    # one spelling per symbol of a tape, filled on first use and kept
-    assert ctx.memo.spellings[(ROOT, "A")] == ({"A", "w"}, False)
-    assert _SearchContext(grammar, lexicon).memo is ctx.memo
+    # a spelling is derived from the grammar alone: another search over
+    # the pair, on the same step memo, reads the same one
+    other = _SearchContext(grammar, lexicon)
+    assert other.memo is ctx.memo
+    assert _spelling(other, ROOT, "A") == ({"A", "w"}, False)
 
 
 def _need_not_surface(ctx, ti, sym):
