@@ -99,10 +99,15 @@ def try_error_rules(ctx: _SearchContext, state: SearchState) -> List[SearchState
         spliced = splice + state.spliced[len(rule.err):]
         pos = state.pos + max(0, len(rule.err) - len(state.spliced))
         budget = 1 if rule.reap else 2
-        # no error is to come once the budget is spent (engine._search)
-        if budget == 2 and not engine._surface_fits(
-                ctx, state.tapes, state.word, pos, spliced):
-            continue
+        # no error is to come once the budget is spent (engine._search), so
+        # the whole surface is fixed: what was consumed, then the rest
+        held = None
+        if budget == 2:
+            held = engine._held(ctx, state.word, pos,
+                                engine._surface(state.records) + spliced)
+            if not engine._surface_fits(ctx, state.tapes, state.word, pos,
+                                        spliced, held):
+                continue
         record = PartitionRecord(rule_name=rule.name, surf_seg=(), lex_seg=(),
                                  error_origin=rule.name,
                                  err_seg=consumed, pos=state.pos, corr=splice)
@@ -128,6 +133,7 @@ def try_error_rules(ctx: _SearchContext, state: SearchState) -> List[SearchState
             pos=pos,
             lex_run=state.lex_run,
             last_nonconsuming=nonconsuming,
+            held=held,
         ))
     return out
 

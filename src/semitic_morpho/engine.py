@@ -37,10 +37,14 @@ unread items the rest of some entry below a node spells, and the rest of
 the morpheme and then whole morphemes, each read through the same walk
 from the trie root, must spell all of it (_spelled); inside a morpheme on
 another tape, the rest of some entry must surface in order somewhere in
-it. That holds except
+it. A slot symbol of the spelling tape that copies a symbol read on
+another tape to the surface, as a root consonant at a consonant slot,
+spells there only the symbols of that tape's entries that surface in order
+inside the whole surface of the path, since a complete state reads whole
+entries (_copied_tape, _copy_literals, _held). That holds except
 where the search must see every state: whether these lookaheads apply is
 worked out from each state (_search), and which tape spells the surface
-from the grammar, in the step memo.
+and which it copies from the grammar, in the step memo.
 """
 
 from __future__ import annotations
@@ -283,7 +287,12 @@ class SearchState:
     front of the input, as symbols and ungrounded FreeRefs, and `pos`
     counts the input symbols consumed. Rules and error rules read only from
     the front, and error rules splice only there. `word` is None in
-    generation. `history` holds the lexical tuples and surface consumed."""
+    generation. `history` holds the lexical tuples and surface consumed.
+    `held` holds the symbols that the slot symbols of the spelling tape may
+    copy to the surface below the state (_held), or None where nothing
+    narrows them: it is worked out where the whole surface a path reads is
+    first fixed, at analyze's start and at an error that spends the budget,
+    and a rule's successors keep it."""
 
     tapes: Tuple[TapeState, ...]
     word: Optional[SymbolString]
@@ -296,6 +305,7 @@ class SearchState:
     pos: int = 0                                      # input symbols consumed
     lex_run: int = 0                                  # lexical-only progress
     last_nonconsuming: bool = False
+    held: Optional[FrozenSet[str]] = None
 
 
 @dataclass(frozen=True)
@@ -402,12 +412,18 @@ class StepMemo:
     spelling the tape on which each record reads exactly one symbol and
              spells at most one surface symbol for it (_spelling_tape), or
              None: derived here, on the first search over the pair
+    copied   the tape whose symbols the spelling tape's slot symbols copy to
+             the surface (_copied_tape), or None: derived here with
+             `spelling`. Which symbols copy it, and what else they may
+             spell, is derived per trie edge with the rest of its spelling
+             (_copy_literals, cover_steps)
     cover_steps  trie node -> (whether an entry ends at or below it after
              symbols that may all vanish, each (surface set, may vanish,
-             child) of its edges): the trie as the surface-fit walk
-             (_spans) reads it on every tape, whole morphemes from the
-             spelling tape's root too, one entry per node (_cover_steps);
-             only a tape other than the spelling tape reads the flag
+             child, copy literals) of its edges): the trie as the
+             surface-fit walk (_spans) reads it on every tape, whole
+             morphemes from the spelling tape's root too, one entry per
+             node (_cover_steps); only a tape other than the spelling tape
+             reads the flag, and only the spelling tape has copy literals
     lex_cap  the longest lexical-only run a partition may make
     surfaces (entry ids per tape in TAPES order, skip rules) -> the first
              surface the rule relation gives that morpheme selection, or
@@ -433,6 +449,7 @@ class StepMemo:
         self.stems: Optional[Dict[Tuple[Node, Node], bool]] = \
             {} if _closes_stems_together(grammar) else None
         self.spelling = _spelling_tape(grammar)
+        self.copied = _copied_tape(grammar, self.spelling)
         self.cover_steps: Dict[Node, tuple] = {}
         self.lex_cap = lexicon.max_entry_length() + 4
         self.surfaces: Dict[tuple, Optional[SymbolString]] = {}
@@ -485,12 +502,16 @@ class _SearchContext:
       prefix) -> on the spelling tape, the bitmask of the numbers of items
       of `spliced + word[pos:]` the rest of some entry below the node
       spells; on another tape, nonzero when that rest surfaces in order
-      inside it (_spans). A FreeRef in the prefix is keyed by its domain
-      and exclusions, all the walk reads of it: `refs` maps them to the
-      first FreeRef with them, which stands for every other (_surface_fits);
+      inside it (_spans). The key also holds the symbols that slot symbols
+      of the spelling tape may copy (SearchState.held), None where nothing
+      narrows them, as on another tape. A FreeRef in the prefix is keyed
+      by its domain and exclusions, all the walk reads of it: `refs` maps
+      them to the first FreeRef with them, which stands for every other
+      (_canonical);
     - `covers`, the spelling tape's verdicts under the same keys: whether
       the rest of the morpheme and then whole morphemes spell it
-      (_spelled).
+      (_spelled);
+    - `held`, those sets, by the whole surface a path reads (_held).
     Where the lookaheads apply is a fact of each successor, worked out
     where it is made (apply_rule, corrector.try_error_rules) from its word,
     its budget and `errors`: whether the search that expands the state has
@@ -513,6 +534,7 @@ class _SearchContext:
         self.covers: Dict[tuple, bool] = {}
         self.spans: Dict[tuple, int] = {}
         self.refs: Dict[tuple, FreeRef] = {}
+        self.held: Dict[tuple, FrozenSet[str]] = {}
 
     def history(self, parent: History, lex_seg: Tuple[LexTuple, ...],
                 surf_seg: Tuple[str, ...]) -> History:
@@ -1007,51 +1029,154 @@ def _spelling_tape(grammar: Grammar) -> Optional[int]:
     return None
 
 
+def _copied_tape(grammar: Grammar, spelling: Optional[int]) -> Optional[int]:
+    """The first tape other than the spelling tape that some rule copies to
+    the surface: the rule's one surface slot is the variable of its slot on
+    that tape, as R1's C on the root tape. None when no rule does, or the
+    grammar has no spelling tape: the premise of the copy narrowing
+    (_copy_literals, _held)."""
+    if spelling is None:
+        return None
+    for ti in range(len(TAPES)):
+        if ti != spelling and any(
+                len(rule.surf) == 1 and rule.surf[0][0] == "var"
+                and rule.surf[0] == rule.lex[0][ti] for rule in grammar.rules):
+            return ti
+    return None
+
+
+def _copy_literals(ctx: _SearchContext, sym: str) -> Optional[FrozenSet[str]]:
+    """The literals a record that reads `sym` on the spelling tape may
+    spell, when every other surface symbol it may spell is a symbol read on
+    the copied tape T (StepMemo.copied); None when it may spell something
+    else, or never spells a symbol read on T. The surface-fit walk derives
+    it once per trie edge, with the edge's spelling (_cover_steps).
+
+    Each rule that can read `sym` must spell nothing, a literal, or a
+    variable that a T slot reads: the slot of its own tuple on T, as R1's
+    C, or a slot on T of its lexical left context, as R5's C, which binds
+    it to a symbol an earlier record read on T. In the bundled grammar the
+    consonant slots c1-c4 copy root consonants, and w (glottal_change) is
+    their one literal."""
+    memo = ctx.memo
+    t = memo.copied
+    lits, copies = set(), False
+    for rule in ctx.grammar.rules:
+        tup = rule.lex[0]
+        if not rule.surf or not _reads(tup[memo.spelling], sym, rule.guards):
+            continue
+        surf = rule.surf[0]
+        if surf[0] == "lit":
+            lits.add(surf[1])
+        elif surf[0] == "var" and (surf == tup[t] or (
+                rule.llc != WILDCARD and any(
+                    len(item) == len(TAPES) and item[t] == surf
+                    for item in rule.llc))):
+            copies = True
+        else:
+            return None
+    return frozenset(lits) if copies else None
+
+
+def _canonical(ctx: _SearchContext, items: tuple) -> tuple:
+    """`items` with each FreeRef replaced by the first FreeRef of the
+    search with its domain and exclusions (ctx.refs), which is all the
+    surface-fit walk reads of it (_takes)."""
+    refs = ctx.refs
+    return tuple([refs.setdefault((it.domain, it.excluded), it)
+                  if isinstance(it, FreeRef) else it for it in items])
+
+
+def _held(ctx: _SearchContext, word: SymbolString, pos: int,
+          front: tuple) -> Optional[FrozenSet[str]]:
+    """The symbols of the entries on the copied tape (StepMemo.copied) that
+    surface in order inside `front + word[pos:]`, the whole surface a path
+    reads: each edge whose child's rest still surfaces in order after the
+    edge's symbol takes its first match, as the walk's mode for a tape
+    other than the spelling tape reads it (_spans), is followed from the
+    trie root. None for a grammar with no copied tape. Kept per search by
+    that surface (ctx.held).
+
+    A complete state reads whole entries on every tape, and on a tape other
+    than the spelling tape their symbols surface in order in what its
+    records consume. So every symbol a complete state below reads on the
+    copied tape is held, and a slot symbol that copies one spells a held
+    symbol or one of its literals (_copy_literals): SearchState.held."""
+    tape = ctx.memo.copied
+    if tape is None:
+        return None
+    front = _canonical(ctx, front)
+    whole = front + tuple(word[pos:])
+    held = ctx.held.get(whole)
+    if held is None:
+        got = set()
+        stack = [(ctx.lexicon.tree(TAPES[tape]).root, pos, front)]
+        while stack:
+            node, at, before = stack.pop()
+            _, edges = ctx.memo.cover_steps.get(node) or \
+                _cover_steps(ctx, tape, node)
+            for sym, (emits, vanishes, child, _) in zip(node.edges, edges):
+                after = (at, before) if vanishes else \
+                    _after(emits, word, at, before)
+                if after is not None and _spans(ctx, tape, child, word,
+                                                *after):
+                    got.add(sym)
+                    stack.append((child, *after))
+        held = ctx.held[whole] = frozenset(got)
+    return held
+
+
 def _surface_fits(ctx: _SearchContext, tapes: Sequence[TapeState],
-                  word: SymbolString, pos: int, spliced: tuple) -> bool:
+                  word: SymbolString, pos: int, spliced: tuple,
+                  held: Optional[FrozenSet[str]] = None) -> bool:
     """False when the symbols some tape's cursor still has to read cannot
     surface in the unread surface `spliced + word[pos:]` (_fits): the
     spelling tape's cursor always, and another tape's only inside a
-    morpheme (not at its trie root). The walk reads a FreeRef only through
-    its domain and exclusions (_takes), so the first FreeRef of the search
-    with them stands for each (ctx.refs), and successors spliced apart
-    share their verdicts."""
+    morpheme (not at its trie root). On the spelling tape a slot symbol
+    that copies spells only `held` symbols and its literals, where `held`
+    is given (SearchState.held). The walk reads a FreeRef only through its
+    domain and exclusions (_takes), so the first FreeRef of the search with
+    them stands for each (_canonical), and successors spliced apart share
+    their verdicts."""
     if spliced:
-        refs = ctx.refs
-        spliced = tuple([refs.setdefault((it.domain, it.excluded), it)
-                         if isinstance(it, FreeRef) else it
-                         for it in spliced])
+        spliced = _canonical(ctx, spliced)
     spelling = ctx.memo.spelling
     for ti, tape in enumerate(tapes):
         node = tape.cursor.node
         if (node.depth or ti == spelling) and not _fits(
-                ctx, ti, tape.cursor.tree.root, node, word, pos, spliced):
+                ctx, ti, tape.cursor.tree.root, node, word, pos, spliced,
+                held):
             return False
     return True
 
 
 def _fits(ctx: _SearchContext, ti: int, root: Node, node: Node,
-          word: SymbolString, pos: int, spliced: tuple) -> bool:
+          word: SymbolString, pos: int, spliced: tuple,
+          held: Optional[FrozenSet[str]] = None) -> bool:
     """Can the symbols tape `ti` still reads from `node` surface in the
     unread surface `spliced + word[pos:]`? On the spelling tape
     (StepMemo.spelling) the rest of the morpheme and then whole morphemes
-    from the trie's `root` must spell it (_spelled); on another tape the
-    rest of some entry below the node must surface in order inside it
-    (_spans)."""
+    from the trie's `root` must spell it, a slot symbol that copies only
+    as a `held` symbol or one of its literals where `held` is given
+    (_spelled); on another tape the rest of some entry below the node must
+    surface in order inside it (_spans)."""
     if ti == ctx.memo.spelling:
-        return _spelled(ctx, ti, root, node, word, pos, spliced)
+        return _spelled(ctx, ti, root, node, word, pos, spliced, held)
     return _spans(ctx, ti, node, word, pos, spliced) != 0
 
 
 def _spans(ctx: _SearchContext, ti: int, node: Node, word: SymbolString,
-           pos: int, spliced: tuple) -> int:
+           pos: int, spliced: tuple,
+           held: Optional[FrozenSet[str]] = None) -> int:
     """What the rest of some entry below `node` on tape `ti` can spell of
     the unread surface `spliced + word[pos:]`. Each symbol spells one
     surface symbol of its set, or none where it may vanish (_spelling); a
     FreeRef matches a set when it admits one of its symbols.
     - On the spelling tape (StepMemo.spelling), the bitmask of the k such
       that the rest of some entry spells exactly the first k items: each
-      symbol takes the next item or vanishes.
+      symbol takes the next item or vanishes. Where `held` is given, a slot
+      symbol that copies the copied tape spells only a held symbol or one
+      of its literals (_copy_literals, SearchState.held).
     - On another tape, nonzero when the rest of some entry surfaces in
       order inside it: a symbol that cannot vanish takes its first match at
       or after the front, which leaves the longest rest, and one that may
@@ -1059,16 +1184,16 @@ def _spans(ctx: _SearchContext, ti: int, node: Node, word: SymbolString,
       symbols that may all vanish fits with no value kept: only this mode
       reads that flag of StepMemo.cover_steps.
 
-    The values are kept per (node, pos, spliced prefix) in ctx.spans. One
-    is worked out from those of the node's children, so it recurses only
-    inside one morpheme, no deeper than the longest entry.
+    The values are kept per (node, pos, spliced prefix, held) in ctx.spans.
+    One is worked out from those of the node's children, so it recurses
+    only inside one morpheme, no deeper than the longest entry.
     """
     ends, edges = ctx.memo.cover_steps.get(node) or \
         _cover_steps(ctx, ti, node)
     spelling = ti == ctx.memo.spelling
     if ends and not spelling:
         return 1
-    key = (node, pos, spliced)
+    key = (node, pos, spliced, held)
     spans = ctx.spans.get(key)
     if spans is None:
         spans = 1 if node.entries else 0
@@ -1077,11 +1202,14 @@ def _spans(ctx: _SearchContext, ti: int, node: Node, word: SymbolString,
             item = spliced[0] if spliced else \
                 word[pos] if pos < len(word) else None
             rest = (pos, spliced[1:]) if spliced else (pos + 1, ())
-        for emits, vanishes, child in edges:
+        for emits, vanishes, child, copies in edges:
             if spans and not spelling:
                 break
+            if copies is not None and held is not None:
+                emits = held | copies if emits is None else \
+                    emits & (held | copies)
             if vanishes:
-                spans |= _spans(ctx, ti, child, word, pos, spliced)
+                spans |= _spans(ctx, ti, child, word, pos, spliced, held)
             # the unread surface after the symbol spells one item: the next
             # on the spelling tape; elsewhere the first it matches, where a
             # symbol that may vanish is only stepped over
@@ -1091,7 +1219,7 @@ def _spans(ctx: _SearchContext, ti: int, node: Node, word: SymbolString,
             else:
                 after = None if vanishes else _after(emits, word, pos, spliced)
             if after is not None:
-                spans |= _spans(ctx, ti, child, word, *after) << 1
+                spans |= _spans(ctx, ti, child, word, *after, held) << 1
         ctx.spans[key] = spans
     return spans
 
@@ -1121,18 +1249,23 @@ def _takes(emits: Optional[FrozenSet[str]], item) -> bool:
 
 
 def _spelled(ctx: _SearchContext, ti: int, root: Node, node: Node,
-             word: SymbolString, pos: int, spliced: tuple) -> bool:
+             word: SymbolString, pos: int, spliced: tuple,
+             held: Optional[FrozenSet[str]] = None) -> bool:
     """Do the symbols the spelling tape `ti` still reads from `node`, the
     rest of its morpheme and then whole morphemes from the trie's `root`,
     spell `spliced + word[pos:]`? The rests after the current morpheme are
     read off its bitmask (_spans): each k >= 0 below the root, and each
     k > 0 at the root, since a morpheme that spells nothing can be left
-    out. The verdicts are kept in ctx.covers under the key of the bitmask,
-    and worked out with a stack of the rests still undecided, never by
-    recursion over the word: each morpheme read from the root leaves a
-    shorter rest, and the longest morpheme is tried first."""
+    out. Where `held` is given, a slot symbol that copies spells only a
+    held symbol or one of its literals, in the current morpheme and in each
+    whole one (_spans, SearchState.held): a stem that no root the surface
+    can hold fills covers nothing. The verdicts are kept in ctx.covers under
+    the key of the bitmask, `held` with it, and worked out with a stack of
+    the rests still undecided, never by recursion over the word: each
+    morpheme read from the root leaves a shorter rest, and the longest
+    morpheme is tried first."""
     covers = ctx.covers
-    top = (node, pos, spliced)
+    top = (node, pos, spliced, held)
     fit = covers.get(top)
     if fit is not None:
         return fit
@@ -1142,16 +1275,17 @@ def _spelled(ctx: _SearchContext, ti: int, root: Node, node: Node,
         key = stack[-1]
         rests = pending.get(key)
         if rests is None:
-            at_node, at, before = key
+            at_node, at, before, _ = key
             if at_node is root and not before and at == len(word):
                 covers[key] = True
                 stack.pop()
                 continue
             # the rest after the current morpheme spells k items
             n = len(before)
-            spans = _spans(ctx, ti, at_node, word, at, before)
+            spans = _spans(ctx, ti, at_node, word, at, before, held)
             rests = pending[key] = [
-                (root, at, before[k:]) if k <= n else (root, at + k - n, ())
+                (root, at, before[k:], held) if k <= n
+                else (root, at + k - n, (), held)
                 for k in range(1 if at_node is root else 0, spans.bit_length())
                 if spans >> k & 1]
         while rests and covers.get(rests[-1]) is False:
@@ -1166,18 +1300,24 @@ def _spelled(ctx: _SearchContext, ti: int, root: Node, node: Node,
 
 def _cover_steps(ctx: _SearchContext, ti: int, node: Node
                  ) -> Tuple[bool, Tuple[Tuple[Optional[FrozenSet[str]], bool,
-                                              Node], ...]]:
+                                              Node, Optional[FrozenSet[str]]],
+                                        ...]]:
     """Whether an entry ends at or below `node` on tape `ti` after symbols
-    that may all vanish, and each (surface set, may vanish, child) of the
-    node's edges (StepMemo.cover_steps). Only the walk's mode for a tape
-    other than the spelling tape reads the flag (_spans)."""
+    that may all vanish, and each (surface set, may vanish, child, copy
+    literals) of the node's edges (StepMemo.cover_steps). Only the walk's
+    mode for a tape other than the spelling tape reads the flag, and only
+    the spelling tape has copy literals, for a symbol that copies the
+    copied tape (_copy_literals); an edge on any other tape, or whose
+    symbol copies nothing, has None."""
     steps = ctx.memo.cover_steps.get(node)
     if steps is None:
-        edges = tuple((*_spelling(ctx, ti, sym), child)
+        copying = ti == ctx.memo.spelling and ctx.memo.copied is not None
+        edges = tuple((*_spelling(ctx, ti, sym), child,
+                       _copy_literals(ctx, sym) if copying else None)
                       for sym, child in node.edges.items())
         ends = bool(node.entries) or any(
             vanishes and _cover_steps(ctx, ti, child)[0]
-            for _, vanishes, child in edges)
+            for _, vanishes, child, _ in edges)
         steps = ctx.memo.cover_steps[node] = (ends, edges)
     return steps
 
@@ -1406,7 +1546,8 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
             committed = [
                 tapes for tapes in _commit_morphemes(tapes_mid, read)
                 if _stems_meet(ctx, tapes)
-                and (not fit or _surface_fits(ctx, tapes, word, pos, spliced))]
+                and (not fit or _surface_fits(ctx, tapes, word, pos, spliced,
+                                              state.held))]
             if not committed:
                 continue
 
@@ -1441,6 +1582,7 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
                 pos=pos,
                 lex_run=lex_run,
                 last_nonconsuming=nonconsuming,
+                held=state.held,
             )
 
 
@@ -1635,7 +1777,7 @@ def _search(ctx: _SearchContext, roots: Iterable[SearchState],
       the root those whole morphemes spell. Leaving out a morpheme that
       spells nothing leaves such a cover a cover, so the stack over the
       rests takes from the root only morphemes that spell some surface
-      (_spelled), and never loops through it. The check reads no history,
+      (_spelled), and never loops through it. The check reads no
       obligation or other tape: it is a necessary condition, and holds
       wherever the premise on the grammar does.
     - On another tape a complete descendant finishes the morpheme each
@@ -1644,6 +1786,20 @@ def _search(ctx: _SearchContext, roots: Iterable[SearchState],
       that emits one surface symbol of its set, so they surface in order
       inside the unread surface; no complete state lies past a symbol that
       no rule reads.
+    - The same holds of every entry a complete state reads on another
+      tape, inside the whole surface its records consume: with no error to
+      come, what the path has consumed and then the unread surface. So on
+      the spelling tape a slot symbol that copies a symbol read on the
+      copied tape (_copy_literals), a root consonant at a consonant slot in
+      the bundled grammar, spells a symbol of an entry of that tape that
+      surfaces in order inside the whole surface, or one of its literals.
+      Those symbols are worked out where the whole surface is fixed, at
+      analyze's start and at the error that spends the budget, and kept
+      on the states below (SearchState.held, _held). A stem that no root
+      the surface can hold fills, as a stacked stem over an untouched typo
+      on an error path, fails the walk at its first consonant slot. The
+      narrowing needs no whole root in what is left of the word: a slot
+      may copy a root consonant an earlier stem read, as R5 does.
     A state that fails the walk on some tape has no complete descendant. A
     reap chain (budget 1) can still take an error, which changes the input,
     so its states are not checked; nor are those of the error-free pass, as
@@ -1679,9 +1835,11 @@ def analyze(word: SymbolString, grammar: Grammar,
         return []
     ctx = _SearchContext(grammar, lexicon)
     start = analysis_start(grammar, lexicon, word)
+    # with no error to take, the whole surface is the word
+    start.held = _held(ctx, start.word, 0, ())
     # the one root a lookahead can cut: its cursors sit at the trie roots,
     # where the stems trivially meet (_search)
-    if not _surface_fits(ctx, start.tapes, start.word, 0, ()):
+    if not _surface_fits(ctx, start.tapes, start.word, 0, (), start.held):
         return []
     return [to_analysis(ctx, s) for s in _search(ctx, [start])]
 

@@ -2,7 +2,9 @@
 not expanded once the symbols it still has to read on the spelling tape
 (the rest of its morpheme there, then whole morphemes) cannot spell the
 unread surface symbol for symbol (engine._fits in the spelling tape's
-mode, _spelled, _spelling, _spelling_tape).
+mode, _spelled, _spelling, _spelling_tape). A slot symbol that copies a
+symbol read on another tape spells only the symbols of that tape's entries
+that the whole surface can hold (_copied_tape, _copy_literals, _held).
 
 The lookahead must change no output, must read each symbol's spelling off
 the grammar's rules, must apply only to a grammar on one of whose tapes
@@ -21,13 +23,15 @@ import pytest
 
 from semitic_morpho import corrector, engine
 from semitic_morpho.alphabet import decode, encode
+from semitic_morpho.arabic_data import GRAMMAR_FILE, data_text
 from semitic_morpho.dsl import parse_grammar
-from semitic_morpho.engine import (PATTERN, ROOT, VOCALISM, FreeRef, _fits,
-                                   _search, _SearchContext, _spelling,
-                                   _surface_fits, analysis_start, analyze,
-                                   step_memo)
+from semitic_morpho.engine import (PATTERN, ROOT, VOCALISM, FreeRef,
+                                   _copy_literals, _fits, _held, _search,
+                                   _SearchContext, _spelling, _surface_fits,
+                                   analysis_start, analyze, step_memo)
 from semitic_morpho.lexicon import load_lexicon
 
+from digest_outputs import OPEN_MORPHOTACTICS
 from oracles import oracle_micro_analyze
 from test_order_contract import ERROR_EXAMPLES
 from test_surface_lookahead import (_required_below, _subsequence,
@@ -41,6 +45,11 @@ def _no_cover(monkeypatch):
     fits = engine._fits
     monkeypatch.setattr(engine, "_fits", lambda ctx, ti, *args:
                         ti == ctx.memo.spelling or fits(ctx, ti, *args))
+
+
+def _no_copies(monkeypatch):
+    # no slot symbol is narrowed to the symbols the whole surface can hold
+    monkeypatch.setattr(engine, "_held", lambda *args: None)
 
 
 def _candidates(cands):
@@ -101,6 +110,69 @@ def test_unbounded_corrections_of_a_sweep_word(grammar, lexicon,
     assert all(pruned)
 
 
+def test_analyses_equal_those_without_the_copy_narrowing(grammar, lexicon,
+                                                         monkeypatch):
+    words = list(well_formed_words()) + list(OPEN_MORPHOTACTICS) + \
+        _edits() + list(ERROR_EXAMPLES)
+    narrowed = [analyze(decode(w), grammar, lexicon) for w in words]
+    _no_copies(monkeypatch)
+    assert [analyze(decode(w), grammar, lexicon) for w in words] == narrowed
+    assert sum(map(bool, narrowed)) == \
+        len(well_formed_words()) + len(OPEN_MORPHOTACTICS)
+
+
+@pytest.mark.parametrize("max_positions", (1, 2, None))
+def test_corrections_equal_those_without_the_copy_narrowing(
+        grammar, lexicon, monkeypatch, max_positions):
+    def run():
+        return [_candidates(corrector.correct(decode(w), grammar, lexicon,
+                                              max_positions=max_positions))
+                for w in ERROR_EXAMPLES]
+
+    narrowed = run()
+    _no_copies(monkeypatch)
+    assert run() == narrowed
+
+
+def test_the_narrowing_patch_turns_off_every_check(monkeypatch):
+    # both places a successor is checked narrow: with the patch,
+    # apply_rule and try_error_rules make more successors
+    narrowed, unnarrowed = successors_made(monkeypatch, _no_copies,
+                                           ERROR_EXAMPLES)
+    assert unnarrowed[0] > narrowed[0] and unnarrowed[1] > narrowed[1]
+
+
+def test_the_spent_budget_tail_is_counted(grammar, lexicon, monkeypatch):
+    # ktanbay's edits were the spent-budget tail the narrowing cuts most.
+    # ROADMAP item 6's target for it counts the expansions at budget-2
+    # states, the _successors calls there, never time: 73,068 without the
+    # narrowing, 4,123 with it. Unbounded corrections are the same without
+    # the narrowing
+    count = [0]
+    successors = engine._successors
+
+    def counted(ctx, state, error_step):
+        count[0] += error_step is not None and state.budget == 2
+        return successors(ctx, state, error_step)
+
+    def run():
+        return [_candidates(corrector.correct(decode(w), grammar, lexicon,
+                                              max_candidates=None))
+                for w in edits]
+
+    edits = _edits("ktanbay")
+    monkeypatch.setattr(engine, "_successors", counted)
+    narrowed = run()
+    assert count[0] <= 20000
+    monkeypatch.setattr(engine, "_successors", successors)
+    _no_copies(monkeypatch)
+    assert run() == narrowed
+    assert all(narrowed)
+    # the narrowing pins no morphotactics: stacked stems still analyze
+    assert len(analyze(decode("katabkatab"), grammar, lexicon)) == 1
+    assert len(analyze(decode("ktbktbktb"), grammar, lexicon)) == 8
+
+
 def test_spellings_of_the_bundled_grammar(grammar, lexicon):
     ctx = _SearchContext(grammar, lexicon)
     cons, vowel = grammar.classes["cons"], grammar.classes["vowel"]
@@ -126,17 +198,92 @@ def test_spellings_of_the_bundled_grammar(grammar, lexicon):
     assert _spelling(ctx, PATTERN, "c1") == (cons, False)
 
 
+def test_copies_of_the_bundled_grammar(grammar, lexicon):
+    ctx = _SearchContext(grammar, lexicon)
+    # R1 spells the root consonant its own tuple reads
+    assert ctx.memo.copied == ROOT
+    symbols = {sym for n in _nodes(lexicon.tree("pattern").root)
+               for sym in n.edges}
+    copies = {sym: _copy_literals(ctx, sym) for sym in symbols}
+    # R1 and R5 spell a consonant slot as a root consonant, read by its own
+    # tuple or by R5's left context; glottal_change spells w
+    assert {sym: lits for sym, lits in copies.items() if lits is not None} \
+        == {slot: {"w"} for slot in ("c1", "c2", "c3", "c4")}
+    # R6 spells a vowel slot as a vocalism vowel, R0 a letter as itself,
+    # and no rule spells + as anything
+    assert copies["v1"] is None and copies["a"] is None
+    assert copies["+"] is None
+
+
+def test_a_stem_need_not_read_a_root(grammar, lexicon):
+    # the second stem of katabbabab reads no root: R5 copies b, the root
+    # consonant nearest to its left, into every consonant slot, and R3
+    # closes the pattern. A cut that made a stem read from the pattern
+    # trie's root find a whole root in the rest of the word would lose
+    # these analyses; the narrowing keeps them, since b is held
+    analyses = analyze(decode("katabbabab"), grammar, lexicon)
+    assert [a.rule_trace[6:] for a in analyses] == \
+        [("R5", "R6", "R5", "R6", "R5", "R3")] * 2
+    assert not any(_subsequence(req, decode("babab"))
+                   for req in _required_below(
+                       _SearchContext(grammar, lexicon), ROOT,
+                       lexicon.tree("root").root))
+    ctx = _SearchContext(grammar, lexicon)
+    assert _held(ctx, decode("katabbabab"), 0, ()) == {"k", "t", "b", "+"}
+
+
+def _held_reference(ctx, lexicon, whole):
+    """The symbols of the root entries whose symbols that cannot vanish
+    spell a subsequence of `whole`, each through its spelling set."""
+    out = set()
+    for n in _nodes(lexicon.tree("root").root):
+        for entry in n.entries:
+            spellings = [_spelling(ctx, ROOT, s) for s in entry.form]
+            if _subsequence([emits for emits, vanishes in spellings
+                             if not vanishes], whole):
+                out |= set(entry.form)
+    return out
+
+
+def test_held_symbols_equal_a_subsequence_test(grammar, lexicon):
+    words = list(well_formed_words()) + list(OPEN_MORPHOTACTICS) + \
+        list(ERROR_EXAMPLES) + _edits("ktanbay")
+    consonant = FreeRef(grammar.classes["cons"], ("k",))
+    held = set()
+    for word in map(decode, words):
+        # the whole surface is a front, then the rest of the word
+        for pos, front in ((0, ()), (0, (consonant,)),
+                           (2, word[:2] + (consonant,))):
+            ctx = _SearchContext(grammar, lexicon)
+            got = _held(ctx, word, pos, front)
+            whole = front + word[pos:]
+            assert got == _held_reference(ctx, lexicon, whole), whole
+            held.add(got)
+    # the sets differ from word to word, and some hold no root at all
+    assert frozenset() in held and len(held) > 5
+    # a FreeRef admits what a symbol it admits does: ktb through d, not k
+    ctx = _SearchContext(grammar, lexicon)
+    assert _held(ctx, decode("tb"), 0, (consonant,)) == set()
+    assert _held(ctx, decode("W"), 0, decode("k") + (consonant,)) == \
+        {"k", "d", "W", "+"}
+
+
 def _nodes(node):
     yield node
     for child in node.edges.values():
         yield from _nodes(child)
 
 
-def _spells_regex(ctx, form):
-    """A regular expression for what the symbols of `form` spell."""
+def _spells_regex(ctx, form, held=None):
+    """A regular expression for what the symbols of `form` spell; with
+    `held`, a slot symbol that copies spells only a held symbol or one of
+    its literals."""
     out = []
     for sym in form:
         emits, vanishes = _spelling(ctx, PATTERN, sym)
+        lits = None if held is None else _copy_literals(ctx, sym)
+        if lits is not None:
+            emits = emits & (held | lits)
         one = "." if emits is None else \
             "[" + "".join(map(re.escape, sorted(emits))) + "]" if emits \
             else "(?!)"
@@ -144,18 +291,26 @@ def _spells_regex(ctx, form):
     return "".join(out)
 
 
-def test_verdicts_equal_a_regular_expression(grammar, lexicon):
-    ctx = _SearchContext(grammar, lexicon)
+def _cover_regexes(ctx, lexicon, held=None):
+    """Trie node -> a regular expression for what the rest of an entry
+    below it, then whole entries, spell."""
     root = lexicon.tree("pattern").root
-    whole = "|".join(_spells_regex(ctx, e.form)
+    whole = "|".join(_spells_regex(ctx, e.form, held)
                      for e in lexicon.tree("pattern").entries)
-    nodes = list(_nodes(root))
     covers = {}
-    for node in nodes:
-        rest = "|".join(_spells_regex(ctx, e.form[node.depth:])
+    for node in _nodes(root):
+        rest = "|".join(_spells_regex(ctx, e.form[node.depth:], held)
                         for n in _nodes(node) for e in n.entries)
         covers[node] = re.compile(f"(?:{rest})(?:{whole})*" if node.depth
                                   else f"(?:{whole})*")
+    return covers
+
+
+def test_verdicts_equal_a_regular_expression(grammar, lexicon):
+    ctx = _SearchContext(grammar, lexicon)
+    root = lexicon.tree("pattern").root
+    nodes = list(_nodes(root))
+    covers = _cover_regexes(ctx, lexicon)
     words = list(well_formed_words()) + list(ERROR_EXAMPLES) + \
         _edits("kuttib")
     suffixes = {tuple(decode(w))[i:] for w in words
@@ -180,6 +335,52 @@ def test_verdicts_equal_a_regular_expression(grammar, lexicon):
             want = any(covers[node].fullmatch(s + "".join(word))
                        for s in ("a", "i"))
             assert got == want, (node.depth, word)
+    # with the symbols the whole word can hold on the root tape, by a plain
+    # subsequence test, a consonant slot spells only those and w
+    narrowed, cut = {}, 0
+    for word in map(decode, words + list(OPEN_MORPHOTACTICS)):
+        held = frozenset(_held_reference(ctx, lexicon, word))
+        if held not in narrowed:
+            narrowed[held] = _cover_regexes(ctx, lexicon, held)
+        for i in range(len(word) + 1):
+            ctx = _SearchContext(grammar, lexicon)
+            suffix = "".join(word[i:])
+            for node in nodes:
+                want = narrowed[held][node].fullmatch(suffix) is not None
+                assert _fits(ctx, PATTERN, root, node, word[i:], 0, (),
+                             held) == want, (node.depth, word, i)
+                cut += covers[node].fullmatch(suffix) is not None and not want
+    assert cut > 0
+
+
+def test_slots_that_copy_no_tape_are_not_narrowed(grammar, lexicon):
+    # R1 and R2 spelling any consonant or vowel rather than the root
+    # consonant or vocalism vowel they read: then no rule copies a tape,
+    # and the verdicts with any held symbols, none even, are those without
+    text = data_text(GRAMMAR_FILE)
+    for old, new in (
+            ("rule R1: * - C - *  =>  * - (Pc, C, 0) - *  where pc(Pc)",
+             "rule R1: * - X - *  =>  * - (Pc, C, 0) - *  where cons(X), "
+             "pc(Pc)"),
+            ("rule R2: * - V - *  =>  * - (Pv, 0, V) - *  where pv(Pv)",
+             "rule R2: * - X - *  =>  * - (Pv, 0, V) - *  where vowel(X), "
+             "pv(Pv)")):
+        assert old in text
+        text = text.replace(old, new)
+    g = parse_grammar(text)
+    ctx = _SearchContext(g, lexicon)
+    assert ctx.memo.spelling == PATTERN and ctx.memo.copied is None
+    assert _held(ctx, decode("katab"), 0, ()) is None
+    root = lexicon.tree("pattern").root
+    nodes = list(_nodes(root))
+    covers = _cover_regexes(ctx, lexicon)
+    for word in map(decode, ("katab", "katabbabab", "ktanbay", "wakutib")):
+        for i in range(len(word) + 1):
+            ctx = _SearchContext(g, lexicon)
+            for node in nodes:
+                want = covers[node].fullmatch("".join(word[i:])) is not None
+                assert _fits(ctx, PATTERN, root, node, word[i:], 0, (),
+                             frozenset()) == want
 
 
 def test_a_misfit_the_subsequence_check_passes(grammar, lexicon):
