@@ -44,7 +44,11 @@ inside the whole surface of the path, since a complete state reads whole
 entries (_copied_tape, _copy_literals, _held). That holds except
 where the search must see every state: whether these lookaheads apply is
 worked out from each state (_search), and which tape spells the surface
-and which it copies from the grammar, in the step memo.
+and which it copies from the grammar, in the step memo. A search over
+scripted tapes, as generation, does not make a state whose current root or
+vocalism entry keeps an unread position that no pattern slot still to be
+read indexes, since the slot that reads a position indexes it
+(_aligned_tapes, _slots_reach); scripted_surfaces checks its start.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from types import MappingProxyType
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping,
                     NamedTuple, Optional, Sequence, Tuple)
 
-from .alphabet import BOUNDARY, SymbolString, slot_index
+from .alphabet import ALL_SYMBOLS, BOUNDARY, SymbolString, slot_index
 from .features import FeatureStructure, restrict, unify, unify_all
 from .grammar import (EPS, WILDCARD, Bindings, Grammar, Guards, LeftSide,
                       LexTuple, RecordPattern, RulePlan, TwoLevelRule,
@@ -151,7 +155,9 @@ class ScriptCursor:
     It reads the form of entry `ei` along that form's one-path trie
     (StepMemo.path): its node stands for the form and the offset into it,
     which is the node's depth. `paths` holds each entry's path root, then
-    the empty path that the cursor rests on once every entry is read.
+    the empty path that the cursor rests on once every entry is read: what
+    the cursor has still to read is the rest of its path and the paths
+    after `ei`, which the alignment lookahead reads (_slots_reach).
     """
 
     __slots__ = ("entries", "paths", "ei", "node")
@@ -417,6 +423,13 @@ class StepMemo:
              `spelling`. Which symbols copy it, and what else they may
              spell, is derived per trie edge with the rest of its spelling
              (_copy_literals, cover_steps)
+    aligned  each aligned tape with the earlier tapes that serve it
+             (_aligned_tapes): derived here with `spelling`
+    slots    one-path node (`paths`) -> (bitmask of the slot indices of the
+             symbols its path still reads, bitmask of the positions of the
+             non-boundary symbols it still reads): what the alignment
+             lookahead reads of a scripted cursor (_slots_reach), one entry
+             per node, filled on first use
     cover_steps  trie node -> (whether an entry ends at or below it after
              symbols that may all vanish, each (surface set, may vanish,
              child, copy literals) of its edges): the trie as the
@@ -450,6 +463,8 @@ class StepMemo:
             {} if _closes_stems_together(grammar) else None
         self.spelling = _spelling_tape(grammar)
         self.copied = _copied_tape(grammar, self.spelling)
+        self.aligned = _aligned_tapes(grammar)
+        self.slots: Dict[Node, Tuple[int, int]] = {}
         self.cover_steps: Dict[Node, tuple] = {}
         self.lex_cap = lexicon.max_entry_length() + 4
         self.surfaces: Dict[tuple, Optional[SymbolString]] = {}
@@ -515,9 +530,9 @@ class _SearchContext:
     Where the lookaheads apply is a fact of each successor, worked out
     where it is made (apply_rule, corrector.try_error_rules) from its word,
     its budget and `errors`: whether the search that expands the state has
-    an error step (_lookaheads). _successors sets it before it applies the
-    rules, since apply_rule(ctx, state, rule) is told nothing else of the
-    search.
+    an error step (_lookaheads), and from the grammar. _successors sets
+    `errors` before it applies the rules, since apply_rule(ctx, state,
+    rule) is told nothing else of the search.
     """
 
     def __init__(self, grammar: Grammar, lexicon: Lexicon,
@@ -635,15 +650,19 @@ def _walk(ctx: _SearchContext, plan: RulePlan, cursors: list,
         yield curs, consumed, tuples, b
 
 
+def _index(sym: str) -> int:
+    """The position a slot symbol indexes (alphabet.slot_index), or 0 for
+    any other symbol, which indexes none."""
+    try:
+        return slot_index(sym)
+    except (ValueError, IndexError):
+        return 0
+
+
 def _indexes_next(cursors, tapes: Tuple[int, ...], sym: str) -> bool:
     """Does the slot symbol index the next position of each aligned tape?"""
-    for ti in tapes:
-        try:
-            if slot_index(sym) != cursors[ti].node.depth + 1:
-                return False
-        except (ValueError, IndexError):
-            return False
-    return True
+    j = _index(sym)
+    return all(j == cursors[ti].node.depth + 1 for ti in tapes)
 
 
 def _unread(state: SearchState, k: int) -> Optional[tuple]:
@@ -974,6 +993,80 @@ def _stems_meet(ctx: _SearchContext, tapes: Sequence[TapeState]) -> bool:
             unify(restrict(r.features, soft), v) is not None
             for r in _entries_below(root) for v in vocs)
     return meet
+
+
+def _aligned_tapes(grammar: Grammar
+                   ) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+    """Each aligned tape T, with the tapes that serve it. T is aligned when
+    some lexical tuple of the grammar's rules can read a non-boundary
+    symbol on T, and every one that can also reads, on an earlier tape S, a
+    variable guarded by aligned(var, T) that no earlier slot of the rule's
+    lexical expression binds: S serves T. Contexts do not count: they
+    advance no cursor. The walk binds such a variable before it advances
+    T in the tuple, and only to a symbol that indexes T's next position
+    (_walk, _indexes_next), so each non-boundary symbol of a T morpheme is
+    read together with a symbol of a serving tape that indexes its
+    position. That is the premise of the alignment lookahead
+    (_slots_reach). In the bundled grammar the pattern tape serves the
+    root tape (R1, glottal_change) and the vocalism tape (R2, R8)."""
+    letters = ALL_SYMBOLS - {BOUNDARY}
+    servers: Dict[int, set] = {ti: set() for ti in range(len(TAPES))}
+    for rule in grammar.rules:
+        bound = set()
+        for tup in rule.lex:
+            serving: Dict[int, set] = {}
+            for ti, slot in enumerate(tup):
+                if ti in servers and any(_reads(slot, sym, rule.guards)
+                                         for sym in letters):
+                    if ti in serving:
+                        servers[ti] |= serving[ti]
+                    else:
+                        del servers[ti]
+                if slot[0] == "var" and slot[1] not in bound:
+                    bound.add(slot[1])
+                    for var, tape in rule.guards.aligned:
+                        if var == slot[1] and TAPES.index(tape) > ti:
+                            serving.setdefault(TAPES.index(tape),
+                                               set()).add(ti)
+    return tuple((ti, tuple(sorted(s))) for ti, s in servers.items() if s)
+
+
+def _path_slots(memo: StepMemo, node: Node) -> Tuple[int, int]:
+    """What a one-path node's path still reads: the bitmask of the slot
+    indices of its symbols (bit j: a symbol that indexes position j) and
+    that of the positions of its non-boundary symbols (bit j: the j-th
+    symbol of the form). One entry per node (StepMemo.slots)."""
+    got = memo.slots.get(node)
+    if got is None:
+        indices = positions = 0
+        for sym, child in node.edges.items():
+            indices, positions = _path_slots(memo, child)
+            indices |= 1 << _index(sym) & ~1
+            if sym != BOUNDARY:
+                positions |= 1 << node.depth + 1
+        got = memo.slots[node] = (indices, positions)
+    return got
+
+
+def _slots_reach(ctx: _SearchContext, tapes: Sequence[TapeState]) -> bool:
+    """False when some unread non-boundary position of the current entry on
+    an aligned tape (StepMemo.aligned) is indexed by no symbol its serving
+    tapes have still to read, the rest of their current entries and their
+    later entries: then no complete state lies below (_search). Every tape
+    is scripted (ScriptCursor); True for a grammar with no aligned tape."""
+    memo = ctx.memo
+    for ti, servers in memo.aligned:
+        need = _path_slots(memo, tapes[ti].cursor.node)[1]
+        for si in servers:
+            if not need:
+                break
+            cursor = tapes[si].cursor
+            need &= ~_path_slots(memo, cursor.node)[0]
+            for path in cursor.paths[cursor.ei + 1:]:
+                need &= ~_path_slots(memo, path)[0]
+        if need:
+            return False
+    return True
 
 
 def _spelling(ctx: _SearchContext, ti: int,
@@ -1472,16 +1565,16 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
     a first surface variable bound by them or by the surface head limits
     the walk; see RulePlan.
 
-    A successor keeps the state's budget, so the lookaheads that apply to
-    it are those that apply to the state (_lookaheads). They are checked once
-    the step's morphemes are committed, and a successor that fails one
-    gets no obligation, watch, history node, record or state. A successor
-    no lookahead checks is committed only after its obligations are fed:
-    most generation steps fail there, and would commit for nothing.
+    A successor keeps the state's budget and its word, so the lookaheads
+    that apply to it are those that apply to the state (_lookaheads). They
+    are checked once the step's morphemes are committed, and a successor
+    that fails one gets no obligation, watch, history node, record or
+    state. A successor no lookahead checks is committed only after its
+    obligations are fed.
     """
     plan = ctx.grammar.plans[rule.name]
     word = state.word
-    stems, fit = _lookaheads(state, ctx.errors)
+    stems, fit, slots = _lookaheads(ctx, state)
     start: Bindings = {}
     if plan.hoisted:
         start = _left_bindings(ctx, plan, state.history, {})
@@ -1542,7 +1635,12 @@ def apply_rule(ctx: _SearchContext, state: SearchState,
         for ti in read:
             tapes_mid[ti] = TapeState(cursors[ti], tapes_mid[ti].morphemes)
         committed = None
-        if stems:
+        if slots:
+            committed = [tapes for tapes in _commit_morphemes(tapes_mid, read)
+                         if _slots_reach(ctx, tapes)]
+            if not committed:
+                continue
+        elif stems:
             committed = [
                 tapes for tapes in _commit_morphemes(tapes_mid, read)
                 if _stems_meet(ctx, tapes)
@@ -1694,13 +1792,19 @@ def _table_key(state: SearchState) -> tuple:
             state.lex_run, state.last_nonconsuming)
 
 
-def _lookaheads(state: SearchState, errors: bool) -> Tuple[bool, bool]:
-    """Whether the stem lookahead and the surface fit apply at `state` in a
-    search with an error step (`errors`) or without, which is also where
-    they apply at the successors of its rules, since those keep its budget
-    (apply_rule; see _search)."""
+def _lookaheads(ctx: _SearchContext,
+                state: SearchState) -> Tuple[bool, bool, bool]:
+    """Whether the stem lookahead, the surface fit and the alignment
+    lookahead apply at `state` in the search `ctx` expands it in, with an
+    error step (_SearchContext.errors) or without, which is also where they
+    apply at the successors of its rules, since those keep its budget and
+    its word (apply_rule; see _search). The alignment lookahead applies to
+    every state of a search over scripted tapes, which has no word, when
+    the grammar has an aligned tape (StepMemo.aligned)."""
+    errors = ctx.errors
     stems = state.word is not None and (state.budget > 0 or not errors)
-    return stems, stems and (state.budget == 2 or not errors)
+    return (stems, stems and (state.budget == 2 or not errors),
+            state.word is None and bool(ctx.memo.aligned))
 
 
 def _search(ctx: _SearchContext, roots: Iterable[SearchState],
@@ -1725,28 +1829,39 @@ def _search(ctx: _SearchContext, roots: Iterable[SearchState],
     the state is not tabled) and the number of states yielded before it
     was pushed. Searches without an error step do no work for the table.
 
-    The lookaheads are exact by the same token, and a state is checked by
-    them when it has a word and is not a budget-0 state of a search with
-    an error step (_lookaheads). Generation has no word, and its cursors
-    walk the paths of scripted forms, with no lexicon entries below them.
-    A budget-0 state of a search with an error step belongs to
-    correction's error-free pass, which records every state it expands to
-    fix the failure point; a lookahead would leave some out and could move
-    it.
+    The lookaheads are exact by the same token. The stem lookahead and the
+    surface fit check a state when it has a word and is not a budget-0
+    state of a search with an error step (_lookaheads). A budget-0 state
+    of a search with an error step belongs to correction's error-free
+    pass, which records every state it expands to fix the failure point; a
+    lookahead would leave some out and could move it.
     The roots of correction's second pass are error successors, whose
-    budget is 1 or 2.
+    budget is 1 or 2. Generation has no word, and its cursors walk the
+    paths of scripted forms, with no lexicon entries below them; the
+    alignment lookahead checks its states instead, since every tape's
+    script is known there. Analysis and the error search do not know the
+    pattern morphemes to come, so it would not be exact there.
 
     A successor is checked where it is made, before anything else is built
     for it: apply_rule checks its successors once their morphemes are
     committed, and corrector.try_error_rules its error successors right
     after the splice. This search checks no state, its roots included. Of
-    the roots the library searches from, only analyze's start can fail a
-    lookahead, and analyze checks it: the stems trivially meet at the trie
-    roots, generation has no word, the error-free pass is not pruned, and
-    the error search's roots are error successors, checked by
+    the roots the library searches from, only the starts of analyze and of
+    scripted_surfaces can fail a lookahead, and each checks its own: the
+    stems trivially meet at the trie roots, the error-free pass is not
+    pruned, and the error search's roots are error successors, checked by
     try_error_rules and corrector._error_roots. A complete state passes
-    both lookaheads, so checking before _complete, as the makers do, cuts
+    every lookahead, so checking before _complete, as the makers do, cuts
     no more than checking after it.
+
+    The alignment lookahead (_slots_reach) is exact wherever the grammar
+    has an aligned tape (_aligned_tapes). A complete state below a
+    generation state has read every position of every scripted entry, and
+    each non-boundary position j of an entry on an aligned tape is read
+    together with a serving-tape symbol that indexes j, one the state has
+    still to read. In the bundled grammar a spreading step (R5, R6) that
+    takes the last slot indexing an unread root or vocalism position is
+    cut at once, rather than when the branch dies steps later.
 
     Each expansion reads two per-state checks from tables rather than
     working them out: a hoisted plan's left-context verdict is the one
@@ -1904,14 +2019,27 @@ def generate(selection: Dict[str, object], grammar: Grammar, lexicon: Lexicon,
     output; an empty set enumerates every licensed orthography. A selection
     that names no morpheme generates nothing.
     """
-    def lookup(tape: str, key: str) -> Optional[MorphemeEntry]:
+    scripts = selection_scripts(selection, lexicon)
+    if not any(scripts.values()):
+        return []
+    return list(dict.fromkeys(scripted_surfaces(scripts, grammar, lexicon,
+                                                skip_rules)))
+
+
+def selection_scripts(selection: Dict[str, object], lexicon: Lexicon
+                      ) -> Dict[str, Tuple[MorphemeEntry, ...]]:
+    """The morpheme sequence per tape (tape name -> entries) that a
+    selection, as `generate` takes it, names: the prefixes, the pattern and
+    the suffixes on the pattern tape, and the root and the vocalism on
+    theirs. An unknown id raises UnknownMorpheme, as in `generate`."""
+    def lookup(tape: str, key: str) -> Tuple[MorphemeEntry, ...]:
         ident = selection.get(key)
         if ident is None:
-            return None
+            return ()
         entry = lexicon.entry(tape, str(ident))
         if entry is None:
             raise UnknownMorpheme(f"no {key} morpheme {ident!r}")
-        return entry
+        return (entry,)
 
     pattern = lookup("pattern", "pattern")
     root = lookup("root", "root")
@@ -1922,20 +2050,12 @@ def generate(selection: Dict[str, object], grammar: Grammar, lexicon: Lexicon,
         if entry is None or entry.kind not in ("prefix", "suffix"):
             raise UnknownMorpheme(f"no affix morpheme {ident!r}")
         affixes.append(entry)
-
-    prefixes = tuple(e for e in affixes if e.kind == "prefix")
-    suffixes = tuple(e for e in affixes if e.kind == "suffix")
-    pattern_seq = prefixes + ((pattern,) if pattern else ()) + suffixes
-
-    scripts = {
-        "pattern": pattern_seq,
-        "root": (root,) if root else (),
-        "vocalism": (voc,) if voc else (),
+    return {
+        "pattern": (*(e for e in affixes if e.kind == "prefix"), *pattern,
+                    *(e for e in affixes if e.kind == "suffix")),
+        "root": root,
+        "vocalism": voc,
     }
-    if not any(scripts.values()):
-        return []
-    return list(dict.fromkeys(scripted_surfaces(scripts, grammar, lexicon,
-                                                skip_rules)))
 
 
 def scripted_surfaces(scripts: Dict[str, Sequence[MorphemeEntry]],
@@ -1952,5 +2072,9 @@ def scripted_surfaces(scripts: Dict[str, Sequence[MorphemeEntry]],
                     for t in TAPES),
         word=None,
     )
+    # the one root the alignment lookahead can cut, as analyze checks its
+    # own start (_search)
+    if not _slots_reach(ctx, initial.tapes):
+        return
     for s in _search(ctx, [initial]):
         yield _surface(s.records)

@@ -12,7 +12,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from .alphabet import SymbolString
-from .engine import Analysis, generate, optional_deletion_rules
+from .engine import (Analysis, optional_deletion_rules, scripted_surfaces,
+                     selection_scripts)
+# perfbench/tracing.py wraps morphosyntax.generate
+from .engine import generate  # noqa: F401
 from .features import FeatureStructure, conflicts, unify_all
 from .grammar import Grammar
 from .lexicon import Lexicon
@@ -81,7 +84,8 @@ def repair_clash(clash: FeatureClash, grammar: Grammar,
     """One fully vocalised surface per pattern the root expects.
 
     Each expected pattern carries the vocalism paired with it for the
-    inflection; generation runs with the optional deletions disabled.
+    inflection; generation runs with the optional deletions disabled, and
+    reads only the first surface of each selection.
     """
     skip = optional_deletion_rules(grammar)
     out: List[SymbolString] = []
@@ -98,7 +102,8 @@ def repair_clash(clash: FeatureClash, grammar: Grammar,
             "vocalism": voc[0] if voc else None,
             "affixes": (),
         }
-        surfaces = generate(selection, grammar, lexicon, skip_rules=skip)
-        if surfaces:
-            out.append(surfaces[0])
+        surface = next(scripted_surfaces(selection_scripts(selection, lexicon),
+                                         grammar, lexicon, skip), None)
+        if surface is not None:
+            out.append(surface)
     return out

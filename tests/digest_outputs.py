@@ -11,7 +11,13 @@ outputs, so that two trees can be compared by running it in each:
 - the full ranked candidates, `correct(max_candidates=None)`, of the error
   examples and the unanalyzable edits, at `max_positions` None and 2;
 - `generate` of every verb-table and nominal selection, fully vocalised and
-  in every orthography.
+  in every orthography;
+- `generate` of every (stem pattern, root, vocalism) triple of the lexicon,
+  in both styles, most of which generate nothing;
+- `generate` of the affixed and linear selections, with their affixes, in
+  both styles;
+- `repair_clash` of every feature clash in the analyses of the
+  broken-plural misuse words.
 
 Run it as ``python3 tests/digest_outputs.py``; it takes about half a minute.
 It is not a test: pytest collects no file of this name.
@@ -26,12 +32,13 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"),
                 str(ROOT / "tests")]
 
-from semitic_morpho import engine, load_builtin  # noqa: E402
+from semitic_morpho import engine, load_builtin, morphosyntax  # noqa: E402
 from semitic_morpho.alphabet import decode, encode  # noqa: E402
 from semitic_morpho.corrector import correct  # noqa: E402
 from test_order_contract import ERROR_EXAMPLES  # noqa: E402
-from workloads import (NOMINAL, VERB_TABLE, table_selection,  # noqa: E402
-                       unanalyzable_edits, well_formed_words)
+from workloads import (AFFIXED, NOMINAL, REPAIR_WORDS,  # noqa: E402
+                       VERB_TABLE, table_selection, unanalyzable_edits,
+                       well_formed_words)
 
 # stacked stems and suffixes the bundled morphotactics still admit, and
 # stems whose consonant slots copy an earlier root consonant (R5)
@@ -84,14 +91,38 @@ def groups(grammar, lexicon):
             for word in misspelt]
     selections = [table_selection(m, v) for m, v, _ in VERB_TABLE.cells()]
     selections += [(pattern, root, voc) for _, pattern, root, voc in NOMINAL]
+    yield "generate", len(selections), _generated(grammar, lexicon,
+                                                  selections)
+    stems = [e.id for e in lexicon.tree("pattern").entries
+             if e.kind not in ("prefix", "suffix", "word")]
+    triples = [(pattern, root.id, voc.id) for pattern in stems
+               for root in lexicon.tree("root").entries
+               for voc in lexicon.tree("vocalism").entries]
+    yield "generate triples", len(triples), _generated(grammar, lexicon,
+                                                       triples)
+    yield "generate affixed", len(AFFIXED), _generated(
+        grammar, lexicon, list(AFFIXED.values()))
+    repairs = []
+    for word in REPAIR_WORDS:
+        for a in engine.analyze(decode(word), grammar, lexicon):
+            clash = morphosyntax.parse_word(a, lexicon)
+            if isinstance(clash, morphosyntax.FeatureClash):
+                repairs.append([word, clash.root_id, clash.pattern_id, [
+                    encode(s) for s in morphosyntax.repair_clash(
+                        clash, grammar, lexicon)]])
+    yield "repair_clash", len(REPAIR_WORDS), repairs
+
+
+def _generated(grammar, lexicon, selections):
+    """`generate` of each (pattern, root, vocalism) or (pattern, root,
+    vocalism, affixes), fully vocalised and in every orthography."""
     full = engine.optional_deletion_rules(grammar)
-    yield "generate", len(selections), [
-        [[pattern, root, voc, style],
-         [encode(s) for s in engine.generate(
-             {"pattern": pattern, "root": root, "vocalism": voc,
-              "affixes": ()}, grammar, lexicon, skip_rules=skip)]]
-        for pattern, root, voc in selections
-        for style, skip in (("full", full), ("all", frozenset()))]
+    return [[[*selection, style],
+             [encode(s) for s in engine.generate(
+                 dict(zip(("pattern", "root", "vocalism", "affixes"),
+                          selection)), grammar, lexicon, skip_rules=skip)]]
+            for selection in selections
+            for style, skip in (("full", full), ("all", frozenset()))]
 
 
 def main():

@@ -123,6 +123,16 @@ def test_generate_without_morpheme_usage_error(capsys):
         "--vocalism or --affix"]
 
 
+def test_generate_selection_with_no_surface(capsys):
+    # M1 has no c4 slot for dHrJ's fourth consonant
+    argv = ("generate", "--pattern", "M1", "--root", "dHrJ",
+            "--vocalism", "ui")
+    assert _run(capsys, *argv) == (1, "", "")
+    code, out, err = _run(capsys, "--format", "json", *argv)
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"surfaces": []}
+
+
 def test_generate_with_affix(capsys):
     code, out, err = _run(capsys, "generate", "--pattern", "Q3",
                           "--root", "dHrJ", "--vocalism", "ui",
